@@ -31,10 +31,6 @@ def hash_bytes(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def hex_digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 @dataclass(frozen=True)
 class KeyPair:
     private_key: bytes  # 32-byte Ed25519 seed

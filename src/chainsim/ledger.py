@@ -34,6 +34,7 @@ MAX_PAYLOAD_BYTES = 1024
 MAX_BLOCK_TXS = 100
 ZERO_HASH = bytes(32)
 ZERO_ADDRESS = bytes(20)
+U64_MAX = (1 << 64) - 1
 
 
 class LedgerError(Exception):
@@ -50,7 +51,7 @@ class TxError(LedgerError):
 
 
 class BlockError(LedgerError):
-    """Causes: bad_link, bad_height, bad_tx_root, bad_pow, bad_tx,
+    """Causes: malformed, bad_link, bad_height, bad_tx_root, bad_pow, bad_tx,
     too_many_txs, bad_timestamp, bad_genesis."""
 
     def __init__(self, code: str, detail: str = "", tx_index: Optional[int] = None):
@@ -128,10 +129,6 @@ def tx_signing_bytes(tx: Transaction) -> bytes:
             tx.payload,
         ]
     )
-
-
-def tx_hash(tx: Transaction) -> bytes:
-    return tx.tx_hash
 
 
 def decode_transaction(data: bytes) -> Transaction:
@@ -331,7 +328,36 @@ def apply_block(state: AccountState, block: Block) -> AccountState:
     return new
 
 
+def _check_fields(block: Block) -> None:
+    """Reject a field the binary encodings cannot carry: a wrong-width hash
+    or address, an integer outside its packed range, or an oversized
+    payload. Runs before anything hashes or signs the block, so a decoded
+    chain line that passes the JSON parse still fails with a cause code
+    rather than a packing error. Runs on every block validation, so the
+    checks are inline comparisons."""
+    if len(block.prev_hash) != 32 or len(block.tx_root) != 32 or len(block.miner) != 20:
+        raise BlockError("malformed", "header hash or miner width")
+    if not (
+        0 <= block.height <= U64_MAX
+        and 0 <= block.timestamp <= U64_MAX
+        and 0 <= block.pow_nonce <= U64_MAX
+        and 0 <= block.difficulty_bits <= 0xFF
+    ):
+        raise BlockError("malformed", "header integer outside its packed range")
+    for address, amount in block.allocations:
+        if len(address) != 20 or not 0 <= amount <= U64_MAX:
+            raise BlockError("malformed", "allocation address width or amount range")
+    for i, tx in enumerate(block.transactions):
+        if len(tx.payload) > MAX_PAYLOAD_BYTES:
+            raise BlockError("bad_tx", f"tx {i}: payload_too_large", tx_index=i)
+        if len(tx.recipient) != 20 or not (
+            0 <= tx.amount <= U64_MAX and 0 <= tx.fee <= U64_MAX and 0 <= tx.nonce <= U64_MAX
+        ):
+            raise BlockError("malformed", f"tx {i}: recipient width or u64 range", tx_index=i)
+
+
 def validate_genesis(block: Block) -> None:
+    _check_fields(block)
     if block.height != 0:
         raise BlockError("bad_genesis", "genesis height must be 0")
     if block.prev_hash != ZERO_HASH:
@@ -350,6 +376,7 @@ def validate_genesis(block: Block) -> None:
 
 def validate_block(block: Block, parent: Block, state_at_parent: AccountState) -> None:
     """Full validation of ``block`` against its parent and parent state."""
+    _check_fields(block)
     if block.height != parent.height + 1:
         raise BlockError("bad_height", f"{block.height} != {parent.height + 1}")
     if block.prev_hash != parent.block_hash:
@@ -388,11 +415,17 @@ def _apply_partial(state: AccountState, tx: Transaction) -> AccountState:
 
 
 class BlockStore:
-    """Block tree: all known valid blocks, child links, and tips.
+    """Block tree: all known valid blocks, child links, and tips, plus an
+    index of the canonical chain.
 
     Orphans (unknown parent) are rejected; they live in the node's orphan
     pool until their parent arrives. Tips remember arrival order so the
     first-seen tie-break in fork choice is stable.
+
+    ``canonical[h]`` is the hash of the canonical block at height ``h`` and
+    ``tx_heights`` maps each canonical transaction to its block's height.
+    Both change only in ``set_canonical``, which walks back from the new tip
+    to the fork point, so a reorg costs its depth, not the chain height.
     """
 
     def __init__(self, genesis: Block):
@@ -400,10 +433,10 @@ class BlockStore:
         self.genesis = genesis
         self.blocks: dict = {genesis.block_hash: genesis}
         self.children: dict = {genesis.block_hash: []}
-        self._arrival: dict = {genesis.block_hash: 0}
         self._next_arrival = 1
         self.tips: dict = {genesis.block_hash: 0}  # hash -> arrival seq
-        self.canonical_tip: bytes = genesis.block_hash
+        self.canonical: list = [genesis.block_hash]  # height -> block hash
+        self.tx_heights: dict = {}  # canonical tx hash -> block height
 
     def __contains__(self, block_hash: bytes) -> bool:
         return block_hash in self.blocks
@@ -423,13 +456,9 @@ class BlockStore:
         self.blocks[h] = block
         self.children.setdefault(h, [])
         self.children[block.prev_hash].append(h)
-        self._arrival[h] = seq
         self.tips.pop(block.prev_hash, None)
         self.tips[h] = seq
-        # canonical_tip is maintained by the owner via fork_choice
-
-    def arrival_seq(self, block_hash: bytes) -> int:
-        return self._arrival[block_hash]
+        # the canonical index is moved by the owner via set_canonical
 
     def height_of(self, block_hash: bytes) -> int:
         return self.blocks[block_hash].height
@@ -447,8 +476,44 @@ class BlockStore:
         path.reverse()
         return path
 
+    @property
+    def canonical_tip(self) -> bytes:
+        return self.canonical[-1]
+
+    def is_canonical(self, block_hash: bytes) -> bool:
+        block = self.blocks.get(block_hash)
+        return (
+            block is not None
+            and block.height < len(self.canonical)
+            and self.canonical[block.height] == block_hash
+        )
+
+    def set_canonical(self, tip: bytes) -> tuple:
+        """Make ``tip`` the canonical head. Returns ``(displaced, adopted)``:
+        the blocks that left and joined the canonical chain, each in height
+        order. Only those blocks are touched."""
+        adopted = []
+        h = tip
+        while not self.is_canonical(h):
+            block = self.blocks[h]
+            adopted.append(block)
+            h = block.prev_hash
+        fork = self.blocks[h].height
+        displaced = [self.blocks[d] for d in self.canonical[fork + 1 :]]
+        del self.canonical[fork + 1 :]
+        for block in displaced:
+            for tx in block.transactions:
+                if self.tx_heights.get(tx.tx_hash, -1) > fork:
+                    del self.tx_heights[tx.tx_hash]
+        adopted.reverse()
+        for block in adopted:
+            self.canonical.append(block.block_hash)
+            for tx in block.transactions:
+                self.tx_heights.setdefault(tx.tx_hash, block.height)
+        return displaced, adopted
+
     def canonical_chain(self) -> list:
-        return self.path_to_genesis(self.canonical_tip)
+        return [self.blocks[h] for h in self.canonical]
 
 
 def verify_chain(store: BlockStore, tip: bytes) -> AccountState:

@@ -18,18 +18,6 @@ import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-MESSAGE_KINDS = (
-    "TX_ANNOUNCE",
-    "BLOCK_ANNOUNCE",
-    "GET_BLOCKS",
-    "BLOCKS",
-    "FIND_NODE",
-    "FOUND_NODES",
-    "PING",
-    "PONG",
-)
-
-
 @dataclass
 class SimConfig:
     rng_seed: int = 0

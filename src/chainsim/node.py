@@ -96,7 +96,7 @@ class SimNode:
                 self.snapshots[parent.block_hash], block
             )
             self.seen.add(block.block_hash)
-        self.store.canonical_tip = consensus.fork_choice(self.store)
+        self.store.set_canonical(consensus.fork_choice(self.store))
         assert self.canonical_state.state_hash() == state.state_hash()
 
     def persist_chain_lines(self) -> list:
@@ -239,31 +239,25 @@ class SimNode:
         self.store.insert(block)
         self.snapshots[block.block_hash] = ledger.apply_block(parent_state, block)
         self.seen.add(block.block_hash)
-        old_tip = self.store.canonical_tip
         new_tip = consensus.fork_choice(self.store)
-        if new_tip != old_tip:
-            self._adopt(old_tip, new_tip)
+        if new_tip != self.store.canonical_tip:
+            self._adopt(new_tip)
             return "adopted"
         return "side_chain"
 
-    def _adopt(self, old_tip: bytes, new_tip: bytes) -> None:
+    def _adopt(self, new_tip: bytes) -> None:
         """Switch the canonical chain: rewind to the common ancestor, replay
         the new branch, prune mempool, reinstate displaced transactions."""
-        old_path = {b.block_hash: b for b in self.store.path_to_genesis(old_tip)}
-        new_path = self.store.path_to_genesis(new_tip)
-        new_hashes = {b.block_hash for b in new_path}
-        displaced = []
-        new_tx_hashes = {
-            tx.tx_hash for b in new_path for tx in b.transactions
-        }
-        for bh, b in old_path.items():
-            if bh not in new_hashes:
-                displaced.extend(
-                    tx for tx in b.transactions if tx.tx_hash not in new_tx_hashes
-                )
-        self.store.canonical_tip = new_tip
-        for block in new_path:
-            if block.block_hash not in old_path and block.transactions:
+        displaced_blocks, adopted = self.store.set_canonical(new_tip)
+        adopted_txs = {tx.tx_hash for b in adopted for tx in b.transactions}
+        displaced = [
+            tx
+            for b in displaced_blocks
+            for tx in b.transactions
+            if tx.tx_hash not in adopted_txs
+        ]
+        for block in adopted:
+            if block.transactions:
                 self.mempool.remove_included(block)
         self.mempool.prune(self.canonical_state)
         self.mempool.reinstate(displaced, self.canonical_state)
@@ -347,15 +341,15 @@ class SimNode:
 
     def _locator(self) -> list:
         """Canonical-chain sample: tip, exponentially spaced back, genesis."""
-        chain = self.store.canonical_chain()
+        chain = self.store.canonical
         hashes = []
         step = 1
         i = len(chain) - 1
         while i > 0:
-            hashes.append(chain[i].block_hash)
+            hashes.append(chain[i])
             i -= step
             step *= 2
-        hashes.append(chain[0].block_hash)
+        hashes.append(chain[0])
         return hashes
 
     def _request_blocks(self, peer: int) -> None:
@@ -378,14 +372,13 @@ class SimNode:
         if len(body) % 32 != 0:
             return
         locator = [body[i : i + 32] for i in range(0, len(body), 32)]
-        chain = self.store.canonical_chain()
-        index_of = {b.block_hash: i for i, b in enumerate(chain)}
+        store = self.store
         start = 0
         for h in locator:
-            if h in index_of:
-                start = index_of[h] + 1
+            if store.is_canonical(h):
+                start = store.height_of(h) + 1
                 break
-        page = chain[start : start + SYNC_PAGE_SIZE]
+        page = [store.blocks[h] for h in store.canonical[start : start + SYNC_PAGE_SIZE]]
         if page:
             self.sim.send(self.index, origin, "BLOCKS", encode_blocks(page))
 

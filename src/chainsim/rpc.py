@@ -74,31 +74,19 @@ class RpcDispatcher:
         return tx.tx_hash.hex()
 
     def _block_result(self, block) -> dict:
-        chain_hash = block.block_hash
-        canonical = False
-        # canonical iff the block sits on the path genesis -> canonical tip
-        h = self.node.store.canonical_tip
-        while True:
-            if h == chain_hash:
-                canonical = True
-                break
-            b = self.node.store.blocks[h]
-            if b.height == 0:
-                break
-            h = b.prev_hash
         obj = block.to_json()
-        obj["hash"] = chain_hash.hex()
-        obj["canonical"] = canonical
+        obj["hash"] = block.block_hash.hex()
+        obj["canonical"] = self.node.store.is_canonical(block.block_hash)
         return obj
 
     def chain_getBlockByHeight(self, params: dict):
         height = params.get("height")
         if not isinstance(height, int) or isinstance(height, bool) or height < 0:
             raise RpcError(INVALID_PARAMS, "height must be a non-negative integer")
-        chain = self.node.store.canonical_chain()
-        if height >= len(chain):
+        store = self.node.store
+        if height >= len(store.canonical):
             return None
-        return self._block_result(chain[height])
+        return self._block_result(store.blocks[store.canonical[height]])
 
     def chain_getBlockByHash(self, params: dict):
         h = _require_hex(params, "hash", 32)
@@ -115,10 +103,9 @@ class RpcDispatcher:
         h = _require_hex(params, "hash", 32)
         if h in self.node.mempool:
             return {"status": "pending"}
-        for block in self.node.store.canonical_chain():
-            for tx in block.transactions:
-                if tx.tx_hash == h:
-                    return {"status": "confirmed", "height": block.height}
+        height = self.node.store.tx_heights.get(h)
+        if height is not None:
+            return {"status": "confirmed", "height": height}
         return {"status": "unknown"}
 
     def chain_getHead(self, params: dict):

@@ -47,7 +47,7 @@ def build_chain(n_blocks, allocations=(), tx_plan=None, difficulty=4):
         block = mine_child(blocks[-1], txs=txs, difficulty=difficulty)
         store.insert(block)
         blocks.append(block)
-    store.canonical_tip = blocks[-1].block_hash
+    store.set_canonical(blocks[-1].block_hash)
     return store, blocks
 
 

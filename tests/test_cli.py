@@ -5,7 +5,7 @@ import pytest
 from chainsim import ledger
 from chainsim.cli import main
 
-from conftest import addr, build_chain
+from conftest import addr, build_chain, signed_tx
 
 
 def run_cli(*argv):
@@ -46,6 +46,20 @@ def test_verify_reports_tampered_height(tmp_path, capsys):
     chain.write_bytes(b"\n".join(lines) + b"\n")
     assert run_cli("verify", str(chain)) == 1
     assert "FAIL at height 3" in capsys.readouterr().out
+
+
+def test_verify_out_of_range_amount_fails_cleanly(tmp_path, capsys):
+    _, blocks = build_chain(
+        3, allocations=[(addr(1), 100)], tx_plan={1: [signed_tx(1, 2, 10, 1, 0)]}
+    )
+    lines = ledger.chain_file_lines(blocks)
+    obj = json.loads(lines[1])
+    obj["transactions"][0]["amount"] = -1
+    lines[1] = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    chain = tmp_path / "chain.jsonl"
+    chain.write_bytes(b"\n".join(lines) + b"\n")
+    assert run_cli("verify", str(chain)) == 1
+    assert capsys.readouterr().out == "FAIL at height 1: malformed\n"
 
 
 def test_verify_missing_file(capsys):

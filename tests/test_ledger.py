@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +18,7 @@ from chainsim.ledger import (
     replay_blocks,
     tx_signing_bytes,
     validate_block,
+    validate_genesis,
     validate_transaction,
     verify_chain,
     verify_chain_lines,
@@ -320,3 +323,175 @@ def test_store_rejects_orphan_insert():
     stranger = mine_child(make_genesis([(addr(5), 1)]))
     with pytest.raises(BlockError):
         store.insert(stranger)
+
+
+# -- canonical chain index ---------------------------------------------------
+
+def _tree_tx(i: int) -> Transaction:
+    # unsigned: BlockStore indexes transactions by hash and never validates
+    return Transaction(bytes(32), addr(2), amount=i, fee=0, nonce=i)
+
+
+@st.composite
+def block_trees(draw):
+    """A genesis-rooted tree of unvalidated blocks, a random insertion order
+    (the test holds a block back until its parent is stored), and a list of
+    later tip moves. Ties at equal height are common; no transaction repeats
+    along any root path, as in every valid chain."""
+    genesis = make_genesis([(addr(1), 100)])
+    n = draw(st.integers(1, 24))
+    blocks = [genesis]
+    on_path = [frozenset()]  # tx ids on each block's path from genesis
+    for i in range(1, n + 1):
+        parent = draw(st.integers(0, i - 1))
+        wanted = draw(st.lists(st.integers(0, 7), max_size=3, unique=True))
+        ids = [t for t in wanted if t not in on_path[parent]]
+        txs = tuple(_tree_tx(t) for t in ids)
+        blocks.append(Block(
+            height=blocks[parent].height + 1,
+            prev_hash=blocks[parent].block_hash,
+            timestamp=0,
+            difficulty_bits=0,
+            pow_nonce=i,
+            miner=addr(3),
+            tx_root=ledger.compute_tx_root(txs),
+            transactions=txs,
+        ))
+        on_path.append(on_path[parent] | frozenset(ids))
+    order = draw(st.permutations(range(1, n + 1)))
+    moves = draw(st.lists(st.integers(0, n), max_size=12))
+    return blocks, order, moves
+
+
+def _hashes(blocks) -> list:
+    return [b.block_hash for b in blocks]
+
+
+def _move_and_check(store: BlockStore, tip: bytes) -> None:
+    old_path = store.path_to_genesis(store.canonical_tip)
+    new_path = store.path_to_genesis(tip)
+    old_set, new_set = set(_hashes(old_path)), set(_hashes(new_path))
+    displaced, adopted = store.set_canonical(tip)
+    assert _hashes(displaced) == [h for h in _hashes(old_path) if h not in new_set]
+    assert _hashes(adopted) == [h for h in _hashes(new_path) if h not in old_set]
+    assert store.canonical_tip == tip
+    assert _hashes(store.canonical_chain()) == _hashes(new_path)
+    scan = {}
+    for block in new_path:
+        for tx in block.transactions:
+            scan.setdefault(tx.tx_hash, block.height)
+    assert store.tx_heights == scan
+    assert {h for h in store.blocks if store.is_canonical(h)} == new_set
+
+
+@given(block_trees())
+def test_canonical_index_matches_full_path_walks(tree):
+    blocks, order, moves = tree
+    store = BlockStore(blocks[0])
+    pending = list(order)
+    while pending:  # insert in the drawn order, deferring orphans
+        deferred = []
+        for i in pending:
+            if blocks[i].prev_hash in store:
+                store.insert(blocks[i])
+                _move_and_check(store, consensus.fork_choice(store))
+            else:
+                deferred.append(i)
+        pending = deferred
+    for i in moves:
+        _move_and_check(store, blocks[i].block_hash)
+
+
+def test_is_canonical_unknown_hash():
+    store, blocks = build_chain(2)
+    assert store.is_canonical(blocks[2].block_hash)
+    assert not store.is_canonical(bytes(32))
+
+
+# -- field widths and ranges -------------------------------------------------
+
+def _chain_lines_with(mutate, height=1):
+    """Chain lines of a 3-block chain with one tx at height 1, with the JSON
+    object of line ``height`` passed through ``mutate``."""
+    import json
+
+    _, blocks = build_chain(
+        3, allocations=[(addr(1), 100)], tx_plan={1: [signed_tx(1, 2, 10, 1, 0)]}
+    )
+    lines = ledger.chain_file_lines(blocks)
+    obj = json.loads(lines[height])
+    mutate(obj)
+    lines[height] = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    return lines
+
+
+def test_sealed_short_miner_is_rejected():
+    genesis = make_genesis([(addr(1), 100)])
+    block = mine_child(genesis, miner=bytes(19))  # valid PoW over a 19-byte miner
+    with pytest.raises(BlockError) as e:
+        validate_block(block, genesis, apply_block(AccountState(), genesis))
+    assert e.value.code == "malformed"
+    with pytest.raises(ChainError) as e:
+        verify_chain_lines(ledger.chain_file_lines([genesis, block]))
+    assert (e.value.height, e.value.code) == (1, "malformed")
+
+
+@pytest.mark.parametrize("field,width", [("miner", 19), ("prev_hash", 31), ("tx_root", 33)])
+def test_validate_rejects_wrong_width_fields(field, width):
+    genesis = make_genesis([(addr(1), 100)])
+    block = mine_child(genesis)
+    state = apply_block(AccountState(), genesis)
+    with pytest.raises(BlockError) as e:
+        validate_block(replace(block, **{field: bytes(width)}), genesis, state)
+    assert e.value.code == "malformed"
+    with pytest.raises(BlockError) as e:
+        validate_genesis(replace(genesis, **{field: bytes(width)}))
+    assert e.value.code == "malformed"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("amount", -1), ("fee", 1 << 64), ("nonce", -5),
+])
+def test_out_of_range_tx_field_fails_at_its_height(field, value):
+    def mutate(obj):
+        obj["transactions"][0][field] = value
+    with pytest.raises(ChainError) as e:
+        verify_chain_lines(_chain_lines_with(mutate))
+    assert (e.value.height, e.value.code) == (1, "malformed")
+
+
+def test_signed_short_recipient_is_rejected():
+    kp = keypair(1)
+    tx = ledger.make_transaction(kp.private_key, kp.public_key, bytes(19), 10, 1, 0)
+    genesis = make_genesis([(addr(1), 100)])
+    block = mine_child(genesis, txs=[tx])
+    with pytest.raises(ChainError) as e:
+        verify_chain_lines(ledger.chain_file_lines([genesis, block]))
+    assert (e.value.height, e.value.code) == (1, "malformed")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("timestamp", 1 << 64), ("pow_nonce", -1), ("difficulty_bits", 256),
+])
+def test_out_of_range_header_field_fails_at_its_height(field, value):
+    def mutate(obj):
+        obj[field] = value
+    with pytest.raises(ChainError) as e:
+        verify_chain_lines(_chain_lines_with(mutate, height=2))
+    assert (e.value.height, e.value.code) == (2, "malformed")
+
+
+def test_out_of_range_allocation_fails_at_genesis():
+    def mutate(obj):
+        obj["allocations"][0][1] = -100
+    with pytest.raises(ChainError) as e:
+        verify_chain_lines(_chain_lines_with(mutate, height=0))
+    assert (e.value.height, e.value.code) == (0, "malformed")
+
+
+def test_oversized_payload_in_chain_file_fails_at_its_height():
+    def mutate(obj):
+        obj["transactions"][0]["payload"] = "00" * (ledger.MAX_PAYLOAD_BYTES + 1)
+    with pytest.raises(ChainError) as e:
+        verify_chain_lines(_chain_lines_with(mutate))
+    assert (e.value.height, e.value.code) == (1, "bad_tx")

@@ -1,7 +1,8 @@
+from chainsim import consensus
 from chainsim.kademlia import Contact
-from chainsim.ledger import make_genesis
-from chainsim.netsim import SimConfig, Simulator
-from chainsim.node import SimNode
+from chainsim.ledger import BlockStore, make_genesis
+from chainsim.netsim import Envelope, SimConfig, Simulator
+from chainsim.node import SYNC_PAGE_SIZE, SimNode, decode_blocks
 
 from conftest import addr, signed_tx
 
@@ -164,3 +165,29 @@ def test_mempool_filtering_keeps_templates_valid_after_reorg():
     assert all(t.nonce != 0 or t.sender != addr(1) for t in template.transactions)
     blk = a.mine_and_broadcast()
     assert blk is not None
+
+
+def test_tip_extension_and_block_serving_walk_no_path(monkeypatch):
+    sim = make_net(2)
+    a, b = sim.nodes
+    for _ in range(40):
+        a.mine_and_broadcast()
+    sim.run()
+    assert b.head().block_hash == a.head().block_hash
+    walks = []
+    real = BlockStore.path_to_genesis
+    monkeypatch.setattr(
+        BlockStore, "path_to_genesis", lambda store, tip: walks.append(tip) or real(store, tip)
+    )
+    sent = []
+    monkeypatch.setattr(sim, "send", lambda src, dst, kind, body: sent.append((kind, body)))
+
+    block = consensus.mine(a.build_template())
+    assert b.on_block(block) == "adopted"
+    assert b.head().block_hash == block.block_hash
+    # a peer that holds only genesis asks for blocks
+    b.handle(Envelope(0, 0, 0, 1, "GET_BLOCKS", GENESIS.block_hash))
+    assert walks == []
+    pages = [decode_blocks(body) for kind, body in sent if kind == "BLOCKS"]
+    assert [blk.height for blk in pages[0]] == list(range(1, SYNC_PAGE_SIZE + 1))
+    assert [blk.block_hash for blk in pages[0]] == b.store.canonical[1 : SYNC_PAGE_SIZE + 1]
