@@ -23,15 +23,24 @@ from __future__ import annotations
 
 import json
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Optional
 
 from .consensus import BLOCK_REWARD, meets_difficulty
-from .crypto import address_from_public_key, hash_bytes, sign, verify
+from .crypto import (
+    PUBLIC_KEY_SIZE,
+    SIGNATURE_SIZE,
+    address_from_public_key,
+    hash_bytes,
+    sign,
+    verify,
+)
 
 MAX_PAYLOAD_BYTES = 1024
 MAX_BLOCK_TXS = 100
+SIGNATURE_CACHE_SIZE = 4096  # about 40 full blocks of transactions
 ZERO_HASH = bytes(32)
 ZERO_ADDRESS = bytes(20)
 U64_MAX = (1 << 64) - 1
@@ -77,7 +86,7 @@ class Transaction:
     payload: bytes = b""
     signature: bytes = bytes(64)
 
-    @property
+    @cached_property
     def sender(self) -> bytes:
         return address_from_public_key(self.sender_public_key)
 
@@ -282,12 +291,39 @@ class AccountState:
         )
 
 
-def validate_transaction(tx: Transaction, state: AccountState) -> None:
-    """Raise TxError unless ``tx`` is acceptable against ``state``."""
+# tx hash -> None, oldest first: transactions whose signature verified
+_verified_signatures: OrderedDict = OrderedDict()
+
+
+def check_signature(tx: Transaction) -> None:
+    """Raise TxError unless ``tx``'s payload fits and its signature verifies.
+
+    The one admission check of block validation and the mempool. Signature
+    validity is a pure function of the transaction bytes, so a pass is
+    remembered process-wide by ``tx_hash`` (which covers every byte,
+    signature included) and every simulated node shares it; failures are
+    never remembered. A hit also needs the standard key and signature
+    widths: only then do equal encodings give ``verify`` equal arguments.
+    The oldest pass is forgotten once ``SIGNATURE_CACHE_SIZE`` are held."""
     if len(tx.payload) > MAX_PAYLOAD_BYTES:
         raise TxError("payload_too_large")
+    key = tx.tx_hash
+    if (
+        key in _verified_signatures
+        and len(tx.sender_public_key) == PUBLIC_KEY_SIZE
+        and len(tx.signature) == SIGNATURE_SIZE
+    ):
+        return
     if not verify(tx.sender_public_key, tx.signing_bytes(), tx.signature):
         raise TxError("bad_signature")
+    _verified_signatures[key] = None
+    if len(_verified_signatures) > SIGNATURE_CACHE_SIZE:
+        _verified_signatures.popitem(last=False)
+
+
+def validate_transaction(tx: Transaction, state: AccountState) -> None:
+    """Raise TxError unless ``tx`` is acceptable against ``state``."""
+    check_signature(tx)
     sender = tx.sender
     expected = state.next_nonce(sender)
     if tx.nonce < expected:
@@ -328,13 +364,13 @@ def apply_block(state: AccountState, block: Block) -> AccountState:
     return new
 
 
-def _check_fields(block: Block) -> None:
+def check_fields(block: Block) -> None:
     """Reject a field the binary encodings cannot carry: a wrong-width hash
     or address, an integer outside its packed range, or an oversized
     payload. Runs before anything hashes or signs the block, so a decoded
-    chain line that passes the JSON parse still fails with a cause code
-    rather than a packing error. Runs on every block validation, so the
-    checks are inline comparisons."""
+    chain line or gossiped block that passes the JSON parse still fails
+    with a cause code rather than a packing error. Runs on every block
+    validation, so the checks are inline comparisons."""
     if len(block.prev_hash) != 32 or len(block.tx_root) != 32 or len(block.miner) != 20:
         raise BlockError("malformed", "header hash or miner width")
     if not (
@@ -357,7 +393,7 @@ def _check_fields(block: Block) -> None:
 
 
 def validate_genesis(block: Block) -> None:
-    _check_fields(block)
+    check_fields(block)
     if block.height != 0:
         raise BlockError("bad_genesis", "genesis height must be 0")
     if block.prev_hash != ZERO_HASH:
@@ -376,7 +412,7 @@ def validate_genesis(block: Block) -> None:
 
 def validate_block(block: Block, parent: Block, state_at_parent: AccountState) -> None:
     """Full validation of ``block`` against its parent and parent state."""
-    _check_fields(block)
+    check_fields(block)
     if block.height != parent.height + 1:
         raise BlockError("bad_height", f"{block.height} != {parent.height + 1}")
     if block.prev_hash != parent.block_hash:

@@ -20,14 +20,51 @@ from .mempool import Mempool
 
 ORPHAN_POOL_CAP = 64
 SYNC_PAGE_SIZE = 32
+# what decoding a peer's body can raise; JSON also yields OverflowError
+# (an int field of Infinity) and RecursionError (deep nesting)
+MALFORMED = (
+    ledger.LedgerError, ValueError, KeyError, TypeError, OverflowError, RecursionError,
+)
 
 
 def encode_blocks(blocks: list) -> bytes:
     return json.dumps([b.to_json() for b in blocks], sort_keys=True, separators=(",", ":")).encode()
 
 
+def decode_block(body: bytes) -> Block:
+    """One gossiped block, its fields checked before anything hashes it."""
+    block = Block.decode(body)
+    ledger.check_fields(block)
+    return block
+
+
 def decode_blocks(body: bytes) -> list:
-    return [Block.from_json(obj) for obj in json.loads(body)]
+    objs = json.loads(body)
+    if not isinstance(objs, list):
+        raise TypeError("BLOCKS body is not a list")
+    blocks = [Block.from_json(obj) for obj in objs]
+    for block in blocks:
+        ledger.check_fields(block)
+    return blocks
+
+
+def decode_locator(body: bytes) -> list:
+    if len(body) % 32 != 0:
+        raise ValueError("locator is not a whole number of hashes")
+    return [body[i : i + 32] for i in range(0, len(body), 32)]
+
+
+def decode_message(kind: str, body: bytes):
+    """The typed content of a gossip body; raises one of MALFORMED."""
+    if kind == "TX_ANNOUNCE":
+        return ledger.decode_transaction(body)
+    if kind == "BLOCK_ANNOUNCE":
+        return decode_block(body)
+    if kind == "GET_BLOCKS":
+        return decode_locator(body)
+    if kind == "BLOCKS":
+        return decode_blocks(body)
+    raise ValueError(f"unknown message kind {kind}")
 
 
 def encode_contacts(contacts: list) -> bytes:
@@ -173,25 +210,27 @@ class SimNode:
             self.sim.send(self.index, contact.endpoint, kind, body)
 
     def handle(self, env, trace_row: Optional[dict] = None) -> None:
-        kind, body, origin = env.kind, env.body, env.src
+        """Deliver one message. A body that does not decode is dropped and
+        marked ``reject: malformed`` on its deliver row; it never raises."""
+        kind, origin = env.kind, env.src
+        try:
+            msg = decode_message(kind, env.body)
+        except MALFORMED:
+            if trace_row is not None:
+                trace_row["reject"] = "malformed"
+            return
         if kind == "TX_ANNOUNCE":
-            tx = ledger.decode_transaction(body)
             if trace_row is not None:
-                trace_row["tx"] = tx.tx_hash.hex()
-            self.on_transaction(tx, origin)
+                trace_row["tx"] = msg.tx_hash.hex()
+            self.on_transaction(msg, origin)
         elif kind == "BLOCK_ANNOUNCE":
-            block = Block.decode(body)
             if trace_row is not None:
-                trace_row["block"] = block.block_hash.hex()
-            self.on_block(block, origin)
+                trace_row["block"] = msg.block_hash.hex()
+            self.on_block(msg, origin)
         elif kind == "GET_BLOCKS":
-            self._serve_blocks(body, origin)
-        elif kind == "BLOCKS":
-            self._on_blocks(body, origin)
-        elif kind in ("FIND_NODE", "PING", "FOUND_NODES", "PONG"):
-            pass  # overlay RPCs use the synchronous query path
+            self._serve_blocks(msg, origin)
         else:
-            raise ValueError(f"unknown message kind {kind}")
+            self._on_blocks(msg, origin)
 
     # -- transactions ----------------------------------------------------------
 
@@ -368,10 +407,7 @@ class SimNode:
         self._sync_rotation += 1
         self._request_blocks(contact.endpoint)
 
-    def _serve_blocks(self, body: bytes, origin: int) -> None:
-        if len(body) % 32 != 0:
-            return
-        locator = [body[i : i + 32] for i in range(0, len(body), 32)]
+    def _serve_blocks(self, locator: list, origin: int) -> None:
         store = self.store
         start = 0
         for h in locator:
@@ -382,8 +418,7 @@ class SimNode:
         if page:
             self.sim.send(self.index, origin, "BLOCKS", encode_blocks(page))
 
-    def _on_blocks(self, body: bytes, origin: int) -> None:
-        blocks = decode_blocks(body)
+    def _on_blocks(self, blocks: list, origin: int) -> None:
         progressed = False
         for block in blocks:
             status = self.on_block(block, origin)

@@ -52,6 +52,14 @@ def build_chain(n_blocks, allocations=(), tx_plan=None, difficulty=4):
 
 
 @pytest.fixture
+def signature_cache():
+    """The process-wide signature cache, empty for this test and after it."""
+    ledger._verified_signatures.clear()
+    yield ledger._verified_signatures
+    ledger._verified_signatures.clear()
+
+
+@pytest.fixture
 def funded_state():
     state = AccountState()
     state.balances[addr(1)] = 100

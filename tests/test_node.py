@@ -1,8 +1,13 @@
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from chainsim import consensus
 from chainsim.kademlia import Contact
 from chainsim.ledger import BlockStore, make_genesis
 from chainsim.netsim import Envelope, SimConfig, Simulator
-from chainsim.node import SYNC_PAGE_SIZE, SimNode, decode_blocks
+from chainsim.node import SYNC_PAGE_SIZE, SimNode, decode_blocks, encode_blocks
 
 from conftest import addr, signed_tx
 
@@ -191,3 +196,92 @@ def test_tip_extension_and_block_serving_walk_no_path(monkeypatch):
     pages = [decode_blocks(body) for kind, body in sent if kind == "BLOCKS"]
     assert [blk.height for blk in pages[0]] == list(range(1, SYNC_PAGE_SIZE + 1))
     assert [blk.block_hash for blk in pages[0]] == b.store.canonical[1 : SYNC_PAGE_SIZE + 1]
+
+
+# -- malformed gossip bodies ---------------------------------------------------
+
+def _block_json(**fields) -> bytes:
+    obj = GENESIS.to_json()
+    obj.update(fields)
+    return json.dumps(obj).encode()
+
+
+MALFORMED_BODIES = {
+    "tx_junk": ("TX_ANNOUNCE", b"junk"),
+    "block_not_json": ("BLOCK_ANNOUNCE", b"{not json"),
+    "blocks_int": ("BLOCKS", b"7"),
+    "blocks_object": ("BLOCKS", b'{"a":1}'),
+    "block_negative_height": ("BLOCK_ANNOUNCE", _block_json(height=-1)),
+    "blocks_negative_height": ("BLOCKS", b"[" + _block_json(height=-1) + b"]"),
+    "block_infinite_height": (
+        "BLOCK_ANNOUNCE", _block_json().replace(b'"height": 0', b'"height": Infinity')
+    ),
+    "blocks_deep_nesting": ("BLOCKS", b"[" * 100_000),
+    "locator_ragged": ("GET_BLOCKS", bytes(33)),
+    "unknown_kind": ("FOUND_NODES", b""),
+}
+
+
+def deliver(sim, dst, kind, body):
+    """Queue one message for ``dst`` and run it through Simulator.step."""
+    env = Envelope(sim.now, sim.now, 0, dst, kind, body)
+    sim.schedule(sim.now, ("deliver", env))
+    sim.step()
+    return sim.tracer.rows[-1]
+
+
+@pytest.mark.parametrize("kind,body", MALFORMED_BODIES.values(), ids=MALFORMED_BODIES.keys())
+def test_malformed_body_is_dropped_and_traced(kind, body):
+    sim = make_net(2)
+    node = sim.nodes[1]
+    head, pool = node.head(), len(node.mempool)
+    sent = sim.messages_sent
+    row = deliver(sim, 1, kind, body)
+    assert row["type"] == "deliver" and row["reject"] == "malformed"
+    assert "block" not in row and "tx" not in row
+    assert node.head() == head and len(node.mempool) == pool
+    assert sim.messages_sent == sent
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(sorted(GENESIS.to_json())) | st.text(max_size=4), inner, max_size=8
+    ),
+    max_leaves=20,
+)
+VALID_BODIES = {
+    "TX_ANNOUNCE": signed_tx(1, 2, 10, 1, 0).encode(),
+    "BLOCK_ANNOUNCE": GENESIS.encode(),
+    "GET_BLOCKS": GENESIS.block_hash,
+    "BLOCKS": encode_blocks([GENESIS]),
+}
+
+
+@st.composite
+def mutated_valid_body(draw, kind):
+    data = bytearray(VALID_BODIES[kind])
+    for _ in range(draw(st.integers(1, 4))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+@st.composite
+def messages(draw):
+    kind = draw(st.sampled_from(sorted(VALID_BODIES)))
+    body = draw(
+        st.binary(max_size=300)
+        | json_values.map(lambda v: json.dumps(v).encode())
+        | mutated_valid_body(kind)
+    )
+    return kind, body
+
+
+@settings(max_examples=300, deadline=None)
+@given(messages())
+def test_arbitrary_bodies_never_raise_from_handle(message):
+    kind, body = message
+    sim = make_net(2)
+    row = deliver(sim, 1, kind, body)
+    assert row["type"] == "deliver"
