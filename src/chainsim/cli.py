@@ -162,7 +162,14 @@ def cmd_serve_rpc(args) -> int:
         return 2
     sim = _StandaloneSim()
     seed = bytes.fromhex(args.seed_hex) if args.seed_hex else node_key_seed(0, 0)
-    node = SimNode(sim, 0, seed, blocks[0], persisted_lines=lines)
+    try:
+        node = SimNode(sim, 0, seed, blocks[0], persisted_lines=lines)
+    except ChainError as e:
+        print(f"FAIL at height {e.height}: {e.code}")
+        return 1
+    except ledger.BlockError as e:  # the genesis block, refused by the node's store
+        print(f"FAIL at height 0: {e.code}")
+        return 1
     server = rpc.serve(node, port=args.port)
     host, port = server.server_address
     if not args.quiet:

@@ -47,19 +47,6 @@ class BlockTemplate:
     tx_root: bytes
     transactions: tuple = ()
 
-    def header_bytes(self, pow_nonce: int) -> bytes:
-        return b"".join(
-            [
-                struct.pack(">Q", self.height),
-                self.prev_hash,
-                struct.pack(">Q", self.timestamp),
-                struct.pack(">B", self.difficulty_bits),
-                struct.pack(">Q", pow_nonce),
-                self.miner,
-                self.tx_root,
-            ]
-        )
-
     def seal(self, pow_nonce: int):
         from .ledger import Block
 
@@ -85,10 +72,12 @@ def mine(template: BlockTemplate, start_nonce: int = 0, max_attempts: int = 1 <<
     """Seal ``template`` with the first qualifying nonce in
     [start_nonce, start_nonce + max_attempts); raises MiningExhausted
     if none qualifies so the caller can resume from a new start."""
+    from .ledger import POW_NONCE_OFFSET
+
     d = template.difficulty_bits
-    prefix = template.header_bytes(0)
-    # nonce occupies bytes 49..57 of the header; rebuild just that slice
-    head, tail = prefix[:49], prefix[57:]
+    header = template.seal(0).header_bytes()
+    # rebuild just the nonce's 8 bytes of the header per attempt
+    head, tail = header[:POW_NONCE_OFFSET], header[POW_NONCE_OFFSET + 8 :]
     for i in range(max_attempts):
         nonce = start_nonce + i
         digest = hash_bytes(head + struct.pack(">Q", nonce) + tail)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .consensus import BLOCK_REWARD, meets_difficulty
+from .consensus import block_reward, meets_difficulty
 from .crypto import (
     PUBLIC_KEY_SIZE,
     SIGNATURE_SIZE,
@@ -44,6 +44,7 @@ SIGNATURE_CACHE_SIZE = 4096  # about 40 full blocks of transactions
 ZERO_HASH = bytes(32)
 ZERO_ADDRESS = bytes(20)
 U64_MAX = (1 << 64) - 1
+POW_NONCE_OFFSET = 8 + 32 + 8 + 1  # pow_nonce's byte offset in the header
 
 
 class LedgerError(Exception):
@@ -74,6 +75,43 @@ class ChainError(LedgerError):
     def __init__(self, height: int, code: str, detail: str = ""):
         self.height = height
         super().__init__(code, f"height {height}: {detail}" if detail else f"height {height}")
+
+
+_TX_KEYS = frozenset(
+    ("sender_public_key", "recipient", "amount", "fee", "nonce", "payload", "signature")
+)
+_BLOCK_KEYS = frozenset(
+    ("height", "prev_hash", "timestamp", "difficulty_bits", "pow_nonce", "miner", "tx_root",
+     "transactions")
+)
+_GENESIS_KEYS = _BLOCK_KEYS | {"allocations"}
+
+
+def _check_keys(obj, keys: frozenset) -> None:
+    """The JSON decoders take exactly the fields ``to_json`` writes."""
+    if type(obj) is not dict or obj.keys() != keys:
+        raise ValueError(f"expected an object with exactly the fields {sorted(keys)}")
+
+
+def _int(value) -> int:
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    return value
+
+
+def _hex(value) -> bytes:
+    if type(value) is not str:
+        raise TypeError(f"expected a hex string, got {type(value).__name__}")
+    data = bytes.fromhex(value)
+    if data.hex() != value:  # one spelling per value: lowercase, no separators
+        raise ValueError("hex must be lowercase with no separators")
+    return data
+
+
+def _list(value) -> list:
+    if type(value) is not list:
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -113,14 +151,15 @@ class Transaction:
 
     @staticmethod
     def from_json(obj: dict) -> "Transaction":
+        _check_keys(obj, _TX_KEYS)
         return Transaction(
-            sender_public_key=bytes.fromhex(obj["sender_public_key"]),
-            recipient=bytes.fromhex(obj["recipient"]),
-            amount=int(obj["amount"]),
-            fee=int(obj["fee"]),
-            nonce=int(obj["nonce"]),
-            payload=bytes.fromhex(obj["payload"]),
-            signature=bytes.fromhex(obj["signature"]),
+            sender_public_key=_hex(obj["sender_public_key"]),
+            recipient=_hex(obj["recipient"]),
+            amount=_int(obj["amount"]),
+            fee=_int(obj["fee"]),
+            nonce=_int(obj["nonce"]),
+            payload=_hex(obj["payload"]),
+            signature=_hex(obj["signature"]),
         )
 
 
@@ -230,18 +269,22 @@ class Block:
 
     @staticmethod
     def from_json(obj: dict) -> "Block":
+        _check_keys(obj, _GENESIS_KEYS if "allocations" in obj else _BLOCK_KEYS)
+        allocations = []
+        for pair in _list(obj.get("allocations", [])):
+            if len(_list(pair)) != 2:
+                raise ValueError("an allocation is an [address, amount] pair")
+            allocations.append((_hex(pair[0]), _int(pair[1])))
         return Block(
-            height=int(obj["height"]),
-            prev_hash=bytes.fromhex(obj["prev_hash"]),
-            timestamp=int(obj["timestamp"]),
-            difficulty_bits=int(obj["difficulty_bits"]),
-            pow_nonce=int(obj["pow_nonce"]),
-            miner=bytes.fromhex(obj["miner"]),
-            tx_root=bytes.fromhex(obj["tx_root"]),
-            transactions=tuple(Transaction.from_json(t) for t in obj["transactions"]),
-            allocations=tuple(
-                (bytes.fromhex(a), int(n)) for a, n in obj.get("allocations", [])
-            ),
+            height=_int(obj["height"]),
+            prev_hash=_hex(obj["prev_hash"]),
+            timestamp=_int(obj["timestamp"]),
+            difficulty_bits=_int(obj["difficulty_bits"]),
+            pow_nonce=_int(obj["pow_nonce"]),
+            miner=_hex(obj["miner"]),
+            tx_root=_hex(obj["tx_root"]),
+            transactions=tuple(Transaction.from_json(t) for t in _list(obj["transactions"])),
+            allocations=tuple(allocations),
         )
 
     def encode(self) -> bytes:
@@ -321,28 +364,33 @@ def check_signature(tx: Transaction) -> None:
         _verified_signatures.popitem(last=False)
 
 
-def validate_transaction(tx: Transaction, state: AccountState) -> None:
-    """Raise TxError unless ``tx`` is acceptable against ``state``."""
-    check_signature(tx)
+def apply_tx(state: AccountState, tx: Transaction) -> None:
+    """The one account-state transition: settle ``tx`` onto ``state`` in
+    place (the sender pays amount+fee, the recipient gains amount, the
+    sender's nonce bumps), or raise TxError bad_nonce / insufficient_funds
+    and leave ``state`` untouched. Signatures are ``check_signature``'s."""
     sender = tx.sender
-    expected = state.next_nonce(sender)
+    expected = state.nonces.get(sender, 0)
     if tx.nonce < expected:
         raise TxError("bad_nonce", f"replay: nonce {tx.nonce} < {expected}")
     if tx.nonce > expected:
         raise TxError("bad_nonce", f"gap: nonce {tx.nonce} > {expected}")
-    if state.balance(sender) < tx.amount + tx.fee:
-        raise TxError(
-            "insufficient_funds",
-            f"balance {state.balance(sender)} < {tx.amount + tx.fee}",
-        )
+    balances = state.balances
+    balance = balances.get(sender, 0)
+    cost = tx.amount + tx.fee
+    if balance < cost:
+        raise TxError("insufficient_funds", f"balance {balance} < {cost}")
+    balances[sender] = balance - cost
+    balances[tx.recipient] = balances.get(tx.recipient, 0) + tx.amount
+    state.nonces[sender] = expected + 1
 
 
 def apply_block(state: AccountState, block: Block) -> AccountState:
     """Replay ``block`` onto a copy of ``state``; atomic, pure.
 
-    Transactions settle in order (sender pays amount+fee, nonce bumps),
-    then the miner is credited block_reward + total fees. Genesis only
-    credits its allocations.
+    Transactions settle in order through ``apply_tx``, then the miner is
+    credited the block reward plus total fees. Genesis only credits its
+    allocations. Checks no signature: ``validate_block`` does that first.
     """
     new = state.copy()
     if block.height == 0:
@@ -351,16 +399,12 @@ def apply_block(state: AccountState, block: Block) -> AccountState:
         return new
     fees = 0
     for i, tx in enumerate(block.transactions):
-        sender = tx.sender
-        if new.next_nonce(sender) != tx.nonce:
-            raise BlockError("bad_tx", f"nonce mismatch at tx {i}", tx_index=i)
-        if new.balance(sender) < tx.amount + tx.fee:
-            raise BlockError("bad_tx", f"overdraft at tx {i}", tx_index=i)
-        new.balances[sender] = new.balance(sender) - tx.amount - tx.fee
-        new.balances[tx.recipient] = new.balance(tx.recipient) + tx.amount
-        new.nonces[sender] = tx.nonce + 1
+        try:
+            apply_tx(new, tx)
+        except TxError as e:
+            raise BlockError("bad_tx", f"tx {i}: {e.code}", tx_index=i) from e
         fees += tx.fee
-    new.balances[block.miner] = new.balance(block.miner) + BLOCK_REWARD + fees
+    new.balances[block.miner] = new.balance(block.miner) + block_reward(block.height) + fees
     return new
 
 
@@ -410,8 +454,13 @@ def validate_genesis(block: Block) -> None:
         raise BlockError("bad_tx_root", "genesis commitment mismatch")
 
 
-def validate_block(block: Block, parent: Block, state_at_parent: AccountState) -> None:
-    """Full validation of ``block`` against its parent and parent state."""
+def validate_block(block: Block, parent: Block, state_at_parent: AccountState) -> AccountState:
+    """Full validation of ``block`` against its parent and parent state;
+    returns the state after it.
+
+    The checks that need no state come first (fields, link, root, PoW,
+    duplicate transactions and every signature), then ``apply_block`` is
+    the state check, so a block is validated and applied in one pass."""
     check_fields(block)
     if block.height != parent.height + 1:
         raise BlockError("bad_height", f"{block.height} != {parent.height + 1}")
@@ -432,22 +481,11 @@ def validate_block(block: Block, parent: Block, state_at_parent: AccountState) -
         if tx.tx_hash in seen:
             raise BlockError("bad_tx", f"duplicate tx at {i}", tx_index=i)
         seen.add(tx.tx_hash)
-    running = state_at_parent
-    for i, tx in enumerate(block.transactions):
         try:
-            validate_transaction(tx, running)
+            check_signature(tx)
         except TxError as e:
             raise BlockError("bad_tx", f"tx {i}: {e.code}", tx_index=i) from e
-        running = _apply_partial(running, tx)
-
-
-def _apply_partial(state: AccountState, tx: Transaction) -> AccountState:
-    new = state.copy()
-    sender = tx.sender
-    new.balances[sender] = new.balance(sender) - tx.amount - tx.fee
-    new.balances[tx.recipient] = new.balance(tx.recipient) + tx.amount
-    new.nonces[sender] = tx.nonce + 1
-    return new
+    return apply_block(state_at_parent, block)
 
 
 class BlockStore:
@@ -556,26 +594,25 @@ def verify_chain(store: BlockStore, tip: bytes) -> AccountState:
     """Replay genesis -> tip; returns the resulting state or raises ChainError."""
     if tip not in store.blocks:
         raise ChainError(-1, "unknown_tip")
-    path = store.path_to_genesis(tip)
-    return replay_blocks(path)
+    return replay_blocks(store.path_to_genesis(tip))[-1]
 
 
-def replay_blocks(path: list) -> AccountState:
-    """Validate and apply a genesis-rooted block list; ChainError on failure."""
+def replay_blocks(path: list) -> list:
+    """Validate and apply a genesis-rooted block list; returns the state
+    after each block, or raises ChainError at the first failing height."""
     if not path:
         raise ChainError(0, "empty_chain")
     try:
         validate_genesis(path[0])
     except BlockError as e:
         raise ChainError(0, e.code, e.detail) from e
-    state = apply_block(AccountState(), path[0])
+    states = [apply_block(AccountState(), path[0])]
     for i in range(1, len(path)):
         try:
-            validate_block(path[i], path[i - 1], state)
-            state = apply_block(state, path[i])
+            states.append(validate_block(path[i], path[i - 1], states[-1]))
         except BlockError as e:
             raise ChainError(i, e.code, e.detail) from e
-    return state
+    return states
 
 
 def write_chain_file(blocks: Iterable[Block], path) -> None:
@@ -608,4 +645,4 @@ def verify_chain_lines(lines: list) -> AccountState:
             raise ChainError(i, "parse_error", str(e)) from e
         if blocks[-1].height != i:
             raise ChainError(i, "bad_height", f"line {i} declares height {blocks[-1].height}")
-    return replay_blocks(blocks)
+    return replay_blocks(blocks)[-1]

@@ -230,6 +230,16 @@ class Simulator:
         while self._queue:
             self.step()
 
+    def drain_deliveries(self) -> None:
+        """Run every queued event except mining and sync timers, which are
+        discarded, until the queue is empty: settles in-flight traffic
+        once mining has stopped."""
+        while self._queue:
+            if self._queue[0][2][0] in ("mine", "sync"):
+                heapq.heappop(self._queue)
+            else:
+                self.step()
+
     # -- mining ------------------------------------------------------------
 
     def enable_mining(self) -> None:

@@ -125,16 +125,12 @@ class SimNode:
 
     def _load_persisted(self, lines: list) -> None:
         blocks = [Block.decode(ln) for ln in lines]
-        state = ledger.replay_blocks(blocks)  # refuse corrupt persistence
-        for block in blocks[1:]:
-            parent = self.store.blocks[block.prev_hash]
+        states = ledger.replay_blocks(blocks)  # refuse corrupt persistence
+        for block, state in zip(blocks[1:], states[1:]):
             self.store.insert(block)
-            self.snapshots[block.block_hash] = ledger.apply_block(
-                self.snapshots[parent.block_hash], block
-            )
+            self.snapshots[block.block_hash] = state
             self.seen.add(block.block_hash)
         self.store.set_canonical(consensus.fork_choice(self.store))
-        assert self.canonical_state.state_hash() == state.state_hash()
 
     def persist_chain_lines(self) -> list:
         return ledger.chain_file_lines(self.store.canonical_chain())
@@ -270,13 +266,12 @@ class SimNode:
 
     def _connect(self, block: Block) -> str:
         parent = self.store.blocks[block.prev_hash]
-        parent_state = self.snapshots[parent.block_hash]
         try:
-            ledger.validate_block(block, parent, parent_state)
+            state = ledger.validate_block(block, parent, self.snapshots[parent.block_hash])
         except ledger.BlockError as e:
             return f"rejected:{e.code}"
         self.store.insert(block)
-        self.snapshots[block.block_hash] = ledger.apply_block(parent_state, block)
+        self.snapshots[block.block_hash] = state
         self.seen.add(block.block_hash)
         new_tip = consensus.fork_choice(self.store)
         if new_tip != self.store.canonical_tip:
@@ -357,14 +352,10 @@ class SimNode:
         state = self.canonical_state.copy()
         kept = []
         for tx in txs:
-            sender = tx.sender
-            if state.next_nonce(sender) != tx.nonce:
+            try:
+                ledger.apply_tx(state, tx)
+            except ledger.TxError:
                 continue
-            if state.balance(sender) < tx.amount + tx.fee:
-                continue
-            state.balances[sender] = state.balance(sender) - tx.amount - tx.fee
-            state.balances[tx.recipient] = state.balance(tx.recipient) + tx.amount
-            state.nonces[sender] = tx.nonce + 1
             kept.append(tx)
         return kept
 

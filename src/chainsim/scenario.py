@@ -10,7 +10,6 @@ runner wires up the simulator, executes it, and returns every artifact
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import struct
 from dataclasses import dataclass, field
@@ -303,14 +302,14 @@ def _quiesce(sim: Simulator, sync_rounds: int) -> None:
     blocks (still real proof-of-work) until one branch wins."""
     sim.mining_enabled = False
     sim.config.sync_interval_ms = 0
-    _drain_deliveries(sim)
+    sim.drain_deliveries()
     miners = [i for i, s in sorted(sim.config.hash_rate_shares.items()) if s > 0]
     for attempt in range(sync_rounds + 16):
         for idx in range(sim.num_nodes):
             node = sim.nodes[idx]
             if node is not None and idx not in sim.crashed:
                 node.periodic_sync()
-        _drain_deliveries(sim)
+        sim.drain_deliveries()
         heads = {}
         for i, n in enumerate(sim.nodes):
             if n is not None and i not in sim.crashed:
@@ -326,13 +325,4 @@ def _quiesce(sim: Simulator, sync_rounds: int) -> None:
                 break
             sim.now += 1
             sim.fire_mining_once(breaker)
-            _drain_deliveries(sim)
-
-
-def _drain_deliveries(sim: Simulator) -> None:
-    while sim._queue:
-        time_ms, _, action = sim._queue[0]
-        if action[0] in ("mine", "sync"):
-            heapq.heappop(sim._queue)
-            continue
-        sim.step()
+            sim.drain_deliveries()

@@ -153,3 +153,50 @@ def test_serve_rpc_end_to_end(tmp_path):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def _serve_rpc_on_edited_chain(tmp_path, monkeypatch, height, edit):
+    """``serve-rpc`` on a chain file whose line ``height`` went through
+    ``edit``; the server must never start."""
+    from chainsim import rpc
+
+    monkeypatch.setattr(rpc, "serve", lambda *a, **k: pytest.fail("served a bad chain"))
+    _, blocks = build_chain(4, allocations=[(addr(1), 100)], difficulty=8)
+    lines = ledger.chain_file_lines(blocks)
+    obj = json.loads(lines[height])
+    edit(obj)
+    lines[height] = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    chain = tmp_path / "chain.jsonl"
+    chain.write_bytes(b"\n".join(lines) + b"\n")
+    return run_cli("serve-rpc", str(chain), "--port", "0", "--quiet")
+
+
+def test_serve_rpc_edited_timestamp_fails_cleanly(tmp_path, monkeypatch, capsys):
+    assert _serve_rpc_on_edited_chain(
+        tmp_path, monkeypatch, 2, lambda obj: obj.update(timestamp=obj["timestamp"] + 1)
+    ) == 1
+    assert capsys.readouterr().out == "FAIL at height 2: bad_pow\n"
+
+
+def test_serve_rpc_nonzero_genesis_miner_fails_cleanly(tmp_path, monkeypatch, capsys):
+    assert _serve_rpc_on_edited_chain(
+        tmp_path, monkeypatch, 0, lambda obj: obj.update(miner="11" * 20)
+    ) == 1
+    assert capsys.readouterr().out == "FAIL at height 0: bad_genesis\n"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda obj: obj.update(height="1"),
+    lambda obj: obj.update(timestamp=float(obj["timestamp"])),
+    lambda obj: obj.update(note="extra"),
+], ids=["string_height", "float_timestamp", "unknown_key"])
+def test_verify_loosely_typed_line_fails_at_its_height(tmp_path, capsys, edit):
+    _, blocks = build_chain(3, allocations=[(addr(1), 100)])
+    lines = ledger.chain_file_lines(blocks)
+    obj = json.loads(lines[1])
+    edit(obj)
+    lines[1] = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    chain = tmp_path / "chain.jsonl"
+    chain.write_bytes(b"\n".join(lines) + b"\n")
+    assert run_cli("verify", str(chain)) == 1
+    assert capsys.readouterr().out == "FAIL at height 1: parse_error\n"

@@ -1,5 +1,6 @@
 import pytest
 
+from chainsim import ledger
 from chainsim.consensus import (
     BlockTemplate,
     MiningExhausted,
@@ -106,3 +107,9 @@ def test_fork_choice_tie_breaks_by_arrival():
     store.insert(b)
     store.insert(a)
     assert fork_choice(store) == b.block_hash  # first arrival wins the tie
+
+
+def test_pow_nonce_offset_locates_the_nonce_in_the_header():
+    block = _template(0, 4).seal(0x0102030405060708)
+    offset = ledger.POW_NONCE_OFFSET
+    assert block.header_bytes()[offset : offset + 8] == bytes(range(1, 9))

@@ -1,7 +1,8 @@
+import json
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from chainsim import consensus, ledger
 from chainsim.ledger import (
@@ -13,13 +14,14 @@ from chainsim.ledger import (
     Transaction,
     TxError,
     apply_block,
+    apply_tx,
+    check_signature,
     decode_transaction,
     make_genesis,
     replay_blocks,
     tx_signing_bytes,
     validate_block,
     validate_genesis,
-    validate_transaction,
     verify_chain,
     verify_chain_lines,
 )
@@ -79,32 +81,37 @@ def test_block_json_round_trip():
 # -- transaction validation ----------------------------------------------------
 
 def test_validate_ok(funded_state):
-    validate_transaction(signed_tx(1, 2, 60, 10, 0), funded_state)
+    tx = signed_tx(1, 2, 60, 10, 0)
+    check_signature(tx)
+    apply_tx(funded_state, tx)
 
 
 def test_replay_after_inclusion_is_bad_nonce(funded_state):
     tx = signed_tx(1, 2, 60, 10, 0)
-    validate_transaction(tx, funded_state)
-    funded_state.nonces[addr(1)] = 1  # consumed by inclusion
-    funded_state.balances[addr(1)] = 30
+    apply_tx(funded_state, tx)  # inclusion consumes the nonce
+    assert funded_state.nonces[addr(1)] == 1
+    assert funded_state.balances[addr(1)] == 30
     with pytest.raises(TxError) as e:
-        validate_transaction(tx, funded_state)
+        apply_tx(funded_state, tx)
     assert e.value.code == "bad_nonce"
+    assert "replay" in e.value.detail
 
 
 def test_nonce_gap_distinguished(funded_state):
     with pytest.raises(TxError) as e:
-        validate_transaction(signed_tx(1, 2, 1, 1, 5), funded_state)
+        apply_tx(funded_state, signed_tx(1, 2, 1, 1, 5))
     assert e.value.code == "bad_nonce"
     assert "gap" in e.value.detail
 
 
 def test_insufficient_funds(funded_state):
     with pytest.raises(TxError) as e:
-        validate_transaction(signed_tx(1, 2, 91, 10, 0), funded_state)
+        apply_tx(funded_state, signed_tx(1, 2, 91, 10, 0))
     assert e.value.code == "insufficient_funds"
+    assert funded_state.balances == {addr(1): 100} and funded_state.nonces == {}
     # exactly at the limit is fine
-    validate_transaction(signed_tx(1, 2, 90, 10, 0), funded_state)
+    apply_tx(funded_state, signed_tx(1, 2, 90, 10, 0))
+    assert funded_state.balance(addr(1)) == 0
 
 
 def test_bad_signature(funded_state):
@@ -114,7 +121,7 @@ def test_bad_signature(funded_state):
         tx.payload, tx.signature,
     )
     with pytest.raises(TxError) as e:
-        validate_transaction(tampered, funded_state)
+        check_signature(tampered)
     assert e.value.code == "bad_signature"
 
 
@@ -495,3 +502,175 @@ def test_oversized_payload_in_chain_file_fails_at_its_height():
     with pytest.raises(ChainError) as e:
         verify_chain_lines(_chain_lines_with(mutate))
     assert (e.value.height, e.value.code) == (1, "bad_tx")
+
+
+# -- strict JSON decoding ------------------------------------------------------
+
+@pytest.mark.parametrize("mutate", [
+    lambda obj: obj.update(height=str(obj["height"])),
+    lambda obj: obj.update(timestamp=float(obj["timestamp"])),
+    lambda obj: obj.update(note="extra"),
+    lambda obj: obj.pop("pow_nonce"),
+    lambda obj: obj.update(difficulty_bits=True),
+    lambda obj: obj.update(transactions={}),
+    lambda obj: obj["transactions"][0].update(amount="10"),
+    lambda obj: obj["transactions"][0].update(extra=1),
+    lambda obj: obj["transactions"][0].pop("payload"),
+    lambda obj: obj["transactions"][0].update(recipient=list(bytes(20))),
+    lambda obj: obj.update(tx_root=obj["tx_root"].upper()),
+    lambda obj: obj["transactions"][0].update(signature=" ".join(
+        obj["transactions"][0]["signature"][i : i + 2] for i in range(0, 128, 2))),
+], ids=[
+    "string_height", "float_timestamp", "unknown_key", "missing_key", "bool_int",
+    "object_txs", "string_amount", "unknown_tx_key", "missing_tx_key", "list_hex",
+    "uppercase_hex", "spaced_hex",
+])
+def test_loosely_typed_chain_line_fails_at_its_height(mutate):
+    with pytest.raises(ChainError) as e:
+        verify_chain_lines(_chain_lines_with(mutate))
+    assert (e.value.height, e.value.code) == (1, "parse_error")
+
+
+@pytest.mark.parametrize("allocations", [{}, [["00" * 20]], [["00" * 20, 1.0]]])
+def test_loosely_typed_allocations_fail_at_genesis(allocations):
+    with pytest.raises(ChainError) as e:
+        verify_chain_lines(_chain_lines_with(lambda obj: obj.update(allocations=allocations),
+                                             height=0))
+    assert (e.value.height, e.value.code) == (0, "parse_error")
+
+
+u64 = st.integers(0, ledger.U64_MAX)
+raw_tx_strategy = st.builds(
+    Transaction,
+    sender_public_key=st.binary(max_size=40),
+    recipient=st.binary(max_size=24),
+    amount=u64,
+    fee=u64,
+    nonce=u64,
+    payload=st.binary(max_size=16),
+    signature=st.binary(max_size=70),
+)
+raw_block_strategy = st.builds(
+    Block,
+    height=u64,
+    prev_hash=st.binary(max_size=34),
+    timestamp=u64,
+    difficulty_bits=st.integers(0, 255),
+    pow_nonce=u64,
+    miner=st.binary(max_size=22),
+    tx_root=st.binary(max_size=34),
+    transactions=st.lists(raw_tx_strategy, max_size=3).map(tuple),
+    allocations=st.lists(st.tuples(st.binary(max_size=22), u64), max_size=3).map(tuple),
+)
+
+
+@given(raw_tx_strategy)
+def test_transaction_json_decode_inverts_encode(tx):
+    assert Transaction.from_json(json.loads(json.dumps(tx.to_json()))) == tx
+
+
+@given(raw_block_strategy)
+def test_block_decode_inverts_encode(block):
+    assert Block.decode(block.encode()) == block
+
+
+# -- the account-state transition ------------------------------------------------
+
+SENDERS = (1, 2, 3, 4)  # 1 and 2 are funded at genesis; 3 and 4 only by transfers
+TRANSITION_GENESIS = make_genesis([(addr(1), 100), (addr(2), 100)])
+FAULTS = ("replay", "gap", "overdraft", "bad_signature")
+
+
+def reference_settle(txs):
+    """The transition written out for the test: settle ``txs`` in order from
+    the genesis allocations, skipping any with the wrong nonce or too little
+    balance. Returns (balances, nonces, settled txs, first failure)."""
+    balances = dict(TRANSITION_GENESIS.allocations)
+    nonces = {}
+    settled, first = [], None
+    for i, tx in enumerate(txs):
+        sender, cost = tx.sender, tx.amount + tx.fee
+        if tx.nonce != nonces.get(sender, 0):
+            first = first or (i, "bad_nonce")
+        elif balances.get(sender, 0) < cost:
+            first = first or (i, "insufficient_funds")
+        else:
+            balances[sender] = balances.get(sender, 0) - cost
+            balances[tx.recipient] = balances.get(tx.recipient, 0) + tx.amount
+            nonces[sender] = tx.nonce + 1
+            settled.append(tx)
+    return balances, nonces, settled, first
+
+
+@st.composite
+def tx_lists(draw):
+    """Valid transactions, spends of received funds and each of FAULTS, with
+    nonces and amounts drawn against the reference state of the transactions
+    before them; half are valid, so whole blocks often settle. Returns
+    (txs, indices of the transactions with a bad signature)."""
+    txs, bad = [], []
+    for i in range(draw(st.integers(1, 8))):
+        balances, nonces, settled, _ = reference_settle(txs)
+        kind = draw(st.sampled_from(("valid", "spend_received"))) if draw(
+            st.booleans()) else draw(st.sampled_from(FAULTS))
+        sender = draw(st.sampled_from(SENDERS))
+        if kind == "spend_received" and settled:
+            sender = SENDERS[[addr(s) for s in SENDERS].index(
+                draw(st.sampled_from([tx.recipient for tx in settled])))]
+        expected = nonces.get(addr(sender), 0)
+        balance = balances.get(addr(sender), 0)
+        fee = min(draw(st.integers(0, 5)), balance)
+        amount = min(draw(st.integers(0, 60)), balance - fee)
+        nonce = expected
+        if kind == "replay" and expected:
+            nonce = draw(st.integers(0, expected - 1))
+        elif kind == "gap":
+            nonce = expected + draw(st.integers(1, 3))
+        elif kind == "overdraft":
+            amount = balance - fee + 1
+        elif kind == "spend_received":
+            amount = balance - fee
+        tx = signed_tx(sender, draw(st.sampled_from(SENDERS)), amount, fee, nonce,
+                       payload=bytes([i]))  # a distinct hash per position
+        if kind == "bad_signature":
+            tx = replace(tx, amount=tx.amount + 1)
+            bad.append(i)
+        txs.append(tx)
+    return txs, bad
+
+
+def nonzero(mapping: dict) -> dict:
+    return {k: v for k, v in mapping.items() if v}
+
+
+@settings(max_examples=80, deadline=None)
+@given(tx_lists())
+def test_block_transition_matches_reference_model(case):
+    from chainsim.node import SimNode
+
+    txs, bad = case
+    genesis_state = apply_block(AccountState(), TRANSITION_GENESIS)
+    before = genesis_state.copy()
+    block = mine_child(TRANSITION_GENESIS, txs=txs, miner=addr(9), difficulty=0)
+    balances, nonces, _, first = reference_settle(txs)
+    if bad:  # every signature is checked before any state
+        first = (bad[0], "bad_signature")
+    try:
+        state = validate_block(block, TRANSITION_GENESIS, genesis_state)
+    except BlockError as e:
+        assert first is not None
+        assert (e.code, e.tx_index, e.detail) == ("bad_tx", first[0], f"tx {first[0]}: {first[1]}")
+    else:
+        assert first is None
+        balances[addr(9)] = balances.get(addr(9), 0) + consensus.BLOCK_REWARD + sum(
+            tx.fee for tx in txs
+        )
+        assert nonzero(state.balances) == nonzero(balances)
+        assert state.nonces == nonces
+    assert genesis_state == before  # the parent's state is never written
+
+    # a block template keeps what the same reference settles
+    signed = [tx for i, tx in enumerate(txs) if i not in bad]
+    node = SimNode(None, 0, bytes(32), TRANSITION_GENESIS)
+    assert node._filter_applicable(signed) == reference_settle(signed)[2]
+    assert node.canonical_state == before

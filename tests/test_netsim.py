@@ -156,3 +156,17 @@ def test_tracer_lines_are_byte_stable():
     t.log(b=1, a=2, time=3)
     t.log(z=[1, 2], time=4)
     assert t.lines() == [b'{"a":2,"b":1,"time":3}', b'{"time":4,"z":[1,2]}']
+
+
+def test_drain_deliveries_runs_all_but_timers_in_order():
+    sim = make_sim()
+    fired = []
+    sim.schedule(3, ("mine", 0))
+    sim.schedule(5, ("call", lambda: fired.append("a")))
+    sim.schedule(7, ("sync", 0))
+    sim.schedule(8, ("call", lambda: (fired.append("b"), sim.schedule(9, ("mine", 1)),
+                                      sim.schedule(12, ("call", lambda: fired.append("c"))))))
+    sim.drain_deliveries()
+    assert fired == ["a", "b", "c"]
+    assert sim.pending() == 0
+    assert sim.now == 12

@@ -3,13 +3,13 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainsim import consensus
+from chainsim import consensus, ledger
 from chainsim.kademlia import Contact
-from chainsim.ledger import BlockStore, make_genesis
+from chainsim.ledger import AccountState, BlockStore, make_genesis
 from chainsim.netsim import Envelope, SimConfig, Simulator
 from chainsim.node import SYNC_PAGE_SIZE, SimNode, decode_blocks, encode_blocks
 
-from conftest import addr, signed_tx
+from conftest import addr, mine_child, signed_tx
 
 
 def seed_of(i: int) -> bytes:
@@ -285,3 +285,37 @@ def test_arbitrary_bodies_never_raise_from_handle(message):
     sim = make_net(2)
     row = deliver(sim, 1, kind, body)
     assert row["type"] == "deliver"
+
+
+def test_connecting_a_block_copies_the_state_once(monkeypatch):
+    sim = make_net(1)
+    node = sim.nodes[0]
+    block = mine_child(GENESIS, txs=[signed_tx(1, 2, 10, 1, n) for n in range(5)])
+    copies = []
+    real = AccountState.copy
+    monkeypatch.setattr(AccountState, "copy", lambda state: copies.append(1) or real(state))
+    assert node.on_block(block) == "adopted"
+    assert len(copies) == 1  # validated and applied in one pass
+    assert node.canonical_state.next_nonce(addr(1)) == 5
+
+
+def test_reloading_a_persisted_chain_applies_each_block_once(monkeypatch):
+    sim = make_net(1)
+    node = sim.nodes[0]
+    for n in range(4):
+        assert node.on_transaction(signed_tx(1, 2, 10, 1, n)) == "relayed"
+        node.mine_and_broadcast()
+    lines = node.persist_chain_lines()
+    applied = []
+    real = ledger.apply_block
+    monkeypatch.setattr(
+        ledger, "apply_block", lambda state, block: applied.append(block.block_hash) or real(state, block)
+    )
+    restored = SimNode(sim, 0, seed_of(0), GENESIS, persisted_lines=lines)
+    mined = node.store.canonical[1:]
+    assert len(mined) == 4
+    # genesis's state is built by the constructor as well; mined blocks once each
+    assert [h for h in applied if h != GENESIS.block_hash] == mined
+    assert restored.store.canonical == node.store.canonical
+    for h in node.store.canonical:
+        assert restored.snapshots[h] == node.snapshots[h]

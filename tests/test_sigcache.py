@@ -7,7 +7,7 @@ from chainsim import crypto, ledger
 from chainsim.ledger import SIGNATURE_CACHE_SIZE, Transaction, TxError, check_signature
 from chainsim.mempool import Mempool
 
-from conftest import addr, signed_tx
+from conftest import addr, mine_child, signed_tx
 from test_node import make_net
 
 
@@ -126,10 +126,11 @@ def test_cache_is_bounded_and_evicts_oldest_first(signature_cache, monkeypatch):
 
 
 def test_block_admission_reuses_the_mempool_check(signature_cache, verify_calls):
-    state = ledger.AccountState({addr(1): 100})
+    genesis = ledger.make_genesis([(addr(1), 100)])
+    state = ledger.apply_block(ledger.AccountState(), genesis)
     tx = signed_tx(1, 2, 10, 1, 0)
     Mempool().insert(tx, state)
-    ledger.validate_transaction(tx, state)
+    ledger.validate_block(mine_child(genesis, txs=[tx]), genesis, state)
     assert len(verify_calls) == 1
     assert list(signature_cache) == [tx.tx_hash]
 
