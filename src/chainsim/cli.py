@@ -115,15 +115,20 @@ def cmd_inspect(args) -> int:
     return 0
 
 
+def _chain_lines(path) -> list:
+    """A chain file's non-blank lines; ValueError if none, OSError if unreadable."""
+    with open(path, "rb") as f:
+        lines = [ln for ln in f.read().split(b"\n") if ln.strip()]
+    if not lines:
+        raise ValueError("empty chain file")
+    return lines
+
+
 def cmd_verify(args) -> int:
     try:
-        with open(args.chain_file, "rb") as f:
-            lines = [ln for ln in f.read().split(b"\n") if ln.strip()]
-    except OSError as e:
+        lines = _chain_lines(args.chain_file)
+    except (OSError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
-        return 2
-    if not lines:
-        print("config error: empty chain file", file=sys.stderr)
         return 2
     try:
         state = verify_chain_lines(lines)
@@ -153,17 +158,14 @@ def cmd_serve_rpc(args) -> int:
     from .node import SimNode
 
     try:
-        blocks = read_chain_file(args.chain_file)
-        if not blocks:
-            raise ValueError("empty chain file")
-        lines = ledger.chain_file_lines(blocks)
-    except Exception as e:
+        lines = _chain_lines(args.chain_file)
+    except (OSError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    sim = _StandaloneSim()
     seed = bytes.fromhex(args.seed_hex) if args.seed_hex else node_key_seed(0, 0)
-    try:
-        node = SimNode(sim, 0, seed, blocks[0], persisted_lines=lines)
+    try:  # the node decodes every line as `verify` does
+        genesis = ledger.decode_chain_lines(lines[:1])[0]
+        node = SimNode(_StandaloneSim(), 0, seed, genesis, persisted_lines=lines)
     except ChainError as e:
         print(f"FAIL at height {e.height}: {e.code}")
         return 1

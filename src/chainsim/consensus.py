@@ -1,17 +1,16 @@
-"""Proof-of-work sealing and longest-chain fork choice.
+"""Proof-of-work sealing and the block reward.
 
 Difficulty is a required count of leading zero bits in the block hash, so
 expected sealing work is exactly 2^d attempts. Mining searches nonces
 sequentially from a caller-supplied start, which keeps every seal
-reproducible. Fork choice picks the tip of maximal height; equal-height
-ties go to the tip that arrived first.
+reproducible. Fork choice is ``ledger.BlockStore.insert``'s rule: the
+tallest chain wins, and equal heights go to the block that arrived first.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional
 
 from .crypto import hash_bytes
 
@@ -91,17 +90,3 @@ def count_attempts(template: BlockTemplate, start_nonce: int = 0, max_attempts: 
     block = mine(template, start_nonce, max_attempts)
     return block.pow_nonce - start_nonce + 1
 
-
-def fork_choice(store) -> bytes:
-    """Tip hash of maximal height; equal heights break by earliest arrival."""
-    best: Optional[bytes] = None
-    best_key = None
-    for tip_hash, seq in store.tips.items():
-        height = store.height_of(tip_hash)
-        key = (-height, seq)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = tip_hash
-    if best is None:
-        raise ValueError("empty block store")
-    return best

@@ -89,14 +89,6 @@ class RoutingTable:
             bucket.pop(0)
             bucket.append(stalest)
 
-    def remove(self, node_id: bytes) -> None:
-        if node_id == self.owner:
-            return
-        bucket = self.buckets[bucket_index(self.owner, node_id)]
-        self.buckets[bucket_index(self.owner, node_id)] = [
-            c for c in bucket if c.node_id != node_id
-        ]
-
     def find_closest(self, target: bytes, n: int) -> List[Contact]:
         """The n known contacts nearest ``target`` by XOR distance, ascending."""
         if n < 1:

@@ -489,12 +489,11 @@ def validate_block(block: Block, parent: Block, state_at_parent: AccountState) -
 
 
 class BlockStore:
-    """Block tree: all known valid blocks, child links, and tips, plus an
-    index of the canonical chain.
+    """Block tree: all known valid blocks, plus an index of the canonical
+    chain, whose head fork choice picks as blocks are inserted.
 
     Orphans (unknown parent) are rejected; they live in the node's orphan
-    pool until their parent arrives. Tips remember arrival order so the
-    first-seen tie-break in fork choice is stable.
+    pool until their parent arrives.
 
     ``canonical[h]`` is the hash of the canonical block at height ``h`` and
     ``tx_heights`` maps each canonical transaction to its block's height.
@@ -504,38 +503,27 @@ class BlockStore:
 
     def __init__(self, genesis: Block):
         validate_genesis(genesis)
-        self.genesis = genesis
         self.blocks: dict = {genesis.block_hash: genesis}
-        self.children: dict = {genesis.block_hash: []}
-        self._next_arrival = 1
-        self.tips: dict = {genesis.block_hash: 0}  # hash -> arrival seq
         self.canonical: list = [genesis.block_hash]  # height -> block hash
         self.tx_heights: dict = {}  # canonical tx hash -> block height
 
     def __contains__(self, block_hash: bytes) -> bool:
         return block_hash in self.blocks
 
-    def get(self, block_hash: bytes) -> Optional[Block]:
-        return self.blocks.get(block_hash)
-
-    def insert(self, block: Block) -> None:
-        """Add a block whose parent is already stored. Idempotent."""
+    def insert(self, block: Block) -> tuple:
+        """Add a block whose parent is stored, and apply fork choice: the
+        tallest chain wins, the first seen wins a tie. The new block arrived
+        last, so it takes the head only when taller; then this returns
+        ``set_canonical``'s ``(displaced, adopted)``, else ``([], [])``."""
         h = block.block_hash
         if h in self.blocks:
-            return
+            return [], []
         if block.prev_hash not in self.blocks:
             raise BlockError("bad_link", "parent not in store")
-        seq = self._next_arrival
-        self._next_arrival += 1
         self.blocks[h] = block
-        self.children.setdefault(h, [])
-        self.children[block.prev_hash].append(h)
-        self.tips.pop(block.prev_hash, None)
-        self.tips[h] = seq
-        # the canonical index is moved by the owner via set_canonical
-
-    def height_of(self, block_hash: bytes) -> int:
-        return self.blocks[block_hash].height
+        if block.height > len(self.canonical) - 1:
+            return self.set_canonical(h)
+        return [], []
 
     def path_to_genesis(self, tip: bytes) -> list:
         """Blocks from genesis to ``tip`` inclusive, in height order."""
@@ -594,25 +582,33 @@ def verify_chain(store: BlockStore, tip: bytes) -> AccountState:
     """Replay genesis -> tip; returns the resulting state or raises ChainError."""
     if tip not in store.blocks:
         raise ChainError(-1, "unknown_tip")
-    return replay_blocks(store.path_to_genesis(tip))[-1]
+    return _last_state(store.path_to_genesis(tip))
 
 
-def replay_blocks(path: list) -> list:
-    """Validate and apply a genesis-rooted block list; returns the state
-    after each block, or raises ChainError at the first failing height."""
+def replay_blocks(path: list):
+    """Validate and apply a genesis-rooted block list, yielding the state
+    after each block; raises ChainError at the first failing height."""
     if not path:
         raise ChainError(0, "empty_chain")
     try:
         validate_genesis(path[0])
     except BlockError as e:
         raise ChainError(0, e.code, e.detail) from e
-    states = [apply_block(AccountState(), path[0])]
+    state = apply_block(AccountState(), path[0])
+    yield state
     for i in range(1, len(path)):
         try:
-            states.append(validate_block(path[i], path[i - 1], states[-1]))
+            state = validate_block(path[i], path[i - 1], state)
         except BlockError as e:
             raise ChainError(i, e.code, e.detail) from e
-    return states
+        yield state
+
+
+def _last_state(path: list) -> AccountState:
+    """The state after the whole path, holding one block's state at a time."""
+    for state in replay_blocks(path):
+        pass
+    return state
 
 
 def write_chain_file(blocks: Iterable[Block], path) -> None:
@@ -631,12 +627,9 @@ def read_chain_file(path) -> list:
     return [Block.decode(ln) for ln in lines]
 
 
-def verify_chain_lines(lines: list) -> AccountState:
-    """Verify serialized chain lines; ChainError carries the failing height.
-
-    A line that fails to parse reports its own position as the failing
-    height, so any byte-level tamper is pinned to the block it touched.
-    """
+def decode_chain_lines(lines: list) -> list:
+    """Decode chain lines, block ``i`` on line ``i``. A bad line raises
+    ChainError at its own height, pinning a tamper to the block it touched."""
     blocks = []
     for i, ln in enumerate(lines):
         try:
@@ -645,4 +638,9 @@ def verify_chain_lines(lines: list) -> AccountState:
             raise ChainError(i, "parse_error", str(e)) from e
         if blocks[-1].height != i:
             raise ChainError(i, "bad_height", f"line {i} declares height {blocks[-1].height}")
-    return replay_blocks(blocks)[-1]
+    return blocks
+
+
+def verify_chain_lines(lines: list) -> AccountState:
+    """Verify serialized chain lines; ChainError carries the failing height."""
+    return _last_state(decode_chain_lines(lines))

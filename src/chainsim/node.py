@@ -105,10 +105,8 @@ class SimNode:
         }
         self.mempool = Mempool()
         self.routing = RoutingTable(self.node_id)
-        self.orphan_pool: dict = {}  # prev_hash -> list of Blocks
-        self._orphan_order: list = []  # FIFO of block hashes for capping
-        self.seen: set = set()
-        self.seen.add(genesis.block_hash)
+        self.orphan_pool: dict = {}  # block hash -> Block, oldest first
+        self.seen: set = set()  # hashes of relayed transactions
         self._sync_rotation = 0
         self.blob_store = None  # attached by the scenario runner when used
         if persisted_lines:
@@ -124,13 +122,11 @@ class SimNode:
         return self.store.blocks[self.store.canonical_tip]
 
     def _load_persisted(self, lines: list) -> None:
-        blocks = [Block.decode(ln) for ln in lines]
-        states = ledger.replay_blocks(blocks)  # refuse corrupt persistence
+        blocks = ledger.decode_chain_lines(lines)
+        states = list(ledger.replay_blocks(blocks))  # refuse corrupt persistence
         for block, state in zip(blocks[1:], states[1:]):
-            self.store.insert(block)
             self.snapshots[block.block_hash] = state
-            self.seen.add(block.block_hash)
-        self.store.set_canonical(consensus.fork_choice(self.store))
+            self.store.insert(block)
 
     def persist_chain_lines(self) -> list:
         return ledger.chain_file_lines(self.store.canonical_chain())
@@ -250,7 +246,7 @@ class SimNode:
         """Returns 'adopted', 'side_chain', 'orphaned', 'duplicate', or
         'rejected:<cause>'."""
         h = block.block_hash
-        if h in self.seen and h in self.store:
+        if h in self.store:
             return "duplicate"
         if block.prev_hash not in self.store:
             self._add_orphan(block)
@@ -270,19 +266,16 @@ class SimNode:
             state = ledger.validate_block(block, parent, self.snapshots[parent.block_hash])
         except ledger.BlockError as e:
             return f"rejected:{e.code}"
-        self.store.insert(block)
         self.snapshots[block.block_hash] = state
-        self.seen.add(block.block_hash)
-        new_tip = consensus.fork_choice(self.store)
-        if new_tip != self.store.canonical_tip:
-            self._adopt(new_tip)
+        displaced, adopted = self.store.insert(block)
+        if adopted:
+            self._adopt(displaced, adopted)
             return "adopted"
         return "side_chain"
 
-    def _adopt(self, new_tip: bytes) -> None:
-        """Switch the canonical chain: rewind to the common ancestor, replay
-        the new branch, prune mempool, reinstate displaced transactions."""
-        displaced_blocks, adopted = self.store.set_canonical(new_tip)
+    def _adopt(self, displaced_blocks: list, adopted: list) -> None:
+        """Follow a canonical-chain switch the store made: prune the mempool
+        and reinstate the displaced blocks' transactions."""
         adopted_txs = {tx.tx_hash for b in adopted for tx in b.transactions}
         displaced = [
             tx
@@ -295,37 +288,26 @@ class SimNode:
                 self.mempool.remove_included(block)
         self.mempool.prune(self.canonical_state)
         self.mempool.reinstate(displaced, self.canonical_state)
-        head = self.store.blocks[new_tip]
+        head = self.head()
         self.sim.tracer.log(
             time=self.sim.now,
             type="adopt",
             node=self.index,
             height=head.height,
-            hash=new_tip.hex(),
+            hash=head.block_hash.hex(),
         )
 
     def _add_orphan(self, block: Block) -> None:
-        h = block.block_hash
-        if any(b.block_hash == h for bs in self.orphan_pool.values() for b in bs):
-            return
-        self.orphan_pool.setdefault(block.prev_hash, []).append(block)
-        self._orphan_order.append(h)
-        while len(self._orphan_order) > ORPHAN_POOL_CAP:
-            victim = self._orphan_order.pop(0)
-            for prev, blocks in list(self.orphan_pool.items()):
-                kept = [b for b in blocks if b.block_hash != victim]
-                if kept:
-                    self.orphan_pool[prev] = kept
-                else:
-                    self.orphan_pool.pop(prev, None)
+        """Hold a block for its parent; a re-sent one keeps its place."""
+        self.orphan_pool.setdefault(block.block_hash, block)
+        if len(self.orphan_pool) > ORPHAN_POOL_CAP:
+            del self.orphan_pool[next(iter(self.orphan_pool))]
 
     def _connect_orphans(self, parent_hash: bytes, origin: Optional[int]) -> None:
-        waiting = self.orphan_pool.pop(parent_hash, None)
-        if not waiting:
-            return
+        """Connect the orphans waiting on ``parent_hash`` in arrival order."""
+        waiting = [b for b in self.orphan_pool.values() if b.prev_hash == parent_hash]
         for block in waiting:
-            if block.block_hash in self._orphan_order:
-                self._orphan_order.remove(block.block_hash)
+            del self.orphan_pool[block.block_hash]
             self.on_block(block, origin)
 
     # -- mining ------------------------------------------------------------
@@ -403,7 +385,7 @@ class SimNode:
         start = 0
         for h in locator:
             if store.is_canonical(h):
-                start = store.height_of(h) + 1
+                start = store.blocks[h].height + 1
                 break
         page = [store.blocks[h] for h in store.canonical[start : start + SYNC_PAGE_SIZE]]
         if page:

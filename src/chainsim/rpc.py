@@ -90,7 +90,7 @@ class RpcDispatcher:
 
     def chain_getBlockByHash(self, params: dict):
         h = _require_hex(params, "hash", 32)
-        block = self.node.store.get(h)
+        block = self.node.store.blocks.get(h)
         if block is None:
             return None
         return self._block_result(block)

@@ -24,6 +24,8 @@ from .ledger import make_genesis, make_transaction
 from .netsim import SimConfig, Simulator, Tracer
 from .node import SimNode
 
+QUIESCE_SYNC_ROUNDS = 3  # anti-entropy rounds after the run before heads must agree
+
 
 class ScenarioError(Exception):
     """Configuration problem; maps to CLI exit code 2."""
@@ -51,7 +53,6 @@ class Scenario:
     crashes: list = field(default_factory=list)  # (time_ms, node)
     restarts: list = field(default_factory=list)
     max_block_txs: int = ledger.MAX_BLOCK_TXS
-    quiesce_sync_rounds: int = 3
 
     def validate(self) -> None:
         try:
@@ -291,11 +292,11 @@ def run_scenario(scenario: Scenario, blob_root: Optional[Path] = None) -> RunRes
     sim.enable_periodic_sync()
 
     sim.run_until(scenario.duration_ms)
-    _quiesce(sim, scenario.quiesce_sync_rounds)
+    _quiesce(sim)
     return RunResult(scenario, sim, tracer, sim.nodes, genesis, submitted)
 
 
-def _quiesce(sim: Simulator, sync_rounds: int) -> None:
+def _quiesce(sim: Simulator) -> None:
     """Stop mining, let in-flight traffic settle, then run anti-entropy
     rounds until heads agree. An equal-height tie between competing tips
     can only be broken by another block, so one miner seals tie-breaker
@@ -304,7 +305,7 @@ def _quiesce(sim: Simulator, sync_rounds: int) -> None:
     sim.config.sync_interval_ms = 0
     sim.drain_deliveries()
     miners = [i for i, s in sorted(sim.config.hash_rate_shares.items()) if s > 0]
-    for attempt in range(sync_rounds + 16):
+    for attempt in range(QUIESCE_SYNC_ROUNDS + 16):
         for idx in range(sim.num_nodes):
             node = sim.nodes[idx]
             if node is not None and idx not in sim.crashed:
@@ -314,11 +315,11 @@ def _quiesce(sim: Simulator, sync_rounds: int) -> None:
         for i, n in enumerate(sim.nodes):
             if n is not None and i not in sim.crashed:
                 heads[n.head().block_hash] = n.head().height
-        if len(heads) <= 1 and attempt >= sync_rounds - 1:
+        if len(heads) <= 1 and attempt >= QUIESCE_SYNC_ROUNDS - 1:
             break
         max_height = max(heads.values(), default=0)
         tied = [h for h, ht in heads.items() if ht == max_height]
-        if len(heads) > 1 and len(tied) > 1 and attempt >= sync_rounds - 1:
+        if len(heads) > 1 and len(tied) > 1 and attempt >= QUIESCE_SYNC_ROUNDS - 1:
             # an equal-height standoff: only a fresh block can break it
             breaker = next((i for i in miners if i not in sim.crashed), None)
             if breaker is None:

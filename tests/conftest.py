@@ -47,7 +47,6 @@ def build_chain(n_blocks, allocations=(), tx_plan=None, difficulty=4):
         block = mine_child(blocks[-1], txs=txs, difficulty=difficulty)
         store.insert(block)
         blocks.append(block)
-    store.set_canonical(blocks[-1].block_hash)
     return store, blocks
 
 

@@ -185,6 +185,16 @@ def test_serve_rpc_nonzero_genesis_miner_fails_cleanly(tmp_path, monkeypatch, ca
     assert capsys.readouterr().out == "FAIL at height 0: bad_genesis\n"
 
 
+@pytest.mark.parametrize("height", [0, 1])
+def test_serve_rpc_and_verify_agree_on_an_unparsable_line(tmp_path, monkeypatch, capsys, height):
+    assert _serve_rpc_on_edited_chain(
+        tmp_path, monkeypatch, height, lambda obj: obj.update(height=str(height))
+    ) == 1
+    served = capsys.readouterr().out
+    assert run_cli("verify", str(tmp_path / "chain.jsonl")) == 1
+    assert capsys.readouterr().out == served == f"FAIL at height {height}: parse_error\n"
+
+
 @pytest.mark.parametrize("edit", [
     lambda obj: obj.update(height="1"),
     lambda obj: obj.update(timestamp=float(obj["timestamp"])),

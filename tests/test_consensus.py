@@ -6,7 +6,6 @@ from chainsim.consensus import (
     MiningExhausted,
     block_reward,
     count_attempts,
-    fork_choice,
     meets_difficulty,
     mine,
 )
@@ -95,7 +94,7 @@ def test_fork_choice_prefers_height():
     store, blocks = build_chain(3)
     side = mine_child(blocks[1], miner=addr(7))  # fork at height 2
     store.insert(side)
-    assert fork_choice(store) == blocks[3].block_hash
+    assert store.canonical_tip == blocks[3].block_hash
 
 
 def test_fork_choice_tie_breaks_by_arrival():
@@ -106,7 +105,7 @@ def test_fork_choice_tie_breaks_by_arrival():
     assert a.block_hash != b.block_hash
     store.insert(b)
     store.insert(a)
-    assert fork_choice(store) == b.block_hash  # first arrival wins the tie
+    assert store.canonical_tip == b.block_hash  # first arrival wins the tie
 
 
 def test_pow_nonce_offset_locates_the_nonce_in_the_header():

@@ -1,4 +1,5 @@
 import json
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -251,7 +252,7 @@ def test_payload_tamper_fails_at_exact_height():
     )
     path = blocks[:4] + [bad_block] + blocks[5:]
     with pytest.raises(ChainError) as e:
-        replay_blocks(path)
+        list(replay_blocks(path))
     assert e.value.height == 4
     assert e.value.code == "bad_tx_root"
 
@@ -272,7 +273,7 @@ def test_repaired_tx_root_breaks_pow_or_link():
     )
     path = blocks[:4] + [repaired] + blocks[5:]
     with pytest.raises(ChainError) as e:
-        replay_blocks(path)
+        list(replay_blocks(path))
     # either the old nonce no longer seals the new root, or block 5's link breaks
     assert (e.value.height, e.value.code) in {(4, "bad_pow"), (4, "bad_tx"), (5, "bad_link")}
 
@@ -282,6 +283,26 @@ def test_replay_determinism():
     s1 = verify_chain(store, blocks[-1].block_hash)
     s2 = verify_chain(store, blocks[-1].block_hash)
     assert s1.state_hash() == s2.state_hash()
+
+
+def test_verify_holds_one_replay_state_at_a_time(monkeypatch):
+    store, blocks = build_chain(50, allocations=[(addr(1), 100)])
+    lines = ledger.chain_file_lines(blocks)
+    real = ledger.apply_block
+    for verify in (lambda: verify_chain_lines(lines),
+                   lambda: verify_chain(store, blocks[-1].block_hash)):
+        states, alive = [], []
+
+        def tracked(state, block):
+            new = real(state, block)
+            states.append(weakref.ref(new))
+            alive.append(sum(ref() is not None for ref in states))
+            return new
+
+        monkeypatch.setattr(ledger, "apply_block", tracked)
+        verify()
+        assert len(states) == 51
+        assert max(alive) <= 2  # the parent's state and the new one
 
 
 def test_nonce_monotonicity_along_chain():
@@ -374,11 +395,13 @@ def _hashes(blocks) -> list:
     return [b.block_hash for b in blocks]
 
 
-def _move_and_check(store: BlockStore, tip: bytes) -> None:
+def _move_and_check(store: BlockStore, tip: bytes, move) -> None:
+    """Run ``move`` (an insert or a set_canonical) and check that it leaves
+    ``tip`` at the head, reports the moved blocks and keeps the index."""
     old_path = store.path_to_genesis(store.canonical_tip)
+    displaced, adopted = move()
     new_path = store.path_to_genesis(tip)
     old_set, new_set = set(_hashes(old_path)), set(_hashes(new_path))
-    displaced, adopted = store.set_canonical(tip)
     assert _hashes(displaced) == [h for h in _hashes(old_path) if h not in new_set]
     assert _hashes(adopted) == [h for h in _hashes(new_path) if h not in old_set]
     assert store.canonical_tip == tip
@@ -395,18 +418,24 @@ def _move_and_check(store: BlockStore, tip: bytes) -> None:
 def test_canonical_index_matches_full_path_walks(tree):
     blocks, order, moves = tree
     store = BlockStore(blocks[0])
+    arrived = [0]  # block indices in insertion order
     pending = list(order)
     while pending:  # insert in the drawn order, deferring orphans
         deferred = []
         for i in pending:
             if blocks[i].prev_hash in store:
-                store.insert(blocks[i])
-                _move_and_check(store, consensus.fork_choice(store))
+                arrived.append(i)
+                # reference fork choice: the tallest block, and of equal
+                # heights the first to arrive (max keeps the first maximum)
+                head = max(arrived, key=lambda j: blocks[j].height)
+                _move_and_check(store, blocks[head].block_hash,
+                                lambda: store.insert(blocks[i]))
             else:
                 deferred.append(i)
         pending = deferred
     for i in moves:
-        _move_and_check(store, blocks[i].block_hash)
+        tip = blocks[i].block_hash
+        _move_and_check(store, tip, lambda: store.set_canonical(tip))
 
 
 def test_is_canonical_unknown_hash():

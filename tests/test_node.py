@@ -97,7 +97,30 @@ def test_orphan_pool_is_capped():
     blocks = [a.mine_and_broadcast() for _ in range(70)]
     for blk in blocks[1:]:  # withhold the first so all 69 stay orphans
         b.on_block(blk)
-    assert len(b._orphan_order) <= 64
+    assert len(b.orphan_pool) <= 64
+
+
+def test_orphan_pool_evicts_oldest_and_connects_children_in_arrival_order():
+    sim = make_net(1)
+    node = sim.nodes[0]
+    # each filler orphan waits on its own withheld parent
+    parents = [mine_child(GENESIS, timestamp=k + 1) for k in range(66)]
+    fillers = [mine_child(p) for p in parents]
+    withheld = mine_child(GENESIS, miner=addr(7))
+    first, second = mine_child(withheld, miner=addr(12)), mine_child(withheld, miner=addr(11))
+    sent = fillers[:5] + [first] + fillers[5:6] + [second] + fillers[6:21]
+    sent += [fillers[1]] + fillers[21:]  # a re-sent orphan keeps its place
+    for block in sent:
+        assert node.on_block(block) == "orphaned"
+    # 68 distinct orphans against a cap of 64: the four oldest are evicted
+    assert node.on_block(withheld) == "adopted"
+    assert node.head().block_hash == first.block_hash  # first seen wins the tie
+    children = [h for h in node.store.blocks if h in (first.block_hash, second.block_hash)]
+    assert children == [first.block_hash, second.block_hash]
+    for parent in parents:
+        node.on_block(parent)
+    connected = [k for k, f in enumerate(fillers) if f.block_hash in node.store]
+    assert connected == list(range(4, 66))
 
 
 def test_reorg_reinstates_displaced_transactions():
