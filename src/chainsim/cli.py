@@ -81,12 +81,17 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _parse_seed(seed_hex: str) -> bytes:
+    """A key seed given on the command line; ValueError unless 32 bytes of hex."""
+    seed = bytes.fromhex(seed_hex)
+    if len(seed) != 32:
+        raise ValueError("seed must be 32 bytes of hex")
+    return seed
+
+
 def cmd_keygen(args) -> int:
     try:
-        seed = bytes.fromhex(args.seed)
-        if len(seed) != 32:
-            raise ValueError("seed must be 32 bytes of hex")
-        kp = generate_keypair(seed)
+        kp = generate_keypair(_parse_seed(args.seed))
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -158,11 +163,11 @@ def cmd_serve_rpc(args) -> int:
     from .node import SimNode
 
     try:
+        seed = _parse_seed(args.seed_hex) if args.seed_hex else node_key_seed(0, 0)
         lines = _chain_lines(args.chain_file)
     except (OSError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    seed = bytes.fromhex(args.seed_hex) if args.seed_hex else node_key_seed(0, 0)
     try:  # the node decodes every line as `verify` does
         genesis = ledger.decode_chain_lines(lines[:1])[0]
         node = SimNode(_StandaloneSim(), 0, seed, genesis, persisted_lines=lines)

@@ -9,7 +9,7 @@ mempool reinstatement, and locator-based chain sync for catch-up.
 from __future__ import annotations
 
 import json
-import struct
+from collections import OrderedDict
 from typing import Optional
 
 from . import consensus, kademlia, ledger
@@ -17,6 +17,7 @@ from .crypto import generate_keypair, node_id_from_public_key
 from .kademlia import Contact, RoutingTable
 from .ledger import AccountState, Block, BlockStore, Transaction
 from .mempool import Mempool
+from .netsim import DECODE_CACHE_SIZE
 
 ORPHAN_POOL_CAP = 64
 SYNC_PAGE_SIZE = 32
@@ -38,24 +39,23 @@ def decode_block(body: bytes) -> Block:
     return block
 
 
-def decode_blocks(body: bytes) -> list:
+def decode_blocks(body: bytes) -> tuple:
     objs = json.loads(body)
     if not isinstance(objs, list):
         raise TypeError("BLOCKS body is not a list")
-    blocks = [Block.from_json(obj) for obj in objs]
+    blocks = tuple(Block.from_json(obj) for obj in objs)
     for block in blocks:
         ledger.check_fields(block)
     return blocks
 
 
-def decode_locator(body: bytes) -> list:
+def decode_locator(body: bytes) -> tuple:
     if len(body) % 32 != 0:
         raise ValueError("locator is not a whole number of hashes")
-    return [body[i : i + 32] for i in range(0, len(body), 32)]
+    return tuple(body[i : i + 32] for i in range(0, len(body), 32))
 
 
-def decode_message(kind: str, body: bytes):
-    """The typed content of a gossip body; raises one of MALFORMED."""
+def _decode(kind: str, body: bytes):
     if kind == "TX_ANNOUNCE":
         return ledger.decode_transaction(body)
     if kind == "BLOCK_ANNOUNCE":
@@ -65,6 +65,23 @@ def decode_message(kind: str, body: bytes):
     if kind == "BLOCKS":
         return decode_blocks(body)
     raise ValueError(f"unknown message kind {kind}")
+
+
+def decode_message(kind: str, body: bytes, decoded: OrderedDict):
+    """The typed content of a gossip body; raises one of MALFORMED.
+
+    The content is a pure function of ``(kind, body)`` and immutable, so
+    ``decoded`` (the simulator's run-wide map) hands every recipient the
+    object the first one decoded. Only successes are kept, so a malformed
+    body is decoded and rejected each time; the oldest entry is forgotten
+    beyond ``DECODE_CACHE_SIZE``."""
+    key = (kind, body)
+    msg = decoded.get(key)
+    if msg is None:
+        msg = decoded[key] = _decode(kind, body)
+        if len(decoded) > DECODE_CACHE_SIZE:
+            decoded.popitem(last=False)
+    return msg
 
 
 def encode_contacts(contacts: list) -> bytes:
@@ -206,7 +223,7 @@ class SimNode:
         marked ``reject: malformed`` on its deliver row; it never raises."""
         kind, origin = env.kind, env.src
         try:
-            msg = decode_message(kind, env.body)
+            msg = decode_message(kind, env.body, self.sim.decoded)
         except MALFORMED:
             if trace_row is not None:
                 trace_row["reject"] = "malformed"

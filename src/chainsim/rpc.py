@@ -42,9 +42,9 @@ def _require_hex(params: dict, key: str, length: Optional[int] = None) -> bytes:
     if not isinstance(value, str):
         raise RpcError(INVALID_PARAMS, f"missing or non-string param '{key}'")
     try:
-        raw = bytes.fromhex(value)
+        raw = ledger._hex(value)  # one spelling per value, as in chain files
     except ValueError:
-        raise RpcError(INVALID_PARAMS, f"param '{key}' is not hex")
+        raise RpcError(INVALID_PARAMS, f"param '{key}' is not lowercase hex")
     if length is not None and len(raw) != length:
         raise RpcError(INVALID_PARAMS, f"param '{key}' must be {length} bytes")
     return raw

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from chainsim import consensus, ledger
@@ -5,6 +7,7 @@ from chainsim.crypto import address_from_public_key, generate_keypair
 from chainsim.ledger import AccountState, BlockStore, make_genesis, make_transaction
 
 
+@functools.cache  # a pure function of i; KeyPair is frozen
 def keypair(i: int):
     return generate_keypair(bytes([i % 256]) * 32)
 

@@ -210,3 +210,15 @@ def test_verify_loosely_typed_line_fails_at_its_height(tmp_path, capsys, edit):
     chain.write_bytes(b"\n".join(lines) + b"\n")
     assert run_cli("verify", str(chain)) == 1
     assert capsys.readouterr().out == "FAIL at height 1: parse_error\n"
+
+
+@pytest.mark.parametrize("seed", ["zz", "00"], ids=["not_hex", "one_byte"])
+def test_serve_rpc_bad_seed_is_a_config_error(tmp_path, monkeypatch, capsys, seed):
+    from chainsim import rpc
+
+    monkeypatch.setattr(rpc, "serve", lambda *a, **k: pytest.fail("served with a bad seed"))
+    _, blocks = build_chain(2, allocations=[(addr(1), 100)])
+    chain = tmp_path / "chain.jsonl"
+    ledger.write_chain_file(blocks, chain)
+    assert run_cli("serve-rpc", str(chain), "--port", "0", "--quiet", "--seed", seed) == 2
+    assert capsys.readouterr().err.startswith("config error: ")

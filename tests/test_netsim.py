@@ -1,4 +1,7 @@
+import json
+
 import pytest
+from hypothesis import given, strategies as st
 
 from chainsim.netsim import SimConfig, Simulator, Tracer
 
@@ -156,6 +159,23 @@ def test_tracer_lines_are_byte_stable():
     t.log(b=1, a=2, time=3)
     t.log(z=[1, 2], time=4)
     assert t.lines() == [b'{"a":2,"b":1,"time":3}', b'{"time":4,"z":[1,2]}']
+
+
+trace_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(st.lists(st.dictionaries(st.text(max_size=4), trace_values, max_size=4), max_size=3))
+def test_tracer_lines_match_per_row_json_dumps(rows):
+    t = Tracer()
+    for row in rows:
+        t.log(**row)
+    assert t.lines() == [
+        json.dumps(row, sort_keys=True, separators=(",", ":")).encode() for row in rows
+    ]
 
 
 def test_drain_deliveries_runs_all_but_timers_in_order():

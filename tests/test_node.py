@@ -1,13 +1,14 @@
 import json
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainsim import consensus, ledger
+from chainsim import consensus, ledger, node as node_mod
 from chainsim.kademlia import Contact
 from chainsim.ledger import AccountState, BlockStore, make_genesis
-from chainsim.netsim import Envelope, SimConfig, Simulator
-from chainsim.node import SYNC_PAGE_SIZE, SimNode, decode_blocks, encode_blocks
+from chainsim.netsim import DECODE_CACHE_SIZE, Envelope, SimConfig, Simulator
+from chainsim.node import SYNC_PAGE_SIZE, SimNode, decode_blocks, decode_message, encode_blocks
 
 from conftest import addr, mine_child, signed_tx
 
@@ -342,3 +343,70 @@ def test_reloading_a_persisted_chain_applies_each_block_once(monkeypatch):
     assert restored.store.canonical == node.store.canonical
     for h in node.store.canonical:
         assert restored.snapshots[h] == node.snapshots[h]
+
+
+# -- the run-wide decode map -----------------------------------------------------
+
+def count_decodes(monkeypatch):
+    """Record every delivered (kind, body) and every strict decode that ran."""
+    delivered, decodes = [], []
+    real_message, real_decode = node_mod.decode_message, node_mod._decode
+    monkeypatch.setattr(node_mod, "decode_message", lambda kind, body, decoded: (
+        delivered.append((kind, body)) or real_message(kind, body, decoded)))
+    monkeypatch.setattr(node_mod, "_decode", lambda kind, body: (
+        decodes.append((kind, body)) or real_decode(kind, body)))
+    return delivered, decodes
+
+
+def test_each_distinct_body_is_decoded_once_per_run(monkeypatch):
+    sim = make_net(5)
+    delivered, decodes = count_decodes(monkeypatch)
+    for n in range(3):
+        sim.nodes[n].on_transaction(signed_tx(1, 2, 10, 1, n))
+    sim.run()
+    sim.crash_node(4)
+    for _ in range(3):
+        sim.nodes[0].mine_and_broadcast()
+        sim.run()
+    sim.restart_node(4)  # re-syncs with GET_BLOCKS and a BLOCKS page
+    sim.run()
+    assert sim.nodes[4].head() == sim.nodes[0].head()
+    assert {kind for kind, _ in delivered} == set(VALID_BODIES)
+    assert len(delivered) > 2 * len(set(delivered))
+    assert sorted(decodes) == sorted(set(delivered))
+    assert len(sim.decoded) == len(decodes)
+
+
+def test_malformed_body_is_decoded_and_rejected_every_time(monkeypatch):
+    sim = make_net(2)
+    _, decodes = count_decodes(monkeypatch)
+    for _ in range(2):
+        assert deliver(sim, 1, "TX_ANNOUNCE", b"junk")["reject"] == "malformed"
+    assert decodes == [("TX_ANNOUNCE", b"junk")] * 2
+    assert not sim.decoded
+
+
+def test_recipients_of_one_body_share_one_decoded_object():
+    sim = make_net(3)
+    tx = signed_tx(1, 2, 10, 1, 0)
+    sim.nodes[0].on_transaction(tx)
+    sim.run()
+    a, b = (sim.nodes[i].mempool.entries[tx.tx_hash] for i in (1, 2))
+    assert a is b and a is not tx
+    sim.nodes[0].mine_and_broadcast()
+    sim.run()
+    assert sim.nodes[1].head() is sim.nodes[2].head()
+    assert sim.nodes[1].head() is not sim.nodes[0].head()
+
+
+def test_decode_map_evicts_the_oldest_beyond_its_bound():
+    decoded = OrderedDict()
+    keys = [("GET_BLOCKS", i.to_bytes(32, "big")) for i in range(DECODE_CACHE_SIZE + 1)]
+    first = decode_message(*keys[0], decoded)
+    for key in keys[1:DECODE_CACHE_SIZE]:
+        decode_message(*key, decoded)
+    assert decode_message(*keys[0], decoded) is first  # a hit does not reorder
+    decode_message(*keys[-1], decoded)
+    assert list(decoded) == keys[1:]
+    assert decode_message(*keys[0], decoded) is not first
+    assert list(decoded) == keys[2:] + keys[:1]

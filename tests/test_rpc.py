@@ -1,10 +1,12 @@
 import json
 
+import pytest
+
 from chainsim.kademlia import Contact
 from chainsim.ledger import make_genesis
 from chainsim.netsim import SimConfig, Simulator
 from chainsim.node import SimNode
-from chainsim.rpc import RpcDispatcher, serve
+from chainsim.rpc import INVALID_PARAMS, RpcDispatcher, serve
 
 from conftest import addr, signed_tx
 
@@ -158,3 +160,19 @@ def test_http_transport_round_trip():
     finally:
         server.shutdown()
         server.server_close()
+
+
+@pytest.mark.parametrize("spell", [str.upper, lambda h: h[:8] + " " + h[8:]],
+                         ids=["upper_case", "embedded_space"])
+def test_hex_params_have_one_spelling(spell):
+    sim, node = make_node()
+    d = RpcDispatcher(node)
+    tx = signed_tx(1, 2, 25, 2, 0)
+    for method, key, value in [
+        ("chain_getBlockByHash", "hash", GENESIS.block_hash.hex()),
+        ("chain_getTransactionStatus", "hash", tx.tx_hash.hex()),
+        ("chain_getBalance", "address", addr(1).hex()),
+        ("chain_submitTransaction", "tx", tx.encode().hex()),
+    ]:
+        assert "result" in call(d, method, {key: value})
+        assert call(d, method, {key: spell(value)})["error"]["code"] == INVALID_PARAMS
