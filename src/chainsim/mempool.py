@@ -1,13 +1,19 @@
 """Fee-prioritized pool of validated pending transactions.
 
-Insertion validates against the node's canonical state with
-pending-adjusted nonces and balances, so a sender can queue consecutive
-nonces without overdrafting. Block selection is greedy: among each
-sender's lowest pending nonce, take the highest fee (earlier arrival
-breaks ties), which keeps per-sender nonce order intact.
+Each sender has one queue of pending transactions in nonce order, and the
+queue continues the node's canonical state: it starts at the sender's next
+nonce, runs on without a gap, and its summed cost fits the sender's balance.
+So any per-sender prefix of the queues applies cleanly to that state.
+``insert`` appends to its sender's queue, capacity eviction takes the
+cheapest tail of another sender's queue, and ``prune`` restores the
+invariant when the canonical state moves. Block selection is a heap over the
+queue heads keyed (fee desc, arrival asc), which keeps per-sender nonce
+order intact.
 """
 
 from __future__ import annotations
+
+import heapq
 
 # ``verify`` is unused here; the name is kept because the benchmark's tests
 # (perfbench/tests) check that tracing wraps every binding of crypto.verify.
@@ -21,8 +27,8 @@ class Mempool:
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         self.capacity = capacity
         self.entries: dict = {}  # tx_hash -> Transaction
-        self.by_sender_nonce: dict = {}  # (sender, nonce) -> tx_hash
         self.arrival: dict = {}  # tx_hash -> monotone sequence
+        self.queues: dict = {}  # sender -> its transactions in nonce order
         self._next_seq = 0
 
     def __len__(self) -> int:
@@ -34,11 +40,6 @@ class Mempool:
     def transactions(self) -> list:
         return list(self.entries.values())
 
-    def _pending_for(self, sender: bytes) -> list:
-        txs = [tx for tx in self.entries.values() if tx.sender == sender]
-        txs.sort(key=lambda t: t.nonce)
-        return txs
-
     def insert(self, tx: Transaction, state: AccountState) -> None:
         """Admit ``tx`` or raise TxError with cause duplicate / pool_full /
         bad_signature / bad_nonce / insufficient_funds / payload_too_large."""
@@ -46,62 +47,48 @@ class Mempool:
             raise TxError("duplicate")
         check_signature(tx)
         sender = tx.sender
-        if (sender, tx.nonce) in self.by_sender_nonce:
+        queue = self.queues.get(sender, ())
+        if queue and queue[0].nonce <= tx.nonce <= queue[-1].nonce:
             raise TxError("duplicate", "sender nonce already pending")
-        pending = self._pending_for(sender)
-        expected = state.next_nonce(sender) + len(pending)
+        expected = state.next_nonce(sender) + len(queue)
         if tx.nonce != expected:
             kind = "replay" if tx.nonce < expected else "gap"
             raise TxError("bad_nonce", f"{kind}: nonce {tx.nonce} != {expected}")
-        committed = sum(t.amount + t.fee for t in pending)
+        committed = sum(t.amount + t.fee for t in queue)
         if state.balance(sender) - committed < tx.amount + tx.fee:
             raise TxError("insufficient_funds")
         if len(self.entries) >= self.capacity:
+            tails = [q[-1] for s, q in self.queues.items() if s != sender]
             victim = min(
-                self.entries.values(), key=lambda t: (t.fee, -self.arrival[t.tx_hash])
+                tails, key=lambda t: (t.fee, -self.arrival[t.tx_hash]), default=None
             )
-            if victim.fee >= tx.fee:
+            if victim is None or victim.fee >= tx.fee:
                 raise TxError("pool_full")
-            self._drop(victim.tx_hash)
+            self._forget(self.queues[victim.sender].pop())
+            if not self.queues[victim.sender]:
+                del self.queues[victim.sender]
+        self.queues.setdefault(sender, []).append(tx)
         self.entries[tx.tx_hash] = tx
-        self.by_sender_nonce[(sender, tx.nonce)] = tx.tx_hash
         self.arrival[tx.tx_hash] = self._next_seq
         self._next_seq += 1
 
-    def _drop(self, tx_hash: bytes) -> None:
-        tx = self.entries.pop(tx_hash, None)
-        if tx is None:
-            return
-        self.by_sender_nonce.pop((tx.sender, tx.nonce), None)
-        self.arrival.pop(tx_hash, None)
+    def _forget(self, tx: Transaction) -> None:
+        del self.entries[tx.tx_hash]
+        del self.arrival[tx.tx_hash]
 
     def select_for_block(self, max_n: int) -> list:
         """Up to ``max_n`` transactions, highest fee first among each
         sender's lowest pending nonce; ties break by arrival order."""
-        remaining: dict = {}
-        for tx in self.entries.values():
-            remaining.setdefault(tx.sender, []).append(tx)
-        for txs in remaining.values():
-            txs.sort(key=lambda t: t.nonce)
+        heads = [(-q[0].fee, self.arrival[q[0].tx_hash], q, 0) for q in self.queues.values()]
+        heapq.heapify(heads)
         picked = []
-        while len(picked) < max_n and remaining:
-            heads = [txs[0] for txs in remaining.values()]
-            best = min(heads, key=lambda t: (-t.fee, self.arrival[t.tx_hash]))
-            picked.append(best)
-            queue = remaining[best.sender]
-            queue.pop(0)
-            if not queue:
-                del remaining[best.sender]
+        while heads and len(picked) < max_n:
+            _, _, queue, i = heapq.heappop(heads)
+            picked.append(queue[i])
+            if i + 1 < len(queue):
+                tx = queue[i + 1]
+                heapq.heappush(heads, (-tx.fee, self.arrival[tx.tx_hash], queue, i + 1))
         return picked
-
-    def remove_included(self, block) -> None:
-        """Drop entries included in ``block`` and entries whose
-        (sender, nonce) slot the block consumed."""
-        for tx in block.transactions:
-            self._drop(tx.tx_hash)
-            conflicting = self.by_sender_nonce.get((tx.sender, tx.nonce))
-            if conflicting is not None:
-                self._drop(conflicting)
 
     def reinstate(self, txs: list, state: AccountState) -> list:
         """Re-insert transactions displaced by a reorg; entries that no
@@ -116,19 +103,21 @@ class Mempool:
         return accepted
 
     def prune(self, state: AccountState) -> None:
-        """After a reorg, drop entries invalidated by the new canonical
-        state (stale nonces or overdrafts), keeping valid chains intact."""
-        by_sender: dict = {}
-        for tx in self.entries.values():
-            by_sender.setdefault(tx.sender, []).append(tx)
-        for sender, txs in by_sender.items():
-            txs.sort(key=lambda t: t.nonce)
+        """Restore the invariant against a new canonical state: drop entries
+        with stale nonces (those a block included among them) and whatever
+        of a queue no longer fits the balance, keeping valid chains intact."""
+        for sender, queue in list(self.queues.items()):
             expected = state.next_nonce(sender)
             budget = state.balance(sender)
-            for tx in txs:
-                ok = tx.nonce == expected and budget >= tx.amount + tx.fee
-                if ok:
+            kept = []
+            for tx in queue:
+                if tx.nonce == expected and budget >= tx.amount + tx.fee:
+                    kept.append(tx)
                     expected += 1
                     budget -= tx.amount + tx.fee
                 else:
-                    self._drop(tx.tx_hash)
+                    self._forget(tx)
+            if kept:
+                self.queues[sender] = kept
+            else:
+                del self.queues[sender]

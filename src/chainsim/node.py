@@ -300,9 +300,6 @@ class SimNode:
             for tx in b.transactions
             if tx.tx_hash not in adopted_txs
         ]
-        for block in adopted:
-            if block.transactions:
-                self.mempool.remove_included(block)
         self.mempool.prune(self.canonical_state)
         self.mempool.reinstate(displaced, self.canonical_state)
         head = self.head()
@@ -331,8 +328,7 @@ class SimNode:
 
     def build_template(self, difficulty_bits: Optional[int] = None) -> consensus.BlockTemplate:
         parent = self.head()
-        selected = self.mempool.select_for_block(self.max_block_txs)
-        txs = self._filter_applicable(selected)
+        txs = self.mempool.select_for_block(self.max_block_txs)
         if difficulty_bits is None:
             difficulty_bits = self.sim.config.difficulty_bits
         return consensus.BlockTemplate(
@@ -344,19 +340,6 @@ class SimNode:
             tx_root=ledger.compute_tx_root(txs),
             transactions=tuple(txs),
         )
-
-    def _filter_applicable(self, txs: list) -> list:
-        """Drop selections the canonical state can no longer afford; a reorg
-        between insertion and selection can stale an entry."""
-        state = self.canonical_state.copy()
-        kept = []
-        for tx in txs:
-            try:
-                ledger.apply_tx(state, tx)
-            except ledger.TxError:
-                continue
-            kept.append(tx)
-        return kept
 
     def mine_and_broadcast(self) -> Optional[Block]:
         template = self.build_template()

@@ -675,8 +675,6 @@ def nonzero(mapping: dict) -> dict:
 @settings(max_examples=80, deadline=None)
 @given(tx_lists())
 def test_block_transition_matches_reference_model(case):
-    from chainsim.node import SimNode
-
     txs, bad = case
     genesis_state = apply_block(AccountState(), TRANSITION_GENESIS)
     before = genesis_state.copy()
@@ -697,9 +695,3 @@ def test_block_transition_matches_reference_model(case):
         assert nonzero(state.balances) == nonzero(balances)
         assert state.nonces == nonces
     assert genesis_state == before  # the parent's state is never written
-
-    # a block template keeps what the same reference settles
-    signed = [tx for i, tx in enumerate(txs) if i not in bad]
-    node = SimNode(None, 0, bytes(32), TRANSITION_GENESIS)
-    assert node._filter_applicable(signed) == reference_settle(signed)[2]
-    assert node.canonical_state == before
