@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-
-from .crypto import hash_bytes
+from hashlib import sha256
 
 BLOCK_REWARD = 50
+_NONCE = struct.Struct(">Q")
 
 
 def meets_difficulty(block_hash: bytes, difficulty_bits: int) -> bool:
@@ -74,13 +74,17 @@ def mine(template: BlockTemplate, start_nonce: int = 0, max_attempts: int = 1 <<
     from .ledger import POW_NONCE_OFFSET
 
     d = template.difficulty_bits
+    if not 0 <= d <= 255:
+        raise ValueError("difficulty_bits out of range")
+    # meets_difficulty per attempt, inlined: the digest as an integer is
+    # below 2^(256 - d) iff its first d bits are zero
+    target = 1 << (256 - d)
     header = template.seal(0).header_bytes()
     # rebuild just the nonce's 8 bytes of the header per attempt
     head, tail = header[:POW_NONCE_OFFSET], header[POW_NONCE_OFFSET + 8 :]
-    for i in range(max_attempts):
-        nonce = start_nonce + i
-        digest = hash_bytes(head + struct.pack(">Q", nonce) + tail)
-        if meets_difficulty(digest, d):
+    pack, from_bytes = _NONCE.pack, int.from_bytes
+    for nonce in range(start_nonce, start_nonce + max_attempts):
+        if from_bytes(sha256(head + pack(nonce) + tail).digest(), "big") < target:
             return template.seal(nonce)
     raise MiningExhausted(max_attempts)
 

@@ -40,7 +40,9 @@ from .crypto import (
 
 MAX_PAYLOAD_BYTES = 1024
 MAX_BLOCK_TXS = 100
-SIGNATURE_CACHE_SIZE = 4096  # about 40 full blocks of transactions
+# a full mempool (mempool.DEFAULT_CAPACITY) plus one block: a tx verified on
+# admission is still held when a block carries it
+SIGNATURE_CACHE_SIZE = 10_000 + MAX_BLOCK_TXS
 ZERO_HASH = bytes(32)
 ZERO_ADDRESS = bytes(20)
 U64_MAX = (1 << 64) - 1
@@ -137,6 +139,11 @@ class Transaction:
     @cached_property
     def tx_hash(self) -> bytes:
         return hash_bytes(self.encode())
+
+    @cached_property
+    def hash_hex(self) -> str:
+        """``tx_hash`` as hex: the tx's one label in every trace row."""
+        return self.tx_hash.hex()
 
     def to_json(self) -> dict:
         return {
@@ -251,6 +258,11 @@ class Block:
     @cached_property
     def block_hash(self) -> bytes:
         return hash_bytes(self.header_bytes())
+
+    @cached_property
+    def hash_hex(self) -> str:
+        """``block_hash`` as hex: the block's one label in every trace row."""
+        return self.block_hash.hex()
 
     def to_json(self) -> dict:
         obj = {

@@ -17,9 +17,11 @@ import random
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
-DECODE_CACHE_SIZE = 4096  # distinct gossip bodies; perfbench chain_growth (seed 1) decodes 1,737
+# distinct gossip bodies held by each run-wide body map (see _remember);
+# perfbench chain_growth (seed 1) decodes 1,737
+DECODE_CACHE_SIZE = 4096
 # one encoder for every trace row: the bytes of json.dumps(row, sort_keys=True,
 # separators=(",", ":")) without building an encoder per row
 _TRACE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -51,8 +53,23 @@ class SimConfig:
                 raise ValueError("partition sides overlap")
 
 
-@dataclass(frozen=True)
-class Envelope:
+def _remember(memo: OrderedDict, key, make, *args):
+    """``memo[key]``, set to ``make(*args)`` on a miss: a run-wide map of a
+    pure function of a gossip body. A ``make`` that raises stores nothing, a
+    hit does not reorder, and the oldest entry is forgotten beyond
+    ``DECODE_CACHE_SIZE``."""
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = make(*args)
+        if len(memo) > DECODE_CACHE_SIZE:
+            memo.popitem(last=False)
+    return value
+
+
+class Envelope(NamedTuple):
+    """One message in flight: immutable, and built positionally on every
+    send, so a named tuple (cheaper to build than a frozen dataclass)."""
+
     send_time: int
     deliver_time: int
     src: int
@@ -62,12 +79,14 @@ class Envelope:
 
 
 class Tracer:
-    """Accumulates trace rows; serialization is byte-stable (sorted keys)."""
+    """Accumulates trace rows, one dict per event; serialization is
+    byte-stable (sorted keys). ``log`` keeps the dict it is given, so a
+    caller builds each row once and never repacks it."""
 
     def __init__(self):
         self.rows = []
 
-    def log(self, **row) -> None:
+    def log(self, row: dict) -> None:
         self.rows.append(row)
 
     def lines(self) -> list:
@@ -78,6 +97,10 @@ class Tracer:
         with open(path, "wb") as f:
             for ln in self.lines():
                 f.write(ln + b"\n")
+
+
+def _sha256_hex(body: bytes) -> str:
+    return hashlib.sha256(body).hexdigest()
 
 
 def _derive_rng(seed: int, node: int, purpose: str) -> random.Random:
@@ -114,6 +137,9 @@ class Simulator:
         # (kind, body) -> decoded message, oldest first: every node that
         # receives a body shares the one object decoded from it
         self.decoded: OrderedDict = OrderedDict()
+        # body -> its SHA-256 hex digest for the deliver row, oldest first;
+        # a body that does not decode is hashed like any other
+        self.body_hashes: OrderedDict = OrderedDict()
 
     # -- wiring ------------------------------------------------------------
 
@@ -198,7 +224,8 @@ class Simulator:
         tag = action[0]
         if tag == "deliver":
             env = action[1]
-            if self.nodes[env.dst] is not None and env.dst not in self.crashed:
+            node = self.nodes[env.dst]
+            if node is not None and env.dst not in self.crashed:
                 self.messages_delivered += 1
                 row = {
                     "time": self.now,
@@ -206,10 +233,10 @@ class Simulator:
                     "from": env.src,
                     "to": env.dst,
                     "kind": env.kind,
-                    "body_hash": hashlib.sha256(env.body).hexdigest(),
+                    "body_hash": _remember(self.body_hashes, env.body, _sha256_hex, env.body),
                 }
-                self.nodes[env.dst].handle(env, trace_row=row)
-                self.tracer.log(**row)
+                node.handle(env, trace_row=row)
+                self.tracer.log(row)
         elif tag == "mine":
             node_idx = action[1]
             self._fire_mining(node_idx)
@@ -280,14 +307,14 @@ class Simulator:
         node = self.nodes[node_idx]
         block = node.mine_and_broadcast()
         if block is not None:
-            self.tracer.log(
-                time=self.now,
-                type="mine",
-                node=node_idx,
-                height=block.height,
-                hash=block.block_hash.hex(),
-                txs=[tx.tx_hash.hex() for tx in block.transactions],
-            )
+            self.tracer.log({
+                "time": self.now,
+                "type": "mine",
+                "node": node_idx,
+                "height": block.height,
+                "hash": block.hash_hex,
+                "txs": [tx.hash_hex for tx in block.transactions],
+            })
         return block
 
     def enable_periodic_sync(self) -> None:
@@ -311,7 +338,7 @@ class Simulator:
             self.persisted[index] = node.persist_chain_lines()
         self.crashed.add(index)
         self.nodes[index] = None
-        self.tracer.log(time=self.now, type="crash", node=index)
+        self.tracer.log({"time": self.now, "type": "crash", "node": index})
         return True
 
     def restart_node(self, index: int) -> None:
@@ -325,7 +352,7 @@ class Simulator:
             raise RuntimeError("restart requires a node_factory")
         node = self.node_factory(self, index, self.persisted.get(index))
         self.nodes[index] = node
-        self.tracer.log(time=self.now, type="restart", node=index)
+        self.tracer.log({"time": self.now, "type": "restart", "node": index})
         node.rejoin()
         if self.config.hash_rate_shares.get(index, 0) > 0:
             self._schedule_next_mine(index)

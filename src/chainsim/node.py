@@ -17,7 +17,7 @@ from .crypto import generate_keypair, node_id_from_public_key
 from .kademlia import Contact, RoutingTable
 from .ledger import AccountState, Block, BlockStore, Transaction
 from .mempool import Mempool
-from .netsim import DECODE_CACHE_SIZE
+from .netsim import _remember
 
 ORPHAN_POOL_CAP = 64
 SYNC_PAGE_SIZE = 32
@@ -74,14 +74,8 @@ def decode_message(kind: str, body: bytes, decoded: OrderedDict):
     ``decoded`` (the simulator's run-wide map) hands every recipient the
     object the first one decoded. Only successes are kept, so a malformed
     body is decoded and rejected each time; the oldest entry is forgotten
-    beyond ``DECODE_CACHE_SIZE``."""
-    key = (kind, body)
-    msg = decoded.get(key)
-    if msg is None:
-        msg = decoded[key] = _decode(kind, body)
-        if len(decoded) > DECODE_CACHE_SIZE:
-            decoded.popitem(last=False)
-    return msg
+    beyond ``netsim.DECODE_CACHE_SIZE``."""
+    return _remember(decoded, (kind, body), _decode, kind, body)
 
 
 def encode_contacts(contacts: list) -> bytes:
@@ -230,11 +224,11 @@ class SimNode:
             return
         if kind == "TX_ANNOUNCE":
             if trace_row is not None:
-                trace_row["tx"] = msg.tx_hash.hex()
+                trace_row["tx"] = msg.hash_hex
             self.on_transaction(msg, origin)
         elif kind == "BLOCK_ANNOUNCE":
             if trace_row is not None:
-                trace_row["block"] = msg.block_hash.hex()
+                trace_row["block"] = msg.hash_hex
             self.on_block(msg, origin)
         elif kind == "GET_BLOCKS":
             self._serve_blocks(msg, origin)
@@ -303,13 +297,13 @@ class SimNode:
         self.mempool.prune(self.canonical_state)
         self.mempool.reinstate(displaced, self.canonical_state)
         head = self.head()
-        self.sim.tracer.log(
-            time=self.sim.now,
-            type="adopt",
-            node=self.index,
-            height=head.height,
-            hash=head.block_hash.hex(),
-        )
+        self.sim.tracer.log({
+            "time": self.sim.now,
+            "type": "adopt",
+            "node": self.index,
+            "height": head.height,
+            "hash": head.hash_hex,
+        })
 
     def _add_orphan(self, block: Block) -> None:
         """Hold a block for its parent; a re-sent one keeps its place."""

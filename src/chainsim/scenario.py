@@ -272,13 +272,13 @@ def run_scenario(scenario: Scenario, blob_root: Optional[Path] = None) -> RunRes
             if blob is not None and node.blob_store is not None:
                 node.blob_store.put(blob)
             status = node.on_transaction(tx, origin=None)
-            tracer.log(
-                time=sim.now,
-                type="tx_submit",
-                node=node_idx,
-                tx=tx.tx_hash.hex(),
-                status=status,
-            )
+            tracer.log({
+                "time": sim.now,
+                "type": "tx_submit",
+                "node": node_idx,
+                "tx": tx.hash_hex,
+                "status": status,
+            })
 
         sim.schedule(item.time_ms, ("call", submit))
 

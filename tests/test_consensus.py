@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainsim import ledger
 from chainsim.consensus import (
@@ -78,6 +79,50 @@ def test_mine_exhaustion():
     t = _template(2, 40)
     with pytest.raises(MiningExhausted):
         mine(t, start_nonce=0, max_attempts=16)
+
+
+@pytest.mark.parametrize("difficulty", [-1, 256])
+def test_mine_refuses_an_out_of_range_difficulty(difficulty):
+    with pytest.raises(ValueError):
+        mine(_template(3, difficulty), start_nonce=0, max_attempts=16)
+
+
+def reference_mine(template, start_nonce, max_attempts):
+    """``mine`` spelled out: seal every nonce and ask meets_difficulty."""
+    for nonce in range(start_nonce, start_nonce + max_attempts):
+        block = template.seal(nonce)
+        if meets_difficulty(block.block_hash, template.difficulty_bits):
+            return block
+    raise MiningExhausted(max_attempts)
+
+
+def mining_outcome(miner, *args):
+    try:
+        return miner(*args)
+    except MiningExhausted as e:
+        return ("exhausted", e.attempts)
+
+
+templates = st.builds(
+    BlockTemplate,
+    height=st.integers(1, ledger.U64_MAX),
+    prev_hash=st.binary(min_size=32, max_size=32),
+    timestamp=st.integers(0, ledger.U64_MAX),
+    difficulty_bits=st.integers(0, 12),
+    miner=st.binary(min_size=20, max_size=20),
+    tx_root=st.binary(min_size=32, max_size=32),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    template=templates,
+    start_nonce=st.integers(0, 1 << 63),
+    max_attempts=st.integers(0, 40) | st.just(1 << 24),
+)
+def test_mine_matches_a_reference_loop_over_meets_difficulty(template, start_nonce, max_attempts):
+    expected = mining_outcome(reference_mine, template, start_nonce, max_attempts)
+    assert mining_outcome(mine, template, start_nonce, max_attempts) == expected
 
 
 def test_expected_work_scales_with_difficulty():

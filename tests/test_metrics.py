@@ -47,7 +47,7 @@ def test_csv_shape():
 def test_metrics_recompute_from_serialized_trace():
     t = Tracer()
     for row in sample_rows():
-        t.log(**row)
+        t.log(row)
     reparsed = parse_trace_lines(t.lines())
     assert compute_metrics(reparsed) == compute_metrics(sample_rows())
 

@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, strategies as st
 
-from chainsim.netsim import SimConfig, Simulator, Tracer
+from chainsim.netsim import DECODE_CACHE_SIZE, Envelope, SimConfig, Simulator, Tracer
 
 
 class Recorder:
@@ -156,8 +157,8 @@ def test_scheduled_events_fire_in_order_with_fifo_ties():
 
 def test_tracer_lines_are_byte_stable():
     t = Tracer()
-    t.log(b=1, a=2, time=3)
-    t.log(z=[1, 2], time=4)
+    t.log({"b": 1, "a": 2, "time": 3})
+    t.log({"z": [1, 2], "time": 4})
     assert t.lines() == [b'{"a":2,"b":1,"time":3}', b'{"time":4,"z":[1,2]}']
 
 
@@ -172,7 +173,7 @@ trace_values = st.recursive(
 def test_tracer_lines_match_per_row_json_dumps(rows):
     t = Tracer()
     for row in rows:
-        t.log(**row)
+        t.log(row)
     assert t.lines() == [
         json.dumps(row, sort_keys=True, separators=(",", ":")).encode() for row in rows
     ]
@@ -190,3 +191,30 @@ def test_drain_deliveries_runs_all_but_timers_in_order():
     assert fired == ["a", "b", "c"]
     assert sim.pending() == 0
     assert sim.now == 12
+
+
+def test_envelope_builds_positionally_and_is_immutable():
+    env = Envelope(0, 0, 0, 1, "TX_ANNOUNCE", b"body")
+    assert (env.send_time, env.deliver_time, env.src, env.dst) == (0, 0, 0, 1)
+    assert (env.kind, env.body) == ("TX_ANNOUNCE", b"body")
+    with pytest.raises(AttributeError):
+        env.kind = "BLOCKS"
+    assert env.kind == "TX_ANNOUNCE"
+
+
+def test_body_hash_map_evicts_its_oldest_entry_beyond_its_bound():
+    sim = make_sim(2, latency_min_ms=5, latency_max_ms=5)  # delivered in send order
+    bodies = [i.to_bytes(4, "big") for i in range(DECODE_CACHE_SIZE + 1)]
+    for body in bodies:
+        sim.send(0, 1, "PING", body)
+    sim.run()
+    assert len(sim.body_hashes) == DECODE_CACHE_SIZE
+    assert bodies[0] not in sim.body_hashes
+    assert next(iter(sim.body_hashes)) == bodies[1]
+    assert sim.body_hashes[bodies[-1]] == hashlib.sha256(bodies[-1]).hexdigest()
+    # a forgotten body is hashed again, to the same digest, as the newest entry
+    sim.send(0, 1, "PING", bodies[0])
+    sim.run()
+    assert next(reversed(sim.body_hashes)) == bodies[0]
+    assert sim.tracer.rows[-1]["body_hash"] == hashlib.sha256(bodies[0]).hexdigest()
+    assert len(sim.body_hashes) == DECODE_CACHE_SIZE

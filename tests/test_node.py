@@ -1,10 +1,12 @@
+import hashlib
 import json
 from collections import OrderedDict
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainsim import consensus, ledger, node as node_mod
+from chainsim import consensus, ledger, netsim, node as node_mod
 from chainsim.kademlia import Contact
 from chainsim.ledger import AccountState, BlockStore, make_genesis
 from chainsim.netsim import DECODE_CACHE_SIZE, Envelope, SimConfig, Simulator
@@ -410,3 +412,55 @@ def test_decode_map_evicts_the_oldest_beyond_its_bound():
     assert list(decoded) == keys[1:]
     assert decode_message(*keys[0], decoded) is not first
     assert list(decoded) == keys[2:] + keys[:1]
+
+
+# -- per-body work in the deliver path ---------------------------------------------
+
+def count_body_hashes(monkeypatch):
+    """Every SHA-256 the simulator computes for a deliver row's body_hash."""
+    hashed = []
+    real = hashlib.sha256
+    monkeypatch.setattr(
+        netsim, "hashlib", SimpleNamespace(sha256=lambda data: hashed.append(data) or real(data))
+    )
+    return hashed
+
+
+def test_each_distinct_body_is_hashed_once_per_run(monkeypatch):
+    sim = make_net(5)
+    delivered, _ = count_decodes(monkeypatch)
+    hashed = count_body_hashes(monkeypatch)
+    for n in range(3):
+        sim.nodes[n].on_transaction(signed_tx(1, 2, 10, 1, n))
+    sim.run()
+    for _ in range(2):
+        sim.nodes[0].mine_and_broadcast()
+        sim.run()
+    deliver_rows = [r for r in sim.tracer.rows if r["type"] == "deliver"]
+    assert len(deliver_rows) == len(delivered) > 2 * len(set(delivered))
+    bodies = {body for _, body in delivered}
+    assert sorted(hashed) == sorted(bodies)
+    digests = {body: hashlib.sha256(body).hexdigest() for body in bodies}
+    assert [r["body_hash"] for r in deliver_rows] == [digests[body] for _, body in delivered]
+
+
+def test_every_deliver_row_for_one_item_shares_one_label():
+    sim = make_net(5)
+    tx = signed_tx(1, 2, 10, 1, 0)
+    sim.nodes[0].on_transaction(tx)
+    sim.run()
+    block = sim.nodes[1].mine_and_broadcast()
+    sim.run()
+    for key, label in (("tx", tx.tx_hash.hex()), ("block", block.block_hash.hex())):
+        labels = [r[key] for r in sim.tracer.rows if r["type"] == "deliver" and key in r]
+        assert len(labels) > 1 and labels[0] == label
+        assert all(other is labels[0] for other in labels)
+
+
+def test_malformed_body_row_carries_its_sha256(monkeypatch):
+    sim = make_net(2)
+    hashed = count_body_hashes(monkeypatch)
+    rows = [deliver(sim, 1, "BLOCK_ANNOUNCE", b"{not json") for _ in range(2)]
+    digest = hashlib.sha256(b"{not json").hexdigest()
+    assert [(r["reject"], r["body_hash"]) for r in rows] == [("malformed", digest)] * 2
+    assert hashed == [b"{not json"]

@@ -5,8 +5,9 @@ from hypothesis import given, strategies as st
 
 from chainsim import crypto, ledger
 from chainsim.ledger import SIGNATURE_CACHE_SIZE, Transaction, TxError, check_signature
-from chainsim.mempool import Mempool
+from chainsim.mempool import DEFAULT_CAPACITY, Mempool
 
+import conftest
 from conftest import addr, mine_child, signed_tx
 from test_node import make_net
 
@@ -123,6 +124,34 @@ def test_cache_is_bounded_and_evicts_oldest_first(signature_cache, monkeypatch):
     assert len(verified) == 1
     assert next(reversed(signature_cache)) == txs[0].tx_hash
     assert len(signature_cache) == SIGNATURE_CACHE_SIZE
+
+
+def test_cache_holds_a_full_pool_plus_one_block():
+    assert SIGNATURE_CACHE_SIZE >= DEFAULT_CAPACITY + ledger.MAX_BLOCK_TXS
+
+
+def test_block_of_a_full_pools_oldest_txs_is_not_verified_again(signature_cache, monkeypatch):
+    """Every tx of a full pool passed ``check_signature`` on admission; a
+    block carrying the earliest of them must find all of them cached."""
+    verified = []
+    monkeypatch.setattr(ledger, "verify", lambda pk, msg, sig: verified.append(msg) or True)
+    senders = range(1, 101)
+    per_sender = DEFAULT_CAPACITY // len(senders)
+    genesis = ledger.make_genesis([(addr(i), 2 * per_sender) for i in senders])
+    state = ledger.apply_block(ledger.AccountState(), genesis)
+    pool = Mempool()
+    txs = [
+        Transaction(conftest.keypair(i).public_key, addr(200), 1, 1, nonce)
+        for nonce in range(per_sender)
+        for i in senders
+    ]
+    for tx in txs:
+        pool.insert(tx, state)
+    assert len(pool) == DEFAULT_CAPACITY and len(verified) == DEFAULT_CAPACITY
+    verified.clear()
+    block = mine_child(genesis, txs=txs[: ledger.MAX_BLOCK_TXS])
+    ledger.validate_block(block, genesis, state)
+    assert verified == []
 
 
 def test_block_admission_reuses_the_mempool_check(signature_cache, verify_calls):
