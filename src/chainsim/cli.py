@@ -15,7 +15,7 @@ from pathlib import Path
 from . import ledger, metrics, rpc
 from .crypto import address_from_public_key, generate_keypair
 from .ledger import ChainError, read_chain_file, verify_chain_lines, write_chain_file
-from .netsim import SimConfig, Tracer
+from .netsim import SimConfig, Simulator
 from .scenario import ScenarioError, load_scenario_file, node_key_seed, run_scenario
 
 BUNDLED = ["convergence_20", "partition_heal", "sybil_shares", "churn_restart", "tamper_detect"]
@@ -144,21 +144,6 @@ def cmd_verify(args) -> int:
     return 0
 
 
-class _StandaloneSim:
-    """Minimal simulator stand-in for a single RPC-served node."""
-
-    def __init__(self):
-        self.now = 0
-        self.config = SimConfig()
-        self.tracer = Tracer()
-
-    def send(self, *a, **k):
-        return False
-
-    def query(self, *a, **k):
-        return None
-
-
 def cmd_serve_rpc(args) -> int:
     from .node import SimNode
 
@@ -170,7 +155,9 @@ def cmd_serve_rpc(args) -> int:
         return 2
     try:  # the node decodes every line as `verify` does
         genesis = ledger.decode_chain_lines(lines[:1])[0]
-        node = SimNode(_StandaloneSim(), 0, seed, genesis, persisted_lines=lines)
+        sim = Simulator(SimConfig(), 1)  # a lone node: no peers to send to
+        node = SimNode(sim, 0, seed, genesis, persisted_lines=lines)
+        sim.attach(0, node)
     except ChainError as e:
         print(f"FAIL at height {e.height}: {e.code}")
         return 1

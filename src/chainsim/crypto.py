@@ -18,7 +18,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-DIGEST_SIZE = 32
 NODE_ID_SIZE = 20
 NODE_ID_BITS = NODE_ID_SIZE * 8
 PUBLIC_KEY_SIZE = 32

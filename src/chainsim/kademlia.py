@@ -12,7 +12,7 @@ closest contacts, or None if the peer did not respond.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from .crypto import NODE_ID_BITS, NODE_ID_SIZE
@@ -25,7 +25,6 @@ ALPHA = 3
 class Contact:
     node_id: bytes
     endpoint: int  # node index in the simulated network
-    last_seen: int = 0
 
 
 def xor_distance(a: bytes, b: bytes) -> int:
@@ -75,8 +74,7 @@ class RoutingTable:
         bucket = self.buckets[bucket_index(self.owner, contact.node_id)]
         for i, existing in enumerate(bucket):
             if existing.node_id == contact.node_id:
-                bucket.pop(i)
-                bucket.append(replace(existing, last_seen=contact.last_seen))
+                bucket.append(bucket.pop(i))
                 return
         if len(bucket) < self.k:
             bucket.append(contact)

@@ -195,6 +195,8 @@ def decode_transaction(data: bytes) -> Transaction:
     recipient = data[32:52]
     amount, fee, nonce = struct.unpack(">QQQ", data[52:76])
     (plen,) = struct.unpack(">H", data[76:78])
+    if plen > MAX_PAYLOAD_BYTES:  # encode, and so tx_hash, would refuse it
+        raise TxError("payload_too_large", f"{plen} > {MAX_PAYLOAD_BYTES}")
     if len(data) != fixed + plen + 64:
         raise TxError("malformed", "transaction length mismatch")
     payload = data[78 : 78 + plen]

@@ -15,11 +15,6 @@ def parse_trace_lines(lines: Iterable[bytes]) -> List[dict]:
     return [json.loads(ln) for ln in lines if ln.strip()]
 
 
-def read_trace_file(path) -> List[dict]:
-    with open(path, "rb") as f:
-        return parse_trace_lines(f.read().split(b"\n"))
-
-
 def compute_metrics(rows: List[dict]) -> List[tuple]:
     """(time_ms, metric_name, node, value) rows from trace rows."""
     out: List[tuple] = []

@@ -1,8 +1,10 @@
 """Deterministic discrete-event network harness.
 
-Virtual time only: every message delivery, mining event, crash, restart,
-and partition change is an entry in one priority queue ordered by
-(time, insertion sequence). All randomness (latency, drops, mining
+Virtual time only: every message delivery, mining and sync timer, crash,
+restart and scheduled call is an entry ``(time, seq, handler, args)`` in
+one priority queue, ordered by time and then insertion sequence; running
+an event calls ``handler(*args)``. A node is down exactly when its slot
+in ``Simulator.nodes`` is ``None``. All randomness (latency, drops, mining
 delays) comes from per-node RNG streams derived from (seed, node index,
 purpose), so replaying a scenario with the same seed reproduces the
 exact event trace.
@@ -125,15 +127,13 @@ class Simulator:
         self.now = 0
         self._queue: list = []
         self._seq = 0
-        self.nodes: list = [None] * num_nodes
-        self.crashed: set = set()
+        self.nodes: list = [None] * num_nodes  # None: not attached, or down
         self.persisted: dict = {}  # node index -> list of chain-file lines
         self.dynamic_partitions: list = []  # (setA, setB)
         self._net_rng = [_derive_rng(config.rng_seed, i, "net") for i in range(num_nodes)]
         self._mine_rng = [_derive_rng(config.rng_seed, i, "mine") for i in range(num_nodes)]
         self.messages_sent = 0
         self.messages_delivered = 0
-        self.mining_enabled = True
         # (kind, body) -> decoded message, oldest first: every node that
         # receives a body shares the one object decoded from it
         self.decoded: OrderedDict = OrderedDict()
@@ -153,8 +153,10 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------
 
-    def schedule(self, time_ms: int, action: tuple) -> None:
-        heapq.heappush(self._queue, (time_ms, self._seq, action))
+    def schedule(self, time_ms: int, handler: Callable, *args) -> None:
+        """Queue ``handler(*args)`` to run at ``time_ms``; equal times run in
+        the order they were scheduled."""
+        heapq.heappush(self._queue, (time_ms, self._seq, handler, args))
         self._seq += 1
 
     def pending(self) -> int:
@@ -173,13 +175,13 @@ class Simulator:
         return False
 
     def _link_up(self, src: int, dst: int) -> bool:
-        if src in self.crashed or dst in self.crashed:
+        if self.nodes[src] is None or self.nodes[dst] is None:
             return False
         return not self._partitioned(src, dst)
 
     def send(self, src: int, dst: int, kind: str, body: bytes) -> bool:
         """Schedule one message; returns False when dropped (lossy link,
-        partition boundary, or crashed endpoint)."""
+        partition boundary, or a down endpoint)."""
         self._check_index(src)
         self._check_index(dst)
         self.messages_sent += 1
@@ -192,12 +194,12 @@ class Simulator:
         if lost or not self._link_up(src, dst):
             return False
         env = Envelope(self.now, self.now + latency, src, dst, kind, body)
-        self.schedule(env.deliver_time, ("deliver", env))
+        self.schedule(env.deliver_time, self._deliver, env)
         return True
 
     def query(self, src: int, dst: int, kind: str, body: bytes) -> Optional[bytes]:
         """Synchronous request/response (FIND_NODE, PING). Subject to the
-        same partition/crash/drop rules, one loss roll per direction."""
+        same partition/down-node/drop rules, one loss roll per direction."""
         self._check_index(src)
         self._check_index(dst)
         if not self._link_up(src, dst):
@@ -208,72 +210,49 @@ class Simulator:
             or rng.random() < self.config.drop_probability
         ):
             return None
-        node = self.nodes[dst]
-        if node is None:
-            return None
-        return node.handle_query(kind, body, src)
+        return self.nodes[dst].handle_query(kind, body, src)
 
     # -- event loop --------------------------------------------------------
 
-    def step(self):
-        """Dispatch the earliest event; returns it, or None when idle."""
-        if not self._queue:
-            return None
-        time_ms, _, action = heapq.heappop(self._queue)
-        self.now = max(self.now, time_ms)
-        tag = action[0]
-        if tag == "deliver":
-            env = action[1]
-            node = self.nodes[env.dst]
-            if node is not None and env.dst not in self.crashed:
-                self.messages_delivered += 1
-                row = {
-                    "time": self.now,
-                    "type": "deliver",
-                    "from": env.src,
-                    "to": env.dst,
-                    "kind": env.kind,
-                    "body_hash": _remember(self.body_hashes, env.body, _sha256_hex, env.body),
-                }
-                node.handle(env, trace_row=row)
-                self.tracer.log(row)
-        elif tag == "mine":
-            node_idx = action[1]
-            self._fire_mining(node_idx)
-        elif tag == "sync":
-            node_idx = action[1]
-            if node_idx not in self.crashed and self.nodes[node_idx] is not None:
-                self.nodes[node_idx].periodic_sync()
-            if self.config.sync_interval_ms > 0:
-                self.schedule(self.now + self.config.sync_interval_ms, ("sync", node_idx))
-        elif tag == "crash":
-            self.crash_node(action[1])
-        elif tag == "restart":
-            self.restart_node(action[1])
-        elif tag == "call":
-            action[1]()
-        else:
-            raise RuntimeError(f"unknown event tag {tag}")
-        return action
+    def step(self) -> None:
+        """Run the earliest event, if any."""
+        if self._queue:
+            time_ms, _, handler, args = heapq.heappop(self._queue)
+            self.now = max(self.now, time_ms)
+            handler(*args)
 
     def run_until(self, t_end: int) -> None:
         while self._queue and self._queue[0][0] <= t_end:
             self.step()
         self.now = max(self.now, t_end)
 
-    def run(self) -> None:
-        while self._queue:
-            self.step()
-
     def drain_deliveries(self) -> None:
         """Run every queued event except mining and sync timers, which are
         discarded, until the queue is empty: settles in-flight traffic
-        once mining has stopped."""
+        without mining or syncing further. Timers reschedule themselves, so
+        this is the one way to run the queue to empty."""
+        timers = (self._fire_mining, self._sync)
         while self._queue:
-            if self._queue[0][2][0] in ("mine", "sync"):
+            if self._queue[0][2] in timers:
                 heapq.heappop(self._queue)
             else:
                 self.step()
+
+    def _deliver(self, env: Envelope) -> None:
+        node = self.nodes[env.dst]
+        if node is None:
+            return  # the destination went down while the message was in flight
+        self.messages_delivered += 1
+        row = {
+            "time": self.now,
+            "type": "deliver",
+            "from": env.src,
+            "to": env.dst,
+            "kind": env.kind,
+            "body_hash": _remember(self.body_hashes, env.body, _sha256_hex, env.body),
+        }
+        node.handle(env, trace_row=row)
+        self.tracer.log(row)
 
     # -- mining ------------------------------------------------------------
 
@@ -294,14 +273,13 @@ class Simulator:
         return max(1, round(self._mine_rng[node_idx].expovariate(1.0 / mean)))
 
     def _schedule_next_mine(self, node_idx: int) -> None:
-        self.schedule(self.now + self._mine_delay(node_idx), ("mine", node_idx))
+        self.schedule(self.now + self._mine_delay(node_idx), self._fire_mining, node_idx)
 
     def _fire_mining(self, node_idx: int) -> None:
-        if node_idx in self.crashed or self.nodes[node_idx] is None:
+        if self.nodes[node_idx] is None:
             return  # rescheduled on restart
         self.fire_mining_once(node_idx)
-        if self.mining_enabled:
-            self._schedule_next_mine(node_idx)
+        self._schedule_next_mine(node_idx)
 
     def fire_mining_once(self, node_idx: int):
         node = self.nodes[node_idx]
@@ -323,31 +301,34 @@ class Simulator:
         for idx in range(self.num_nodes):
             # stagger by index so sync traffic doesn't arrive in lockstep
             offset = 1 + (idx * self.config.sync_interval_ms) // max(1, self.num_nodes)
-            self.schedule(offset, ("sync", idx))
+            self.schedule(offset, self._sync, idx)
+
+    def _sync(self, node_idx: int) -> None:
+        node = self.nodes[node_idx]
+        if node is not None:
+            node.periodic_sync()
+        self.schedule(self.now + self.config.sync_interval_ms, self._sync, node_idx)
 
     # -- churn -------------------------------------------------------------
 
     def crash_node(self, index: int) -> bool:
-        """Take a node offline, persisting its canonical chain. Crashing an
-        already-crashed node is a reported no-op (returns False)."""
+        """Take a node offline, persisting its canonical chain. Crashing a
+        node that is already down is a reported no-op (returns False)."""
         self._check_index(index)
-        if index in self.crashed:
-            return False
         node = self.nodes[index]
-        if node is not None:
-            self.persisted[index] = node.persist_chain_lines()
-        self.crashed.add(index)
+        if node is None:
+            return False
+        self.persisted[index] = node.persist_chain_lines()
         self.nodes[index] = None
         self.tracer.log({"time": self.now, "type": "crash", "node": index})
         return True
 
     def restart_node(self, index: int) -> None:
-        """Bring a crashed node back: volatile state is gone, the persisted
+        """Bring a down node back: volatile state is gone, the persisted
         chain file is reloaded, and the node re-joins and re-syncs."""
         self._check_index(index)
-        if index not in self.crashed:
+        if self.nodes[index] is not None:
             return
-        self.crashed.discard(index)
         if self.node_factory is None:
             raise RuntimeError("restart requires a node_factory")
         node = self.node_factory(self, index, self.persisted.get(index))

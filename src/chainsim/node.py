@@ -85,11 +85,8 @@ def encode_contacts(contacts: list) -> bytes:
     ).encode()
 
 
-def decode_contacts(body: bytes, last_seen: int = 0) -> list:
-    return [
-        Contact(bytes.fromhex(nid), endpoint, last_seen)
-        for nid, endpoint in json.loads(body)
-    ]
+def decode_contacts(body: bytes) -> list:
+    return [Contact(bytes.fromhex(nid), endpoint) for nid, endpoint in json.loads(body)]
 
 
 class SimNode:
@@ -169,7 +166,7 @@ class SimNode:
             )
             if resp is None:
                 return None
-            return decode_contacts(resp, last_seen=self.sim.now)
+            return decode_contacts(resp)
 
         found, rounds = kademlia.iterative_lookup(
             self.routing, target, query, k=k, alpha=alpha
@@ -182,13 +179,13 @@ class SimNode:
         """Synchronous overlay RPCs (FIND_NODE, PING) served in place."""
         if kind == "PING":
             if len(body) == 20:
-                self.observe(Contact(body, src, self.sim.now))
+                self.observe(Contact(body, src))
             return b"PONG"
         if kind == "FIND_NODE":
             if len(body) != 40:
                 return None
             requester, target = body[:20], body[20:]
-            self.observe(Contact(requester, src, self.sim.now))
+            self.observe(Contact(requester, src))
             closest = self.routing.find_closest(target, kademlia.K) if len(self.routing) else []
             closest = [c for c in closest if c.endpoint != src]
             return encode_contacts(closest)

@@ -64,7 +64,8 @@ class RpcDispatcher:
         try:
             tx = ledger.decode_transaction(raw)
         except ledger.TxError as e:
-            raise RpcError(INVALID_PARAMS, f"undecodable transaction: {e.code}")
+            raise RpcError(APP_ERROR_CODES.get(e.code, INVALID_PARAMS),
+                           f"undecodable transaction: {e.code}")
         status = self.node.on_transaction(tx, origin=None)
         if status == "duplicate":
             raise RpcError(APP_ERROR_CODES["duplicate"], "transaction already known")

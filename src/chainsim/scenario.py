@@ -218,6 +218,9 @@ def run_scenario(scenario: Scenario, blob_root: Optional[Path] = None) -> RunRes
     """Execute a scenario end to end, deterministically."""
     tracer = Tracer()
     genesis = make_genesis(scenario.genesis_allocations)
+    # overlay bootstrap: every other node joins, and rejoins, through node 0
+    bootstrap_kp = generate_keypair(node_key_seed(scenario.sim.rng_seed, 0))
+    bootstrap = Contact(address_from_public_key(bootstrap_kp.public_key), 0)
 
     def node_factory(sim, index, persisted_lines):
         node = SimNode(
@@ -229,10 +232,7 @@ def run_scenario(scenario: Scenario, blob_root: Optional[Path] = None) -> RunRes
             persisted_lines=persisted_lines,
         )
         if index != 0:
-            bootstrap_kp = generate_keypair(node_key_seed(scenario.sim.rng_seed, 0))
-            node.set_bootstrap(
-                Contact(address_from_public_key(bootstrap_kp.public_key), 0, 0)
-            )
+            node.set_bootstrap(bootstrap)
         if blob_root is not None:
             node.blob_store = BlobStore(blob_root / f"node_{index}")
         return node
@@ -242,9 +242,7 @@ def run_scenario(scenario: Scenario, blob_root: Optional[Path] = None) -> RunRes
     for i, node in enumerate(nodes):
         sim.attach(i, node)
 
-    # overlay bootstrap: everyone joins through node 0, in index order
-    bootstrap = Contact(nodes[0].node_id, 0, 0)
-    for node in nodes[1:]:
+    for node in nodes[1:]:  # in index order
         node.join(bootstrap)
 
     # workload: nonces run per sender in listed order; blobs go off-chain
@@ -280,12 +278,12 @@ def run_scenario(scenario: Scenario, blob_root: Optional[Path] = None) -> RunRes
                 "status": status,
             })
 
-        sim.schedule(item.time_ms, ("call", submit))
+        sim.schedule(item.time_ms, submit)
 
     for t, idx in scenario.crashes:
-        sim.schedule(t, ("crash", idx))
+        sim.schedule(t, sim.crash_node, idx)
     for t, idx in scenario.restarts:
-        sim.schedule(t, ("restart", idx))
+        sim.schedule(t, sim.restart_node, idx)
 
     if scenario.sim.hash_rate_shares and sum(scenario.sim.hash_rate_shares.values()) > 0:
         sim.enable_mining()
@@ -297,31 +295,26 @@ def run_scenario(scenario: Scenario, blob_root: Optional[Path] = None) -> RunRes
 
 
 def _quiesce(sim: Simulator) -> None:
-    """Stop mining, let in-flight traffic settle, then run anti-entropy
-    rounds until heads agree. An equal-height tie between competing tips
-    can only be broken by another block, so one miner seals tie-breaker
-    blocks (still real proof-of-work) until one branch wins."""
-    sim.mining_enabled = False
-    sim.config.sync_interval_ms = 0
+    """Let in-flight traffic settle with the mining and sync timers
+    discarded, then run anti-entropy rounds until heads agree. An
+    equal-height tie between competing tips can only be broken by another
+    block, so one miner seals tie-breaker blocks (still real proof-of-work)
+    until one branch wins."""
     sim.drain_deliveries()
     miners = [i for i, s in sorted(sim.config.hash_rate_shares.items()) if s > 0]
     for attempt in range(QUIESCE_SYNC_ROUNDS + 16):
-        for idx in range(sim.num_nodes):
-            node = sim.nodes[idx]
-            if node is not None and idx not in sim.crashed:
+        for node in sim.nodes:
+            if node is not None:
                 node.periodic_sync()
         sim.drain_deliveries()
-        heads = {}
-        for i, n in enumerate(sim.nodes):
-            if n is not None and i not in sim.crashed:
-                heads[n.head().block_hash] = n.head().height
+        heads = {n.head().block_hash: n.head().height for n in sim.nodes if n is not None}
         if len(heads) <= 1 and attempt >= QUIESCE_SYNC_ROUNDS - 1:
             break
         max_height = max(heads.values(), default=0)
         tied = [h for h, ht in heads.items() if ht == max_height]
         if len(heads) > 1 and len(tied) > 1 and attempt >= QUIESCE_SYNC_ROUNDS - 1:
             # an equal-height standoff: only a fresh block can break it
-            breaker = next((i for i in miners if i not in sim.crashed), None)
+            breaker = next((i for i in miners if sim.nodes[i] is not None), None)
             if breaker is None:
                 break
             sim.now += 1

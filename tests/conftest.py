@@ -1,4 +1,5 @@
 import functools
+import struct
 
 import pytest
 
@@ -22,6 +23,13 @@ def signed_tx(sender_i: int, recipient_i: int, amount: int, fee: int, nonce: int
     return make_transaction(
         kp.private_key, kp.public_key, addr(recipient_i), amount, fee, nonce, payload
     )
+
+
+def oversized_tx_body() -> bytes:
+    """A transaction body framed as ``Transaction.encode`` frames one, but
+    with a 2,000-byte payload, over ``ledger.MAX_PAYLOAD_BYTES``."""
+    head = signed_tx(1, 2, 10, 1, 0).encode()[:76]  # key, recipient, amount, fee, nonce
+    return head + struct.pack(">H", 2000) + bytes(2000) + bytes(64)
 
 
 def mine_child(parent, txs=(), miner=None, difficulty=4, timestamp=None):

@@ -128,7 +128,7 @@ def test_serve_rpc_end_to_end(tmp_path):
     import urllib.request
 
     from chainsim import rpc
-    from chainsim.cli import _StandaloneSim
+    from chainsim.netsim import SimConfig, Simulator
     from chainsim.node import SimNode
     from chainsim.scenario import node_key_seed
 
@@ -137,8 +137,9 @@ def test_serve_rpc_end_to_end(tmp_path):
     ledger.write_chain_file(blocks, chain)
     # exercise the same wiring cmd_serve_rpc uses, with an ephemeral port
     lines = ledger.chain_file_lines(ledger.read_chain_file(chain))
-    node = SimNode(_StandaloneSim(), 0, node_key_seed(0, 0), blocks[0],
-                   persisted_lines=lines)
+    sim = Simulator(SimConfig(), 1)
+    node = SimNode(sim, 0, node_key_seed(0, 0), blocks[0], persisted_lines=lines)
+    sim.attach(0, node)
     server = rpc.serve(node, port=0)
     try:
         host, port = server.server_address

@@ -68,10 +68,10 @@ def test_observe_moves_known_contact_to_fresh_end():
         i += 1
     for m in bucket_members:
         t.observe_contact(Contact(m, 0))
-    t.observe_contact(Contact(bucket_members[0], 0, last_seen=9))
+    t.observe_contact(Contact(bucket_members[0], 0))
     bucket = t.buckets[159]
     assert bucket[-1].node_id == bucket_members[0]
-    assert bucket[-1].last_seen == 9
+    assert [c.node_id for c in bucket] == bucket_members[1:] + bucket_members[:1]
     t.audit()
 
 

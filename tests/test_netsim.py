@@ -52,7 +52,7 @@ def test_delivery_order_and_latency_bounds():
     sim = make_sim(latency_min_ms=5, latency_max_ms=50)
     for i in range(20):
         sim.send(0, 1, "PING", bytes([i]))
-    sim.run()
+    sim.drain_deliveries()
     envs = sim.nodes[1].received
     assert len(envs) == 20
     assert all(5 <= e.deliver_time - e.send_time <= 50 for e in envs)
@@ -66,7 +66,7 @@ def test_determinism_across_instances():
         sim = make_sim(rng_seed=seed, drop_probability=0.2)
         for i in range(50):
             sim.send(i % 3, (i + 1) % 3, "PING", bytes([i]))
-        sim.run()
+        sim.drain_deliveries()
         return [
             (e.src, e.dst, e.deliver_time, e.body)
             for n in sim.nodes
@@ -122,7 +122,7 @@ def test_in_flight_messages_to_crashed_node_vanish():
     sim = make_sim()
     sim.send(0, 1, "PING", b"")
     sim.crash_node(1)
-    sim.run()
+    sim.drain_deliveries()
     assert sim.messages_delivered == 0
 
 
@@ -147,10 +147,10 @@ def test_mining_schedule_mean_tracks_shares():
 def test_scheduled_events_fire_in_order_with_fifo_ties():
     sim = make_sim()
     fired = []
-    sim.schedule(10, ("call", lambda: fired.append("b")))
-    sim.schedule(5, ("call", lambda: fired.append("a")))
-    sim.schedule(10, ("call", lambda: fired.append("c")))
-    sim.run()
+    sim.schedule(10, fired.append, "b")
+    sim.schedule(5, fired.append, "a")
+    sim.schedule(10, fired.append, "c")
+    sim.drain_deliveries()
     assert fired == ["a", "b", "c"]
     assert sim.now == 10
 
@@ -182,11 +182,11 @@ def test_tracer_lines_match_per_row_json_dumps(rows):
 def test_drain_deliveries_runs_all_but_timers_in_order():
     sim = make_sim()
     fired = []
-    sim.schedule(3, ("mine", 0))
-    sim.schedule(5, ("call", lambda: fired.append("a")))
-    sim.schedule(7, ("sync", 0))
-    sim.schedule(8, ("call", lambda: (fired.append("b"), sim.schedule(9, ("mine", 1)),
-                                      sim.schedule(12, ("call", lambda: fired.append("c"))))))
+    sim.schedule(3, sim._fire_mining, 0)
+    sim.schedule(5, fired.append, "a")
+    sim.schedule(7, sim._sync, 0)
+    sim.schedule(8, lambda: (fired.append("b"), sim.schedule(9, sim._fire_mining, 1),
+                             sim.schedule(12, fired.append, "c")))
     sim.drain_deliveries()
     assert fired == ["a", "b", "c"]
     assert sim.pending() == 0
@@ -207,14 +207,14 @@ def test_body_hash_map_evicts_its_oldest_entry_beyond_its_bound():
     bodies = [i.to_bytes(4, "big") for i in range(DECODE_CACHE_SIZE + 1)]
     for body in bodies:
         sim.send(0, 1, "PING", body)
-    sim.run()
+    sim.drain_deliveries()
     assert len(sim.body_hashes) == DECODE_CACHE_SIZE
     assert bodies[0] not in sim.body_hashes
     assert next(iter(sim.body_hashes)) == bodies[1]
     assert sim.body_hashes[bodies[-1]] == hashlib.sha256(bodies[-1]).hexdigest()
     # a forgotten body is hashed again, to the same digest, as the newest entry
     sim.send(0, 1, "PING", bodies[0])
-    sim.run()
+    sim.drain_deliveries()
     assert next(reversed(sim.body_hashes)) == bodies[0]
     assert sim.tracer.rows[-1]["body_hash"] == hashlib.sha256(bodies[0]).hexdigest()
     assert len(sim.body_hashes) == DECODE_CACHE_SIZE

@@ -12,7 +12,7 @@ from chainsim.ledger import AccountState, BlockStore, make_genesis
 from chainsim.netsim import DECODE_CACHE_SIZE, Envelope, SimConfig, Simulator
 from chainsim.node import SYNC_PAGE_SIZE, SimNode, decode_blocks, decode_message, encode_blocks
 
-from conftest import addr, mine_child, signed_tx
+from conftest import addr, mine_child, oversized_tx_body, signed_tx
 
 
 def seed_of(i: int) -> bytes:
@@ -54,7 +54,7 @@ def test_transaction_gossip_reaches_everyone():
     sim = make_net(6)
     tx = signed_tx(1, 2, 10, 1, 0)
     assert sim.nodes[3].on_transaction(tx) == "relayed"
-    sim.run()
+    sim.drain_deliveries()
     assert all(tx.tx_hash in n.mempool for n in sim.nodes)
     # dedup: replaying yields duplicate, no endless re-flood
     assert sim.nodes[0].on_transaction(tx) == "duplicate"
@@ -64,7 +64,7 @@ def test_invalid_transaction_not_relayed():
     sim = make_net(3)
     bad = signed_tx(5, 2, 10, 1, 0)  # addr(5) has no funds
     assert sim.nodes[0].on_transaction(bad) == "rejected:insufficient_funds"
-    sim.run()
+    sim.drain_deliveries()
     assert all(len(n.mempool) == 0 for n in sim.nodes)
 
 
@@ -72,9 +72,9 @@ def test_mined_block_propagates_and_applies():
     sim = make_net(5)
     tx = signed_tx(1, 2, 10, 3, 0)
     sim.nodes[0].on_transaction(tx)
-    sim.run()
+    sim.drain_deliveries()
     block = sim.nodes[0].mine_and_broadcast()
-    sim.run()
+    sim.drain_deliveries()
     assert block is not None and tx in block.transactions
     for n in sim.nodes:
         assert n.head().block_hash == block.block_hash
@@ -135,11 +135,11 @@ def test_reorg_reinstates_displaced_transactions():
     short = a.mine_and_broadcast()  # a's branch: height 1, carries tx
     b.mine_and_broadcast()
     b.mine_and_broadcast()          # b's branch: height 2, empty
-    sim.run()
+    sim.drain_deliveries()
     sim.heal()
     assert a.head().height == 1 and b.head().height == 2
     a.sync(1)
-    sim.run()
+    sim.drain_deliveries()
     assert a.head().block_hash == b.head().block_hash
     assert tx.tx_hash in a.mempool  # displaced tx back in the pool
     assert a.canonical_state.balance(addr(2)) == 0
@@ -151,10 +151,10 @@ def test_sync_catches_up_over_many_pages():
     sim.partition([0], [1])
     for _ in range(75):  # > 2 sync pages of 32
         a.mine_and_broadcast()
-    sim.run()
+    sim.drain_deliveries()
     sim.heal()
     b.sync(0)
-    sim.run()
+    sim.drain_deliveries()
     assert b.head().height == 75
     assert b.head().block_hash == a.head().block_hash
 
@@ -164,14 +164,14 @@ def test_crash_persists_and_restart_recovers():
     a = sim.nodes[0]
     for _ in range(5):
         a.mine_and_broadcast()
-    sim.run()
+    sim.drain_deliveries()
     assert sim.nodes[2].head().height == 5
     sim.crash_node(2)
     for _ in range(3):
         a.mine_and_broadcast()
-    sim.run()
+    sim.drain_deliveries()
     sim.restart_node(2)
-    sim.run()
+    sim.drain_deliveries()
     restarted = sim.nodes[2]
     assert restarted.head().height == 8
     assert restarted.head().block_hash == a.head().block_hash
@@ -186,10 +186,10 @@ def test_mempool_filtering_keeps_templates_valid_after_reorg():
     b.on_transaction(signed_tx(1, 3, 9_999, 1, 0))
     b.mine_and_broadcast()
     b.mine_and_broadcast()
-    sim.run()
+    sim.drain_deliveries()
     sim.heal()
     a.sync(1)
-    sim.run()
+    sim.drain_deliveries()
     assert a.head().block_hash == b.head().block_hash
     template = a.build_template()
     # the stale tx (nonce consumed, balance nearly drained) must not appear
@@ -203,7 +203,7 @@ def test_tip_extension_and_block_serving_walk_no_path(monkeypatch):
     a, b = sim.nodes
     for _ in range(40):
         a.mine_and_broadcast()
-    sim.run()
+    sim.drain_deliveries()
     assert b.head().block_hash == a.head().block_hash
     walks = []
     real = BlockStore.path_to_genesis
@@ -234,6 +234,7 @@ def _block_json(**fields) -> bytes:
 
 MALFORMED_BODIES = {
     "tx_junk": ("TX_ANNOUNCE", b"junk"),
+    "tx_payload_too_large": ("TX_ANNOUNCE", oversized_tx_body()),
     "block_not_json": ("BLOCK_ANNOUNCE", b"{not json"),
     "blocks_int": ("BLOCKS", b"7"),
     "blocks_object": ("BLOCKS", b'{"a":1}'),
@@ -251,7 +252,7 @@ MALFORMED_BODIES = {
 def deliver(sim, dst, kind, body):
     """Queue one message for ``dst`` and run it through Simulator.step."""
     env = Envelope(sim.now, sim.now, 0, dst, kind, body)
-    sim.schedule(sim.now, ("deliver", env))
+    sim.schedule(sim.now, sim._deliver, env)
     sim.step()
     return sim.tracer.rows[-1]
 
@@ -365,13 +366,13 @@ def test_each_distinct_body_is_decoded_once_per_run(monkeypatch):
     delivered, decodes = count_decodes(monkeypatch)
     for n in range(3):
         sim.nodes[n].on_transaction(signed_tx(1, 2, 10, 1, n))
-    sim.run()
+    sim.drain_deliveries()
     sim.crash_node(4)
     for _ in range(3):
         sim.nodes[0].mine_and_broadcast()
-        sim.run()
+        sim.drain_deliveries()
     sim.restart_node(4)  # re-syncs with GET_BLOCKS and a BLOCKS page
-    sim.run()
+    sim.drain_deliveries()
     assert sim.nodes[4].head() == sim.nodes[0].head()
     assert {kind for kind, _ in delivered} == set(VALID_BODIES)
     assert len(delivered) > 2 * len(set(delivered))
@@ -392,11 +393,11 @@ def test_recipients_of_one_body_share_one_decoded_object():
     sim = make_net(3)
     tx = signed_tx(1, 2, 10, 1, 0)
     sim.nodes[0].on_transaction(tx)
-    sim.run()
+    sim.drain_deliveries()
     a, b = (sim.nodes[i].mempool.entries[tx.tx_hash] for i in (1, 2))
     assert a is b and a is not tx
     sim.nodes[0].mine_and_broadcast()
-    sim.run()
+    sim.drain_deliveries()
     assert sim.nodes[1].head() is sim.nodes[2].head()
     assert sim.nodes[1].head() is not sim.nodes[0].head()
 
@@ -432,10 +433,10 @@ def test_each_distinct_body_is_hashed_once_per_run(monkeypatch):
     hashed = count_body_hashes(monkeypatch)
     for n in range(3):
         sim.nodes[n].on_transaction(signed_tx(1, 2, 10, 1, n))
-    sim.run()
+    sim.drain_deliveries()
     for _ in range(2):
         sim.nodes[0].mine_and_broadcast()
-        sim.run()
+        sim.drain_deliveries()
     deliver_rows = [r for r in sim.tracer.rows if r["type"] == "deliver"]
     assert len(deliver_rows) == len(delivered) > 2 * len(set(delivered))
     bodies = {body for _, body in delivered}
@@ -448,9 +449,9 @@ def test_every_deliver_row_for_one_item_shares_one_label():
     sim = make_net(5)
     tx = signed_tx(1, 2, 10, 1, 0)
     sim.nodes[0].on_transaction(tx)
-    sim.run()
+    sim.drain_deliveries()
     block = sim.nodes[1].mine_and_broadcast()
-    sim.run()
+    sim.drain_deliveries()
     for key, label in (("tx", tx.tx_hash.hex()), ("block", block.block_hash.hex())):
         labels = [r[key] for r in sim.tracer.rows if r["type"] == "deliver" and key in r]
         assert len(labels) > 1 and labels[0] == label

@@ -8,7 +8,7 @@ from chainsim.netsim import SimConfig, Simulator
 from chainsim.node import SimNode
 from chainsim.rpc import INVALID_PARAMS, RpcDispatcher, serve
 
-from conftest import addr, signed_tx
+from conftest import addr, oversized_tx_body, signed_tx
 
 GENESIS = make_genesis([(addr(1), 10_000)])
 
@@ -73,6 +73,14 @@ def test_rejection_codes():
     forged[-1] ^= 1
     resp = call(d, "chain_submitTransaction", {"tx": bytes(forged).hex()})
     assert resp["error"]["code"] == 1001
+
+
+def test_oversized_payload_gets_app_code_1005():
+    sim, node = make_node()
+    d = RpcDispatcher(node)
+    resp = call(d, "chain_submitTransaction", {"tx": oversized_tx_body().hex()})
+    assert resp["error"]["code"] == 1005
+    assert len(node.mempool) == 0
 
 
 def test_get_block_by_height_and_hash_with_canonical_flag():

@@ -1,11 +1,15 @@
+import copy
 import json
 
 import pytest
 
+from chainsim import ledger
+from chainsim.cli import bundled_scenario_path
 from chainsim.scenario import (
     Scenario,
     ScenarioError,
     load_scenario,
+    load_scenario_file,
     node_key_seed,
     run_scenario,
 )
@@ -81,6 +85,22 @@ def test_run_scenario_is_deterministic():
     b = run_scenario(load_scenario(tiny_scenario()))
     assert a.tracer.lines() == b.tracer.lines()
     assert a.head_hashes() == b.head_hashes()
+
+
+@pytest.mark.parametrize("name", ["partition_heal", "tamper_detect"])
+def test_rerunning_one_scenario_object_repeats_the_run(name):
+    scenario = load_scenario_file(bundled_scenario_path(name))
+    config = copy.deepcopy(scenario.sim)
+
+    def artifacts():
+        result = run_scenario(scenario)
+        chains = [ledger.chain_file_lines(n.store.canonical_chain())
+                  for n in result.nodes if n is not None]
+        return result.tracer.lines(), chains, json.dumps(result.summary(), sort_keys=True)
+
+    first = artifacts()
+    assert artifacts() == first
+    assert scenario.sim == config
 
 
 def test_seed_changes_the_run():

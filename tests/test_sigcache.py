@@ -172,11 +172,11 @@ def test_network_verifies_each_distinct_tx_once(signature_cache, verify_calls):
     )
     for i, tx in enumerate(txs):
         assert sim.nodes[i].on_transaction(tx) == "relayed"
-        sim.run()
+        sim.drain_deliveries()
     assert sim.nodes[4].on_transaction(bad) == "rejected:bad_signature"
     assert all(len(node.mempool) == 4 for node in sim.nodes)
     block = sim.nodes[2].mine_and_broadcast()
-    sim.run()
+    sim.drain_deliveries()
     assert list(block.transactions) == txs
     assert all(node.head().block_hash == block.block_hash for node in sim.nodes)
     # each valid tx once across 5 mempools and 5 block checks; the bad one
