@@ -50,10 +50,9 @@ def cmd_run(args) -> int:
         return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result = run_scenario(scenario, blob_root=out / "blobs")
-
-    result.tracer.write(out / "trace.jsonl")
-    rows = metrics.compute_metrics(result.tracer.rows)
+    with open(out / "trace.jsonl", "wb") as sink:
+        result = run_scenario(scenario, sink, blob_root=out / "blobs")
+    rows = result.tracer.fold.metrics()
     (out / "metrics.csv").write_bytes(metrics.metrics_csv(rows))
     for i, node in enumerate(result.nodes):
         if node is not None:

@@ -4,6 +4,8 @@ Each sender has one queue of pending transactions in nonce order, and the
 queue continues the node's canonical state: it starts at the sender's next
 nonce, runs on without a gap, and its summed cost fits the sender's balance.
 So any per-sender prefix of the queues applies cleanly to that state.
+Each queue's summed cost is kept beside it (``committed``), so admission
+reads one number instead of summing the queue.
 ``insert`` appends to its sender's queue, capacity eviction takes the
 cheapest tail of another sender's queue, and ``prune`` restores the
 invariant when the canonical state moves. Block selection is a heap over the
@@ -29,6 +31,7 @@ class Mempool:
         self.entries: dict = {}  # tx_hash -> Transaction
         self.arrival: dict = {}  # tx_hash -> monotone sequence
         self.queues: dict = {}  # sender -> its transactions in nonce order
+        self.committed: dict = {}  # sender -> its queue's summed cost
         self._next_seq = 0
 
     def __len__(self) -> int:
@@ -54,7 +57,7 @@ class Mempool:
         if tx.nonce != expected:
             kind = "replay" if tx.nonce < expected else "gap"
             raise TxError("bad_nonce", f"{kind}: nonce {tx.nonce} != {expected}")
-        committed = sum(t.amount + t.fee for t in queue)
+        committed = self.committed.get(sender, 0)
         if state.balance(sender) - committed < tx.amount + tx.fee:
             raise TxError("insufficient_funds")
         if len(self.entries) >= self.capacity:
@@ -65,9 +68,11 @@ class Mempool:
             if victim is None or victim.fee >= tx.fee:
                 raise TxError("pool_full")
             self._forget(self.queues[victim.sender].pop())
+            self.committed[victim.sender] -= victim.amount + victim.fee
             if not self.queues[victim.sender]:
-                del self.queues[victim.sender]
+                del self.queues[victim.sender], self.committed[victim.sender]
         self.queues.setdefault(sender, []).append(tx)
+        self.committed[sender] = committed + tx.amount + tx.fee
         self.entries[tx.tx_hash] = tx
         self.arrival[tx.tx_hash] = self._next_seq
         self._next_seq += 1
@@ -119,5 +124,6 @@ class Mempool:
                     self._forget(tx)
             if kept:
                 self.queues[sender] = kept
+                self.committed[sender] = state.balance(sender) - budget
             else:
-                del self.queues[sender]
+                del self.queues[sender], self.committed[sender]

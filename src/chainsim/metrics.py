@@ -1,7 +1,12 @@
-"""Metrics derived purely from a persisted event trace.
+"""Metrics folded from event trace rows in one pass.
 
-Every number here recomputes from the trace rows alone, so a report can
-be regenerated from the trace file without re-running the simulation.
+``MetricsFold`` takes each trace row once, in trace order, and keeps only
+what the metrics read: each ``adopt`` row's head height, the ``mine`` rows,
+the first relayed ``tx_submit`` time per tx, the last ``BLOCK_ANNOUNCE``
+receipt per block label, and the latest time. The simulator's ``Tracer``
+feeds one live as it logs, so ``chainsim run`` writes ``metrics.csv``
+without holding the trace; ``compute_metrics`` folds any iterable of rows,
+so a report also recomputes from the trace file alone.
 CSV columns: time_ms, metric_name, node, value (node -1 = network-wide).
 """
 
@@ -15,64 +20,84 @@ def parse_trace_lines(lines: Iterable[bytes]) -> List[dict]:
     return [json.loads(ln) for ln in lines if ln.strip()]
 
 
-def compute_metrics(rows: List[dict]) -> List[tuple]:
-    """(time_ms, metric_name, node, value) rows from trace rows."""
-    out: List[tuple] = []
-    end_time = max((r["time"] for r in rows), default=0)
+class MetricsFold:
+    """The metrics of a trace: ``add`` each row once, then read ``metrics()``."""
 
-    # head height over time
-    for r in rows:
-        if r.get("type") == "adopt":
-            out.append((r["time"], "head_height", r["node"], r["height"]))
+    def __init__(self):
+        self.end_time = None  # the latest row time
+        self.heads: list = []  # (time, node, height) per adopt row
+        self.mine_rows: list = []
+        self.mined: dict = {}  # node -> blocks it mined
+        self.submit_time: dict = {}  # tx -> first relayed submission time
+        self.last_announce: dict = {}  # block label -> last BLOCK_ANNOUNCE receipt
 
-    # blocks mined per node, and canonical height for the fork count
-    mined: dict = {}
-    mine_rows = [r for r in rows if r.get("type") == "mine"]
-    for r in mine_rows:
-        mined[r["node"]] = mined.get(r["node"], 0) + 1
-    for node in sorted(mined):
-        out.append((end_time, "blocks_mined", node, mined[node]))
-    if mine_rows:
-        max_height = max(r["height"] for r in mine_rows)
-        out.append((end_time, "fork_count", -1, len(mine_rows) - max_height))
+    def add(self, row: dict) -> None:
+        time_ms = row["time"]
+        if self.end_time is None or time_ms > self.end_time:
+            self.end_time = time_ms
+        kind = row.get("type")
+        if kind == "deliver":
+            if row.get("kind") == "BLOCK_ANNOUNCE":
+                label = row.get("block")
+                self.last_announce[label] = max(self.last_announce.get(label, 0), time_ms)
+        elif kind == "adopt":
+            self.heads.append((time_ms, row["node"], row["height"]))
+        elif kind == "mine":
+            self.mine_rows.append(row)
+            self.mined[row["node"]] = self.mined.get(row["node"], 0) + 1
+        elif kind == "tx_submit" and row.get("status") == "relayed":
+            self.submit_time.setdefault(row["tx"], time_ms)
 
-    # confirmation latency: submit -> first inclusion in a mined block
-    submit_time: dict = {}
-    for r in rows:
-        if r.get("type") == "tx_submit" and r.get("status") == "relayed":
-            submit_time.setdefault(r["tx"], r["time"])
-    latencies = []
-    confirmed: set = set()
-    for r in mine_rows:
-        for tx in r.get("txs", []):
-            if tx in submit_time and tx not in confirmed:
-                confirmed.add(tx)
-                latencies.append(r["time"] - submit_time[tx])
-    if latencies:
-        latencies.sort()
-        mean = sum(latencies) / len(latencies)
-        p95 = latencies[min(len(latencies) - 1, int(0.95 * len(latencies)))]
-        out.append((end_time, "tx_confirm_latency_mean_ms", -1, round(mean, 3)))
-        out.append((end_time, "tx_confirm_latency_p95_ms", -1, p95))
-        out.append((end_time, "tx_confirmed_count", -1, len(latencies)))
+    def metrics(self) -> List[tuple]:
+        """(time_ms, metric_name, node, value) rows, sorted."""
+        end_time = 0 if self.end_time is None else self.end_time
+        out = [(t, "head_height", node, height) for t, node, height in self.heads]
 
-    # per-block propagation delay: mine time -> last BLOCK_ANNOUNCE receipt
-    mine_time = {r["hash"]: r["time"] for r in mine_rows}
-    last_seen: dict = {}
-    for r in rows:
-        if r.get("type") == "deliver" and r.get("kind") == "BLOCK_ANNOUNCE":
-            h = r.get("block")
-            if h in mine_time:
-                last_seen[h] = max(last_seen.get(h, 0), r["time"])
-    delays = [last_seen[h] - mine_time[h] for h in last_seen]
-    if delays:
-        out.append(
-            (end_time, "block_propagation_mean_ms", -1, round(sum(delays) / len(delays), 3))
-        )
-        out.append((end_time, "block_propagation_max_ms", -1, max(delays)))
+        # blocks mined per node, and canonical height for the fork count
+        mine_rows = self.mine_rows
+        for node in sorted(self.mined):
+            out.append((end_time, "blocks_mined", node, self.mined[node]))
+        if mine_rows:
+            max_height = max(r["height"] for r in mine_rows)
+            out.append((end_time, "fork_count", -1, len(mine_rows) - max_height))
 
-    out.sort(key=lambda row: (row[0], row[1], row[2]))
-    return out
+        # confirmation latency: submit -> first inclusion in a mined block
+        latencies = []
+        confirmed: set = set()
+        for r in mine_rows:
+            for tx in r.get("txs", []):
+                if tx in self.submit_time and tx not in confirmed:
+                    confirmed.add(tx)
+                    latencies.append(r["time"] - self.submit_time[tx])
+        if latencies:
+            latencies.sort()
+            mean = sum(latencies) / len(latencies)
+            p95 = latencies[min(len(latencies) - 1, int(0.95 * len(latencies)))]
+            out.append((end_time, "tx_confirm_latency_mean_ms", -1, round(mean, 3)))
+            out.append((end_time, "tx_confirm_latency_p95_ms", -1, p95))
+            out.append((end_time, "tx_confirmed_count", -1, len(latencies)))
+
+        # per-block propagation delay: mine time -> last BLOCK_ANNOUNCE receipt
+        mine_time = {r["hash"]: r["time"] for r in mine_rows}
+        delays = [
+            seen - mine_time[h] for h, seen in self.last_announce.items() if h in mine_time
+        ]
+        if delays:
+            out.append(
+                (end_time, "block_propagation_mean_ms", -1, round(sum(delays) / len(delays), 3))
+            )
+            out.append((end_time, "block_propagation_max_ms", -1, max(delays)))
+
+        out.sort(key=lambda row: (row[0], row[1], row[2]))
+        return out
+
+
+def compute_metrics(rows: Iterable[dict]) -> List[tuple]:
+    """(time_ms, metric_name, node, value) rows from trace rows, in one pass."""
+    fold = MetricsFold()
+    for row in rows:
+        fold.add(row)
+    return fold.metrics()
 
 
 def metrics_csv(metric_rows: List[tuple]) -> bytes:

@@ -7,13 +7,15 @@ an event calls ``handler(*args)``. A node is down exactly when its slot
 in ``Simulator.nodes`` is ``None``. All randomness (latency, drops, mining
 delays) comes from per-node RNG streams derived from (seed, node index,
 purpose), so replaying a scenario with the same seed reproduces the
-exact event trace.
+exact event trace. The ``Tracer`` streams that trace: each row is encoded
+and written to its sink as it is logged, and folded into the run's metrics.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import io
 import json
 import random
 import struct
@@ -21,12 +23,24 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
+from .metrics import MetricsFold
+
 # distinct gossip bodies held by each run-wide body map (see _remember);
 # perfbench chain_growth (seed 1) decodes 1,737
 DECODE_CACHE_SIZE = 4096
 # one encoder for every trace row: the bytes of json.dumps(row, sort_keys=True,
 # separators=(",", ":")) without building an encoder per row
 _TRACE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+if json.encoder.c_make_encoder is None:
+    _encode_row = lambda row, _level: (_TRACE_ENCODER.encode(row),)  # noqa: E731
+else:
+    # the C encoder that _TRACE_ENCODER.encode builds anew on every call,
+    # built once; a row is a tree, so it skips the circular-reference check
+    _encode_row = json.encoder.c_make_encoder(
+        None, _TRACE_ENCODER.default, json.encoder.encode_basestring_ascii, None,
+        _TRACE_ENCODER.key_separator, _TRACE_ENCODER.item_separator,
+        _TRACE_ENCODER.sort_keys, _TRACE_ENCODER.skipkeys, _TRACE_ENCODER.allow_nan,
+    )
 
 
 @dataclass
@@ -42,8 +56,12 @@ class SimConfig:
     sync_interval_ms: int = 2000  # periodic anti-entropy; 0 disables
 
     def validate(self) -> None:
-        if self.latency_min_ms > self.latency_max_ms:
-            raise ValueError("latency_min_ms > latency_max_ms")
+        if not 0 <= self.latency_min_ms <= self.latency_max_ms:
+            raise ValueError("latency_min_ms must be in [0, latency_max_ms]")
+        if self.block_interval_target_ms < 1:
+            raise ValueError("block_interval_target_ms must be >= 1")
+        if not 0 <= self.difficulty_bits <= 255:
+            raise ValueError("difficulty_bits must be in [0, 255]")
         if not 0.0 <= self.drop_probability < 1.0:
             raise ValueError("drop_probability must be in [0, 1)")
         if any(s < 0 for s in self.hash_rate_shares.values()):
@@ -81,24 +99,24 @@ class Envelope(NamedTuple):
 
 
 class Tracer:
-    """Accumulates trace rows, one dict per event; serialization is
-    byte-stable (sorted keys). ``log`` keeps the dict it is given, so a
-    caller builds each row once and never repacks it."""
+    """Encodes each trace row as it is logged and writes the line to a
+    binary sink; holds no rows. Serialization is byte-stable (sorted keys).
+    Each row also feeds ``fold`` (a ``metrics.MetricsFold``), if given. With
+    no sink, lines go to an in-memory buffer that ``lines`` reads back."""
 
-    def __init__(self):
-        self.rows = []
+    def __init__(self, sink=None, fold: Optional[MetricsFold] = None):
+        self.sink = io.BytesIO() if sink is None else sink
+        self.fold = fold
 
     def log(self, row: dict) -> None:
-        self.rows.append(row)
+        """Write ``row``, which must be complete: it is encoded now."""
+        if self.fold is not None:
+            self.fold.add(row)
+        self.sink.write(("".join(_encode_row(row, 0)) + "\n").encode())
 
     def lines(self) -> list:
-        encode = _TRACE_ENCODER.encode
-        return [encode(row).encode() for row in self.rows]
-
-    def write(self, path) -> None:
-        with open(path, "wb") as f:
-            for ln in self.lines():
-                f.write(ln + b"\n")
+        """The in-memory buffer's lines."""
+        return self.sink.getvalue().splitlines()
 
 
 def _sha256_hex(body: bytes) -> str:

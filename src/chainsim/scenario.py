@@ -3,14 +3,17 @@
 A scenario JSON names the network (node count, miners and their hash
 rate shares, latency/drop/partition model), the genesis allocations, a
 timed transaction workload, and optional crash/restart schedules. The
-runner wires up the simulator, executes it, and returns every artifact
-(trace, per-node chains, summary) in memory; the CLI owns file output.
+runner wires up the simulator and executes it. The trace streams to the
+sink it is given as the run goes, folded into the run's metrics on the way;
+the nodes, their chains and the summary come back in a ``RunResult``, and
+the CLI owns file output.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,10 +24,15 @@ from .blobstore import BlobStore, blob_link_payload
 from .crypto import address_from_public_key, generate_keypair
 from .kademlia import Contact
 from .ledger import make_genesis, make_transaction
+from .metrics import MetricsFold
 from .netsim import SimConfig, Simulator, Tracer
 from .node import SimNode
 
 QUIESCE_SYNC_ROUNDS = 3  # anti-entropy rounds after the run before heads must agree
+SIM_INT_FIELDS = (
+    "latency_min_ms", "latency_max_ms", "block_interval_target_ms", "difficulty_bits",
+    "sync_interval_ms",
+)
 
 
 class ScenarioError(Exception):
@@ -98,26 +106,32 @@ def _resolve_address(entry: dict, key_prefix: str) -> bytes:
     raise ScenarioError(f"entry needs {key_prefix}address or {key_prefix}seed")
 
 
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:
+        raise ScenarioError(f"{what} must be a JSON integer, not {value!r}")
+    return value
+
+
+def _json_number(value, what: str) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ScenarioError(f"{what} must be a finite JSON number, not {value!r}")
+    return float(value)
+
+
 def load_scenario(obj: dict) -> Scenario:
     try:
         sim_cfg = dict(obj.get("sim", {}))
         miners = obj.get("miners", {})
-        shares = {int(k): float(v) for k, v in miners.items()}
+        shares = {int(k): _json_number(v, f"miner {k} share") for k, v in miners.items()}
+        fields = {k: _json_int(sim_cfg[k], f"sim.{k}") for k in SIM_INT_FIELDS if k in sim_cfg}
+        if "drop_probability" in sim_cfg:
+            fields["drop_probability"] = _json_number(
+                sim_cfg["drop_probability"], "sim.drop_probability"
+            )
         sim = SimConfig(
-            rng_seed=int(obj.get("seed", 0)),
+            rng_seed=_json_int(obj.get("seed", 0), "seed"),
             hash_rate_shares=shares,
-            **{
-                k: sim_cfg[k]
-                for k in (
-                    "latency_min_ms",
-                    "latency_max_ms",
-                    "drop_probability",
-                    "block_interval_target_ms",
-                    "difficulty_bits",
-                    "sync_interval_ms",
-                )
-                if k in sim_cfg
-            },
+            **fields,
         )
         sim.partition_schedule = [
             (int(p[0]), int(p[1]), set(p[2]), set(p[3]))
@@ -141,9 +155,9 @@ def load_scenario(obj: dict) -> Scenario:
         ]
         scenario = Scenario(
             name=obj["name"],
-            num_nodes=int(obj["num_nodes"]),
+            num_nodes=_json_int(obj["num_nodes"], "num_nodes"),
             sim=sim,
-            duration_ms=int(obj["duration_ms"]),
+            duration_ms=_json_int(obj["duration_ms"], "duration_ms"),
             genesis_allocations=allocations,
             workload=workload,
             crashes=[(int(c["time_ms"]), int(c["node"])) for c in obj.get("crashes", [])],
@@ -188,10 +202,7 @@ class RunResult:
     def summary(self) -> dict:
         live = [n for n in self.nodes if n is not None]
         heights = [n.head().height for n in live]
-        mined = {}
-        for row in self.tracer.rows:
-            if row.get("type") == "mine":
-                mined[row["node"]] = mined.get(row["node"], 0) + 1
+        mined = self.tracer.fold.mined
         canonical_miners = {}
         if live:
             for block in live[0].store.canonical_chain()[1:]:
@@ -214,9 +225,14 @@ class RunResult:
         }
 
 
-def run_scenario(scenario: Scenario, blob_root: Optional[Path] = None) -> RunResult:
-    """Execute a scenario end to end, deterministically."""
-    tracer = Tracer()
+def run_scenario(
+    scenario: Scenario, sink=None, blob_root: Optional[Path] = None
+) -> RunResult:
+    """Execute a scenario end to end, deterministically, writing each trace
+    line to ``sink`` (a binary file) as it is logged and folding it into
+    ``result.tracer.fold``; with no sink the trace goes to the tracer's
+    in-memory buffer."""
+    tracer = Tracer(sink, MetricsFold())
     genesis = make_genesis(scenario.genesis_allocations)
     # overlay bootstrap: every other node joins, and rejoins, through node 0
     bootstrap_kp = generate_keypair(node_key_seed(scenario.sim.rng_seed, 0))

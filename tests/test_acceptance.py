@@ -18,7 +18,7 @@ from chainsim.crypto import hash_bytes
 from chainsim.kademlia import Contact, RoutingTable, iterative_lookup, xor_distance
 from chainsim.ledger import ChainError, make_genesis, verify_chain_lines
 from chainsim.mempool import Mempool
-from chainsim.metrics import compute_metrics, metrics_csv
+from chainsim.metrics import compute_metrics, metrics_csv, parse_trace_lines
 from chainsim.netsim import SimConfig, Simulator
 from chainsim.node import SimNode
 from chainsim.scenario import load_scenario_file, run_scenario
@@ -238,7 +238,7 @@ def test_criterion_08_byte_identical_determinism():
             }
             runs.append({
                 "trace": result.tracer.lines(),
-                "metrics": metrics_csv(compute_metrics(result.tracer.rows)),
+                "metrics": metrics_csv(compute_metrics(parse_trace_lines(result.tracer.lines()))),
                 "chains": chain_lines,
             })
         assert runs[0]["trace"] == runs[1]["trace"], f"{name}: traces differ"
@@ -257,7 +257,8 @@ def test_criterion_09_churn_tolerance(churn_run):
     assert summary["converged"], "restarted nodes never re-converged"
     crash_t = min(t for t, _ in scenario.crashes)
     restart_t = max(t for t, _ in scenario.restarts)
-    mine_rows = [r for r in result.tracer.rows if r.get("type") == "mine"]
+    rows = parse_trace_lines(result.tracer.lines())
+    mine_rows = [r for r in rows if r.get("type") == "mine"]
     before = max((r["height"] for r in mine_rows if r["time"] <= crash_t), default=0)
     during = max(
         (r["height"] for r in mine_rows if crash_t < r["time"] <= restart_t),

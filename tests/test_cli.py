@@ -70,6 +70,35 @@ def test_run_unknown_scenario_exits_2(tmp_path, capsys):
     assert run_cli("run", "no_such_scenario", "--out", str(tmp_path)) == 2
 
 
+BAD_SCENARIO_VALUES = {
+    "latency_as_string": ("sim", "latency_min_ms", "5"),
+    "negative_latency": ("sim", "latency_min_ms", -100),
+    "drop_as_string": ("sim", "drop_probability", "0.1"),
+    "zero_block_interval": ("sim", "block_interval_target_ms", 0),
+    "negative_difficulty": ("sim", "difficulty_bits", -1),
+    "share_as_inf_string": ("miners", "0", "inf"),
+    "share_as_nan_string": ("miners", "0", "nan"),
+    "share_infinite": ("miners", "0", float("inf")),
+    "num_nodes_as_string": (None, "num_nodes", "3"),
+    "fractional_duration": (None, "duration_ms", 14000.5),
+    "boolean_seed": (None, "seed", True),
+}
+
+
+@pytest.mark.parametrize("section,key,value", BAD_SCENARIO_VALUES.values(),
+                         ids=BAD_SCENARIO_VALUES.keys())
+def test_run_bad_scenario_value_is_a_config_error(tmp_path, capsys, section, key, value):
+    from chainsim.cli import bundled_scenario_path
+
+    obj = json.loads(bundled_scenario_path("tamper_detect").read_text())
+    (obj[section] if section else obj)[key] = value
+    spath = tmp_path / "s.json"
+    spath.write_text(json.dumps(obj))
+    assert run_cli("run", str(spath), "--out", str(tmp_path / "out"), "--quiet") == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_writes_all_artifacts(tmp_path, capsys):
     scenario = {
         "name": "cli_smoke",
@@ -97,6 +126,16 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
         assert run_cli("verify", str(chain)) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["converged"] is True
+
+
+def test_run_metrics_recompute_from_the_trace_file_alone(tmp_path):
+    from chainsim.metrics import compute_metrics, metrics_csv, parse_trace_lines
+
+    assert run_cli("run", "partition_heal", "--out", str(tmp_path), "--quiet") == 0
+    lines = (tmp_path / "trace.jsonl").read_bytes().splitlines()
+    recomputed = metrics_csv(compute_metrics(parse_trace_lines(lines)))
+    assert recomputed == (tmp_path / "metrics.csv").read_bytes()
+    assert b"blocks_mined" in recomputed
 
 
 def test_run_seed_override_changes_output(tmp_path):

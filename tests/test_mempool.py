@@ -332,6 +332,9 @@ def test_queues_continue_the_state_and_admission_matches_the_reference(data):
                 model.insert(tx, state)
         assert {t.tx_hash for t in pool.transactions()} == {t.tx_hash for t in model.pending}
         assert_queues_continue(pool, state)
+        assert pool.committed == {
+            sender: sum(t.amount + t.fee for t in queue) for sender, queue in pool.queues.items()
+        }
         settled = state.copy()
         for tx in pool.select_for_block(data.draw(st.integers(1, 12))):
             apply_tx(settled, tx)  # raises TxError if a selection does not settle

@@ -46,6 +46,12 @@ def test_config_validation():
         SimConfig(drop_probability=1.0).validate()
     with pytest.raises(ValueError):
         SimConfig(partition_schedule=[(0, 10, [0, 1], [1, 2])]).validate()
+    with pytest.raises(ValueError):
+        SimConfig(latency_min_ms=-1).validate()
+    with pytest.raises(ValueError):
+        SimConfig(block_interval_target_ms=0).validate()
+    with pytest.raises(ValueError):
+        SimConfig(difficulty_bits=256).validate()
 
 
 def test_delivery_order_and_latency_bounds():
@@ -216,5 +222,5 @@ def test_body_hash_map_evicts_its_oldest_entry_beyond_its_bound():
     sim.send(0, 1, "PING", bodies[0])
     sim.drain_deliveries()
     assert next(reversed(sim.body_hashes)) == bodies[0]
-    assert sim.tracer.rows[-1]["body_hash"] == hashlib.sha256(bodies[0]).hexdigest()
+    assert json.loads(sim.tracer.lines()[-1])["body_hash"] == hashlib.sha256(bodies[0]).hexdigest()
     assert len(sim.body_hashes) == DECODE_CACHE_SIZE

@@ -254,7 +254,7 @@ def deliver(sim, dst, kind, body):
     env = Envelope(sim.now, sim.now, 0, dst, kind, body)
     sim.schedule(sim.now, sim._deliver, env)
     sim.step()
-    return sim.tracer.rows[-1]
+    return json.loads(sim.tracer.lines()[-1])
 
 
 @pytest.mark.parametrize("kind,body", MALFORMED_BODIES.values(), ids=MALFORMED_BODIES.keys())
@@ -437,7 +437,8 @@ def test_each_distinct_body_is_hashed_once_per_run(monkeypatch):
     for _ in range(2):
         sim.nodes[0].mine_and_broadcast()
         sim.drain_deliveries()
-    deliver_rows = [r for r in sim.tracer.rows if r["type"] == "deliver"]
+    rows = [json.loads(line) for line in sim.tracer.lines()]
+    deliver_rows = [r for r in rows if r["type"] == "deliver"]
     assert len(deliver_rows) == len(delivered) > 2 * len(set(delivered))
     bodies = {body for _, body in delivered}
     assert sorted(hashed) == sorted(bodies)
@@ -445,15 +446,18 @@ def test_each_distinct_body_is_hashed_once_per_run(monkeypatch):
     assert [r["body_hash"] for r in deliver_rows] == [digests[body] for _, body in delivered]
 
 
-def test_every_deliver_row_for_one_item_shares_one_label():
+def test_every_deliver_row_for_one_item_shares_one_label(monkeypatch):
     sim = make_net(5)
+    logged = []  # each row as it reaches the tracer, before it is encoded
+    log = sim.tracer.log
+    monkeypatch.setattr(sim.tracer, "log", lambda row: logged.append(row) or log(row))
     tx = signed_tx(1, 2, 10, 1, 0)
     sim.nodes[0].on_transaction(tx)
     sim.drain_deliveries()
     block = sim.nodes[1].mine_and_broadcast()
     sim.drain_deliveries()
     for key, label in (("tx", tx.tx_hash.hex()), ("block", block.block_hash.hex())):
-        labels = [r[key] for r in sim.tracer.rows if r["type"] == "deliver" and key in r]
+        labels = [r[key] for r in logged if r["type"] == "deliver" and key in r]
         assert len(labels) > 1 and labels[0] == label
         assert all(other is labels[0] for other in labels)
 
