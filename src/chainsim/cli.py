@@ -50,8 +50,12 @@ def cmd_run(args) -> int:
         return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "trace.jsonl", "wb") as sink:
+    # the trace streams under a partial name, so a run that raises leaves no
+    # trace.jsonl that reads like a finished one
+    partial = out / "trace.jsonl.partial"
+    with open(partial, "wb") as sink:
         result = run_scenario(scenario, sink, blob_root=out / "blobs")
+    partial.replace(out / "trace.jsonl")
     rows = result.tracer.fold.metrics()
     (out / "metrics.csv").write_bytes(metrics.metrics_csv(rows))
     for i, node in enumerate(result.nodes):

@@ -8,7 +8,7 @@ in ``Simulator.nodes`` is ``None``. All randomness (latency, drops, mining
 delays) comes from per-node RNG streams derived from (seed, node index,
 purpose), so replaying a scenario with the same seed reproduces the
 exact event trace. The ``Tracer`` streams that trace: each row is encoded
-and written to its sink as it is logged, and folded into the run's metrics.
+and written to its sink as it is logged.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-from .metrics import MetricsFold
 
 # distinct gossip bodies held by each run-wide body map (see _remember);
 # perfbench chain_growth (seed 1) decodes 1,737
@@ -31,16 +30,14 @@ DECODE_CACHE_SIZE = 4096
 # one encoder for every trace row: the bytes of json.dumps(row, sort_keys=True,
 # separators=(",", ":")) without building an encoder per row
 _TRACE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-if json.encoder.c_make_encoder is None:
-    _encode_row = lambda row, _level: (_TRACE_ENCODER.encode(row),)  # noqa: E731
-else:
-    # the C encoder that _TRACE_ENCODER.encode builds anew on every call,
-    # built once; a row is a tree, so it skips the circular-reference check
-    _encode_row = json.encoder.c_make_encoder(
-        None, _TRACE_ENCODER.default, json.encoder.encode_basestring_ascii, None,
-        _TRACE_ENCODER.key_separator, _TRACE_ENCODER.item_separator,
-        _TRACE_ENCODER.sort_keys, _TRACE_ENCODER.skipkeys, _TRACE_ENCODER.allow_nan,
-    )
+# the C encoder that _TRACE_ENCODER.encode builds anew on every call, built
+# once (CPython's json has it, and chainsim runs on CPython only); a row is a
+# tree, so it skips the circular-reference check
+_encode_row = json.encoder.c_make_encoder(
+    None, _TRACE_ENCODER.default, json.encoder.encode_basestring_ascii, None,
+    _TRACE_ENCODER.key_separator, _TRACE_ENCODER.item_separator,
+    _TRACE_ENCODER.sort_keys, _TRACE_ENCODER.skipkeys, _TRACE_ENCODER.allow_nan,
+)
 
 
 @dataclass
@@ -101,17 +98,13 @@ class Envelope(NamedTuple):
 class Tracer:
     """Encodes each trace row as it is logged and writes the line to a
     binary sink; holds no rows. Serialization is byte-stable (sorted keys).
-    Each row also feeds ``fold`` (a ``metrics.MetricsFold``), if given. With
-    no sink, lines go to an in-memory buffer that ``lines`` reads back."""
+    With no sink, lines go to an in-memory buffer that ``lines`` reads back."""
 
-    def __init__(self, sink=None, fold: Optional[MetricsFold] = None):
+    def __init__(self, sink=None):
         self.sink = io.BytesIO() if sink is None else sink
-        self.fold = fold
 
     def log(self, row: dict) -> None:
         """Write ``row``, which must be complete: it is encoded now."""
-        if self.fold is not None:
-            self.fold.add(row)
         self.sink.write(("".join(_encode_row(row, 0)) + "\n").encode())
 
     def lines(self) -> list:

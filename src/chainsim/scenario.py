@@ -183,11 +183,24 @@ def node_key_seed(rng_seed: int, index: int) -> bytes:
     return hashlib.sha256(b"node-key" + struct.pack(">qq", rng_seed, index)).digest()
 
 
+class FoldingTracer(Tracer):
+    """The run's tracer: each row is folded into the run's metrics (``fold``)
+    and then streamed to the sink like any ``Tracer`` row."""
+
+    def __init__(self, sink=None):
+        super().__init__(sink)
+        self.fold = MetricsFold()
+
+    def log(self, row: dict) -> None:
+        self.fold.add(row)
+        Tracer.log(self, row)
+
+
 @dataclass
 class RunResult:
     scenario: Scenario
     sim: Simulator
-    tracer: Tracer
+    tracer: FoldingTracer
     nodes: list
     genesis: ledger.Block
     submitted: list  # (time_ms, node, Transaction)
@@ -232,7 +245,7 @@ def run_scenario(
     line to ``sink`` (a binary file) as it is logged and folding it into
     ``result.tracer.fold``; with no sink the trace goes to the tracer's
     in-memory buffer."""
-    tracer = Tracer(sink, MetricsFold())
+    tracer = FoldingTracer(sink)
     genesis = make_genesis(scenario.genesis_allocations)
     # overlay bootstrap: every other node joins, and rejoins, through node 0
     bootstrap_kp = generate_keypair(node_key_seed(scenario.sim.rng_seed, 0))

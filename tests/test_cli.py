@@ -138,6 +138,23 @@ def test_run_metrics_recompute_from_the_trace_file_alone(tmp_path):
     assert b"blocks_mined" in recomputed
 
 
+def test_run_that_raises_leaves_no_trace_file(tmp_path, monkeypatch):
+    from chainsim.netsim import Tracer
+
+    real_log = Tracer.log
+
+    def log(self, row):
+        if row["type"] == "mine":
+            raise RuntimeError("fault inside the simulation")
+        real_log(self, row)
+
+    monkeypatch.setattr(Tracer, "log", log)
+    with pytest.raises(RuntimeError):
+        run_cli("run", "partition_heal", "--out", str(tmp_path), "--quiet")
+    assert not (tmp_path / "trace.jsonl").exists()
+    assert (tmp_path / "trace.jsonl.partial").read_bytes().count(b"\n") > 0
+
+
 def test_run_seed_override_changes_output(tmp_path):
     scenario = {
         "name": "cli_seed",

@@ -2,8 +2,9 @@ import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
-from chainsim.metrics import MetricsFold, compute_metrics, metrics_csv, parse_trace_lines
+from chainsim.metrics import compute_metrics, metrics_csv, parse_trace_lines
 from chainsim.netsim import Tracer
+from chainsim.scenario import FoldingTracer
 
 
 def sample_rows():
@@ -156,7 +157,7 @@ TRACE_ROWS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(TRACE_ROWS, max_size=8) | st.lists(TRACE_ROWS, min_size=20, max_size=60))
 def test_live_fold_matches_the_multipass_metrics_and_the_trace_file(rows):
-    tracer = Tracer(fold=MetricsFold())
+    tracer = FoldingTracer()
     for row in rows:
         tracer.log(row)
     want = multipass_metrics(rows)
@@ -167,7 +168,7 @@ def test_live_fold_matches_the_multipass_metrics_and_the_trace_file(rows):
 
 def test_logging_to_a_file_sink_holds_no_rows(tmp_path):
     with open(tmp_path / "trace.jsonl", "wb") as sink:
-        tracer = Tracer(sink, MetricsFold())
+        tracer = FoldingTracer(sink)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
