@@ -13,7 +13,7 @@ closest contacts, or None if the peer did not respond.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from .crypto import NODE_ID_BITS, NODE_ID_SIZE
 
@@ -46,9 +46,15 @@ class RoutingTable:
         self.owner = owner
         self.k = k
         self.buckets: List[List[Contact]] = [[] for _ in range(NODE_ID_BITS)]
+        self._contacts: Optional[Tuple[Contact, ...]] = None  # see contacts()
 
-    def contacts(self) -> List[Contact]:
-        return [c for bucket in self.buckets for c in bucket]
+    def contacts(self) -> Tuple[Contact, ...]:
+        """Every contact, bucket by bucket, least-recently-seen first. The
+        tuple is shared until the next bucket change, which drops it; every
+        relay reads it, so it is not rebuilt per relay."""
+        if self._contacts is None:
+            self._contacts = tuple(c for bucket in self.buckets for c in bucket)
+        return self._contacts
 
     def __len__(self) -> int:
         return sum(len(b) for b in self.buckets)
@@ -72,6 +78,7 @@ class RoutingTable:
         if contact.node_id == self.owner:
             return
         bucket = self.buckets[bucket_index(self.owner, contact.node_id)]
+        self._contacts = None  # every path below reorders or changes the bucket
         for i, existing in enumerate(bucket):
             if existing.node_id == contact.node_id:
                 bucket.append(bucket.pop(i))
@@ -91,9 +98,9 @@ class RoutingTable:
         """The n known contacts nearest ``target`` by XOR distance, ascending."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        all_contacts = self.contacts()
-        all_contacts.sort(key=lambda c: xor_distance(c.node_id, target))
-        return all_contacts[:n]
+        # sorted, not sort: contacts() is shared and must keep bucket order
+        closest = sorted(self.contacts(), key=lambda c: xor_distance(c.node_id, target))
+        return closest[:n]
 
     def audit(self) -> None:
         """Assert the bucket-placement and size invariants; test hook."""

@@ -9,6 +9,16 @@ delays) comes from per-node RNG streams derived from (seed, node index,
 purpose), so replaying a scenario with the same seed reproduces the
 exact event trace. The ``Tracer`` streams that trace: each row is encoded
 and written to its sink as it is logged.
+
+``send`` and the delivery path run once per message, so they are written
+for few interpreter calls; the latency draw inlines ``Random.randint``'s
+``getrandbits`` loop, draw for draw. Tools outside the package hook the
+path at four seams, which must stay:
+
+- every event runs through ``Simulator.step``, looked up on the class;
+- every message goes through ``Simulator.send``;
+- ``SimNode.handle(env, trace_row=...)`` gets an envelope with a ``.kind``;
+- ``scenario.FoldingTracer.log`` calls ``Tracer.log``.
 """
 
 from __future__ import annotations
@@ -132,6 +142,10 @@ class Simulator:
     ):
         config.validate()
         self.config = config
+        # randint(latency_min_ms, latency_max_ms) as CPython draws it: the
+        # width of the range and the bits drawn per try (see send)
+        self._latency_span = config.latency_max_ms - config.latency_min_ms + 1
+        self._latency_bits = self._latency_span.bit_length()
         self.num_nodes = num_nodes
         self.tracer = tracer or Tracer()
         self.node_factory = node_factory  # (sim, index, persisted_lines) -> node
@@ -185,27 +199,34 @@ class Simulator:
                 return True
         return False
 
-    def _link_up(self, src: int, dst: int) -> bool:
-        if self.nodes[src] is None or self.nodes[dst] is None:
-            return False
-        return not self._partitioned(src, dst)
-
     def send(self, src: int, dst: int, kind: str, body: bytes) -> bool:
         """Schedule one message; returns False when dropped (lossy link,
         partition boundary, or a down endpoint)."""
-        self._check_index(src)
-        self._check_index(dst)
+        num_nodes = self.num_nodes
+        if not (0 <= src < num_nodes and 0 <= dst < num_nodes):
+            self._check_index(src)
+            self._check_index(dst)
         self.messages_sent += 1
+        config = self.config
         rng = self._net_rng[src]
-        latency = rng.randint(self.config.latency_min_ms, self.config.latency_max_ms)
-        lost = (
-            self.config.drop_probability > 0
-            and rng.random() < self.config.drop_probability
-        )
-        if lost or not self._link_up(src, dst):
+        # the latency draw of rng.randint(latency_min_ms, latency_max_ms):
+        # CPython's _randbelow_with_getrandbits loop, without its three frames
+        getrandbits, span, bits = rng.getrandbits, self._latency_span, self._latency_bits
+        offset = getrandbits(bits)
+        while offset >= span:
+            offset = getrandbits(bits)
+        if config.drop_probability > 0 and rng.random() < config.drop_probability:
             return False
-        env = Envelope(self.now, self.now + latency, src, dst, kind, body)
-        self.schedule(env.deliver_time, self._deliver, env)
+        nodes = self.nodes
+        if nodes[src] is None or nodes[dst] is None:
+            return False
+        if (config.partition_schedule or self.dynamic_partitions) and self._partitioned(src, dst):
+            return False
+        now = self.now
+        deliver_time = now + config.latency_min_ms + offset
+        env = Envelope(now, deliver_time, src, dst, kind, body)
+        heapq.heappush(self._queue, (deliver_time, self._seq, self._deliver, (env,)))
+        self._seq += 1
         return True
 
     def query(self, src: int, dst: int, kind: str, body: bytes) -> Optional[bytes]:
@@ -213,7 +234,7 @@ class Simulator:
         same partition/down-node/drop rules, one loss roll per direction."""
         self._check_index(src)
         self._check_index(dst)
-        if not self._link_up(src, dst):
+        if self.nodes[src] is None or self.nodes[dst] is None or self._partitioned(src, dst):
             return None
         rng = self._net_rng[src]
         if self.config.drop_probability > 0 and (
@@ -229,13 +250,16 @@ class Simulator:
         """Run the earliest event, if any."""
         if self._queue:
             time_ms, _, handler, args = heapq.heappop(self._queue)
-            self.now = max(self.now, time_ms)
+            if time_ms > self.now:
+                self.now = time_ms
             handler(*args)
 
     def run_until(self, t_end: int) -> None:
-        while self._queue and self._queue[0][0] <= t_end:
-            self.step()
-        self.now = max(self.now, t_end)
+        queue, step = self._queue, self.step
+        while queue and queue[0][0] <= t_end:
+            step()
+        if t_end > self.now:
+            self.now = t_end
 
     def drain_deliveries(self) -> None:
         """Run every queued event except mining and sync timers, which are
@@ -254,13 +278,17 @@ class Simulator:
         if node is None:
             return  # the destination went down while the message was in flight
         self.messages_delivered += 1
+        body = env.body
+        body_hash = self.body_hashes.get(body)
+        if body_hash is None:
+            body_hash = _remember(self.body_hashes, body, _sha256_hex, body)
         row = {
             "time": self.now,
             "type": "deliver",
             "from": env.src,
             "to": env.dst,
             "kind": env.kind,
-            "body_hash": _remember(self.body_hashes, env.body, _sha256_hex, env.body),
+            "body_hash": body_hash,
         }
         node.handle(env, trace_row=row)
         self.tracer.log(row)

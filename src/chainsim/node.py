@@ -75,7 +75,10 @@ def decode_message(kind: str, body: bytes, decoded: OrderedDict):
     object the first one decoded. Only successes are kept, so a malformed
     body is decoded and rejected each time; the oldest entry is forgotten
     beyond ``netsim.DECODE_CACHE_SIZE``."""
-    return _remember(decoded, (kind, body), _decode, kind, body)
+    msg = decoded.get((kind, body))
+    if msg is None:
+        msg = _remember(decoded, (kind, body), _decode, kind, body)
+    return msg
 
 
 def encode_contacts(contacts: list) -> bytes:
@@ -204,10 +207,11 @@ class SimNode:
     # -- gossip --------------------------------------------------------------
 
     def _gossip(self, kind: str, body: bytes, exclude: Optional[int] = None) -> None:
+        send, index = self.sim.send, self.index
         for contact in self.routing.contacts():
-            if contact.endpoint == exclude or contact.endpoint == self.index:
-                continue
-            self.sim.send(self.index, contact.endpoint, kind, body)
+            endpoint = contact.endpoint
+            if endpoint != exclude and endpoint != index:
+                send(index, endpoint, kind, body)
 
     def handle(self, env, trace_row: Optional[dict] = None) -> None:
         """Deliver one message. A body that does not decode is dropped and

@@ -4,7 +4,10 @@ The dispatcher is transport-free so simulations can call it in-process
 against any simulated node; ``serve`` wraps the same dispatcher in a
 loopback HTTP server (one JSON-RPC payload per POST). Application error
 codes: 1001 bad_signature, 1002 bad_nonce, 1003 insufficient_funds,
-1004 duplicate, 1005 payload_too_large.
+1004 duplicate, 1005 payload_too_large. Every request gets a reply: a body
+that does not parse, however deeply nested, is -32700, and the server
+answers a ``Content-Length`` that is not a decimal integer with HTTP 400 and
+one over ``MAX_BODY_BYTES`` with 413, without reading the body.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
 from . import ledger
+
+# the largest POST body served: about 400 maximal transactions in one batch
+MAX_BODY_BYTES = 1 << 20
 
 PARSE_ERROR = -32700
 INVALID_REQUEST = -32600
@@ -155,7 +161,7 @@ class RpcDispatcher:
         """One raw JSON-RPC payload in, one out; batches answer positionally."""
         try:
             req = json.loads(payload)
-        except (ValueError, UnicodeDecodeError):
+        except (ValueError, UnicodeDecodeError, RecursionError):
             return _encode(_error_response(None, PARSE_ERROR, "parse error"))
         with self._lock:
             if isinstance(req, list):
@@ -177,8 +183,15 @@ class _Handler(BaseHTTPRequestHandler):
     dispatcher: RpcDispatcher = None
 
     def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        body = self.rfile.read(length)
+        declared = self.headers.get("Content-Length", "0")
+        if not (declared.isascii() and declared.isdigit()):  # RFC 9110 §8.6
+            self.send_error(400, "Content-Length must be a non-negative integer")
+            return
+        digits = declared.lstrip("0") or "0"  # int() refuses very long digit runs
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+            self.send_error(413, f"request body over {MAX_BODY_BYTES} bytes")
+            return
+        body = self.rfile.read(int(digits))
         response = self.dispatcher.handle_payload(body)
         self.send_response(200)
         self.send_header("Content-Type", "application/json")

@@ -118,6 +118,14 @@ def _json_number(value, what: str) -> float:
     return float(value)
 
 
+def _schedule(entries: list, what: str) -> list:
+    """(time_ms, node) per crash or restart entry."""
+    return [
+        (_json_int(e["time_ms"], f"{what} time_ms"), _json_int(e["node"], f"{what} node"))
+        for e in entries
+    ]
+
+
 def load_scenario(obj: dict) -> Scenario:
     try:
         sim_cfg = dict(obj.get("sim", {}))
@@ -134,21 +142,23 @@ def load_scenario(obj: dict) -> Scenario:
             **fields,
         )
         sim.partition_schedule = [
-            (int(p[0]), int(p[1]), set(p[2]), set(p[3]))
-            for p in sim_cfg.get("partition_schedule", [])
+            (_json_int(start, "partition start"), _json_int(end, "partition end"),
+             {_json_int(i, "partition node") for i in side_a},
+             {_json_int(i, "partition node") for i in side_b})
+            for start, end, side_a, side_b in sim_cfg.get("partition_schedule", [])
         ]
         allocations = [
-            (_resolve_address(e, ""), int(e["amount"]))
+            (_resolve_address(e, ""), _json_int(e["amount"], "genesis amount"))
             for e in obj.get("genesis_allocations", [])
         ]
         workload = [
             WorkloadItem(
-                time_ms=int(w["time_ms"]),
-                node=int(w["node"]),
+                time_ms=_json_int(w["time_ms"], "workload time_ms"),
+                node=_json_int(w["node"], "workload node"),
                 sender_seed=_seed_bytes(w["sender_seed"]),
                 recipient=_resolve_address(w, "recipient_"),
-                amount=int(w["amount"]),
-                fee=int(w["fee"]),
+                amount=_json_int(w["amount"], "workload amount"),
+                fee=_json_int(w["fee"], "workload fee"),
                 blob=bytes.fromhex(w["blob"]) if "blob" in w else None,
             )
             for w in obj.get("workload", [])
@@ -160,9 +170,11 @@ def load_scenario(obj: dict) -> Scenario:
             duration_ms=_json_int(obj["duration_ms"], "duration_ms"),
             genesis_allocations=allocations,
             workload=workload,
-            crashes=[(int(c["time_ms"]), int(c["node"])) for c in obj.get("crashes", [])],
-            restarts=[(int(r["time_ms"]), int(r["node"])) for r in obj.get("restarts", [])],
-            max_block_txs=int(obj.get("max_block_txs", ledger.MAX_BLOCK_TXS)),
+            crashes=_schedule(obj.get("crashes", []), "crash"),
+            restarts=_schedule(obj.get("restarts", []), "restart"),
+            max_block_txs=_json_int(
+                obj.get("max_block_txs", ledger.MAX_BLOCK_TXS), "max_block_txs"
+            ),
         )
     except (KeyError, ValueError, TypeError) as e:
         raise ScenarioError(f"malformed scenario: {e!r}")
@@ -217,13 +229,13 @@ class RunResult:
         heights = [n.head().height for n in live]
         mined = self.tracer.fold.mined
         canonical_miners = {}
+        index_of: dict = {}  # address -> lowest index of a live node with it
+        for i, n in enumerate(self.nodes):
+            if n is not None:
+                index_of.setdefault(n.address, i)
         if live:
             for block in live[0].store.canonical_chain()[1:]:
-                idx = next(
-                    (i for i, n in enumerate(self.nodes)
-                     if n is not None and n.address == block.miner),
-                    None,
-                )
+                idx = index_of.get(block.miner)
                 key = str(idx) if idx is not None else block.miner.hex()
                 canonical_miners[key] = canonical_miners.get(key, 0) + 1
         return {

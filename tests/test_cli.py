@@ -99,6 +99,39 @@ def test_run_bad_scenario_value_is_a_config_error(tmp_path, capsys, section, key
     assert not (tmp_path / "out").exists()
 
 
+# (bundled scenario, path to the value, value): each must be a JSON integer
+BAD_SCENARIO_ENTRIES = {
+    "workload_fractional_amount": ("churn_restart", ("workload", 0, "amount"), 3.9),
+    "workload_string_time": ("churn_restart", ("workload", 0, "time_ms"), "2000"),
+    "workload_fractional_node": ("churn_restart", ("workload", 0, "node"), 0.0),
+    "workload_string_fee": ("churn_restart", ("workload", 0, "fee"), "1"),
+    "crash_boolean_node": ("churn_restart", ("crashes", 0, "node"), True),
+    "restart_fractional_time": ("churn_restart", ("restarts", 0, "time_ms"), 30000.5),
+    "partition_string_start": ("partition_heal", ("sim", "partition_schedule", 0, 0), "1000"),
+    "partition_fractional_end": ("partition_heal", ("sim", "partition_schedule", 0, 1), 3e4),
+    "partition_boolean_member": ("partition_heal", ("sim", "partition_schedule", 0, 2, 1), True),
+    "genesis_fractional_amount": ("tamper_detect", ("genesis_allocations", 0, "amount"), 1e4),
+    "max_block_txs_string": ("tamper_detect", ("max_block_txs",), "10"),
+}
+
+
+@pytest.mark.parametrize("name,path,value", BAD_SCENARIO_ENTRIES.values(),
+                         ids=BAD_SCENARIO_ENTRIES.keys())
+def test_run_bad_scenario_entry_is_a_config_error(tmp_path, capsys, name, path, value):
+    from chainsim.cli import bundled_scenario_path
+
+    obj = json.loads(bundled_scenario_path(name).read_text())
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    spath = tmp_path / "s.json"
+    spath.write_text(json.dumps(obj))
+    assert run_cli("run", str(spath), "--out", str(tmp_path / "out"), "--quiet") == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_writes_all_artifacts(tmp_path, capsys):
     scenario = {
         "name": "cli_smoke",

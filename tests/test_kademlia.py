@@ -138,6 +138,33 @@ def test_find_closest_matches_brute_force():
         assert got == want
 
 
+POOL = [nid(i) for i in range(1, 13)]  # four each in buckets 159 and 158: k=2 fills them
+
+
+@given(st.lists(
+    st.tuples(
+        st.integers(0, len(POOL)),  # len(POOL) observes the owner: a no-op
+        st.sampled_from([True, False, None]),  # stalest alive, dead, no ping
+        st.booleans(),  # look up the closest contacts afterwards
+    ),
+    max_size=40,
+))
+def test_contacts_follow_every_bucket_change(ops):
+    owner = nid(0)
+    t = RoutingTable(owner, k=2)
+    for pick, alive, probe in ops:
+        node_id = owner if pick == len(POOL) else POOL[pick]
+        ping = None if alive is None else (lambda c, alive=alive: alive)
+        t.observe_contact(Contact(node_id, pick), ping=ping)
+        assert list(t.contacts()) == [c for b in t.buckets for c in b]
+        if probe:
+            before = t.contacts()
+            t.find_closest(POOL[pick % len(POOL)], 3)
+            assert t.contacts() is before
+            assert list(before) == [c for b in t.buckets for c in b]
+    t.audit()
+
+
 # -- iterative lookup ------------------------------------------------------
 
 def _make_overlay(n, rng_seed=0, k=8):

@@ -1,8 +1,9 @@
 import hashlib
 import json
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from chainsim.netsim import DECODE_CACHE_SIZE, Envelope, SimConfig, Simulator, Tracer
 
@@ -224,3 +225,41 @@ def test_body_hash_map_evicts_its_oldest_entry_beyond_its_bound():
     assert next(reversed(sim.body_hashes)) == bodies[0]
     assert json.loads(sim.tracer.lines()[-1])["body_hash"] == hashlib.sha256(bodies[0]).hexdigest()
     assert len(sim.body_hashes) == DECODE_CACHE_SIZE
+
+
+@pytest.mark.parametrize("src,dst", [(-1, 0), (0, -1), (3, 0), (0, 3)])
+def test_send_refuses_an_unknown_index_before_drawing(src, dst):
+    sim = make_sim(3)
+    state = [rng.getstate() for rng in sim._net_rng]
+    with pytest.raises(ValueError, match="unknown node index"):
+        sim.send(src, dst, "PING", b"")
+    assert sim.messages_sent == 0 and sim.pending() == 0
+    assert [rng.getstate() for rng in sim._net_rng] == state
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 10_000),
+    st.one_of(st.integers(0, 70), st.integers(0, 2**40)),  # 0 is lo == hi
+    st.booleans(),
+)
+def test_latency_draw_is_randint_draw_for_draw(seed, lo, width, lossy):
+    """send draws each latency as rng.randint(lo, hi) would, then the loss
+    roll, leaving the stream where randint and random() leave it."""
+    hi = lo + width
+    sim = make_sim(2, latency_min_ms=lo, latency_max_ms=hi, drop_probability=0.5 * lossy)
+    sim._net_rng[0] = random.Random(seed)
+    reference = random.Random(seed)
+    expected = {}
+    for i in range(24):
+        body = bytes([i])
+        latency = reference.randint(lo, hi)
+        kept = not (lossy and reference.random() < 0.5)
+        assert sim.send(0, 1, "PING", body) is kept
+        if kept:
+            expected[body] = latency
+        assert sim._net_rng[0].getstate() == reference.getstate()
+    sim.drain_deliveries()
+    got = {e.body: e.deliver_time - e.send_time for e in sim.nodes[1].received}
+    assert got == expected

@@ -60,6 +60,25 @@ def test_transaction_gossip_reaches_everyone():
     assert sim.nodes[0].on_transaction(tx) == "duplicate"
 
 
+def test_a_relay_after_a_bucket_change_sends_in_the_new_order(monkeypatch):
+    sim = make_net(8)
+    node = sim.nodes[0]
+    sent = []
+    monkeypatch.setattr(sim, "send", lambda src, dst, kind, body: sent.append(dst))
+
+    def bucket_order():
+        return [c.endpoint for b in node.routing.buckets for c in b]
+
+    assert node.on_transaction(signed_tx(1, 2, 10, 1, 0)) == "relayed"
+    first = list(sent)
+    assert first == bucket_order()
+    bucket = next(b for b in node.routing.buckets if len(b) > 1)
+    node.observe(bucket[0])  # the least recently seen moves to the fresh end
+    sent.clear()
+    assert node.on_transaction(signed_tx(1, 2, 10, 1, 1)) == "relayed"
+    assert sent == bucket_order() and sent != first
+
+
 def test_invalid_transaction_not_relayed():
     sim = make_net(3)
     bad = signed_tx(5, 2, 10, 1, 0)  # addr(5) has no funds

@@ -1,4 +1,5 @@
 import json
+import socket
 
 import pytest
 
@@ -6,7 +7,7 @@ from chainsim.kademlia import Contact
 from chainsim.ledger import make_genesis
 from chainsim.netsim import SimConfig, Simulator
 from chainsim.node import SimNode
-from chainsim.rpc import INVALID_PARAMS, RpcDispatcher, serve
+from chainsim.rpc import INVALID_PARAMS, MAX_BODY_BYTES, PARSE_ERROR, RpcDispatcher, serve
 
 from conftest import addr, oversized_tx_body, signed_tx
 
@@ -131,6 +132,12 @@ def test_protocol_errors():
     assert resp["error"]["code"] == -32602
 
 
+def test_deep_nesting_is_a_parse_error():
+    sim, node = make_node()
+    reply = json.loads(RpcDispatcher(node).handle_payload(b"[" * 200_000))
+    assert reply["error"]["code"] == PARSE_ERROR and reply["id"] is None
+
+
 def test_batch_answers_positionally():
     sim, node = make_node()
     d = RpcDispatcher(node)
@@ -184,3 +191,34 @@ def test_hex_params_have_one_spelling(spell):
     ]:
         assert "result" in call(d, method, {key: value})
         assert call(d, method, {key: spell(value)})["error"]["code"] == INVALID_PARAMS
+
+
+def raw_post(port: int, length: str, body: bytes = b"") -> bytes:
+    """One hand-written POST; the whole reply, or a timeout if none comes."""
+    head = f"POST / HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n".encode()
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(head + body)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize("length,status", [
+    ("abc", b"400"),
+    ("-1", b"400"),
+    (str(MAX_BODY_BYTES + 1), b"413"),  # refused before any body arrives
+], ids=["not_a_number", "negative", "over_the_limit"])
+def test_bad_content_length_gets_an_http_error(length, status):
+    sim, node = make_node()
+    server = serve(node, port=0)
+    try:
+        reply = raw_post(server.server_address[1], length)
+        assert reply.split(b"\r\n", 1)[0].split(b" ")[1] == status
+        # the server still answers the next request
+        request = b'{"jsonrpc":"2.0","id":1,"method":"chain_getHead"}'
+        reply = raw_post(server.server_address[1], str(len(request)), request)
+        assert json.loads(reply.split(b"\r\n\r\n", 1)[1])["result"]["height"] == 0
+    finally:
+        server.shutdown()
+        server.server_close()

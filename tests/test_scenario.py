@@ -1,5 +1,8 @@
 import copy
+import cProfile
+import io
 import json
+import pstats
 
 import pytest
 
@@ -137,3 +140,16 @@ def test_bundled_scenarios_parse():
         s = load_scenario_file(bundled_scenario_path(name))
         assert s.name == name
         s.validate()
+
+
+def test_calls_per_delivery_stay_bounded():
+    """Python calls (cProfile's count) per delivered message on
+    convergence_20: 48.0 before the per-message path was trimmed, 32.9
+    after. The count is deterministic, so a regrown path shows here."""
+    scenario = load_scenario_file(bundled_scenario_path("convergence_20"))
+    profile = cProfile.Profile()
+    profile.enable()
+    result = run_scenario(scenario, io.BytesIO())
+    profile.disable()
+    calls = pstats.Stats(profile).total_calls
+    assert calls / result.sim.messages_delivered <= 38
