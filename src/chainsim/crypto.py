@@ -8,11 +8,11 @@ public key.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -42,23 +42,25 @@ class KeyPair:
             raise ValueError("public key must be 32 bytes")
 
 
+@functools.lru_cache(maxsize=1024)  # a run signs with a few dozen seeds
+def _signing_key(seed: bytes) -> Ed25519PrivateKey:
+    return Ed25519PrivateKey.from_private_bytes(seed)
+
+
 def generate_keypair(seed: bytes) -> KeyPair:
     """Derive an Ed25519 keypair deterministically from a 32-byte seed."""
     if len(seed) != SEED_SIZE:
         raise ValueError("seed must be exactly 32 bytes, got %d" % len(seed))
-    sk = Ed25519PrivateKey.from_private_bytes(seed)
-    pk = sk.public_key().public_bytes(
-        serialization.Encoding.Raw, serialization.PublicFormat.Raw
-    )
+    pk = _signing_key(seed).public_key().public_bytes_raw()
     return KeyPair(private_key=seed, public_key=pk)
 
 
 def sign(private_key: bytes, message: bytes) -> bytes:
-    """Sign ``message`` with the 32-byte private seed; returns 64 bytes."""
+    """Sign ``message`` with the 32-byte private seed; returns 64 bytes
+    (RFC 8032 signing is deterministic: a cached key signs as a fresh one)."""
     if len(private_key) != SEED_SIZE:
         raise ValueError("private key must be 32 bytes")
-    sk = Ed25519PrivateKey.from_private_bytes(private_key)
-    return sk.sign(message)
+    return _signing_key(private_key).sign(message)
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:

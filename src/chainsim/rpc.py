@@ -2,25 +2,35 @@
 
 The dispatcher is transport-free so simulations can call it in-process
 against any simulated node; ``serve`` wraps the same dispatcher in a
-loopback HTTP server (one JSON-RPC payload per POST). Application error
-codes: 1001 bad_signature, 1002 bad_nonce, 1003 insufficient_funds,
-1004 duplicate, 1005 payload_too_large. Every request gets a reply: a body
-that does not parse, however deeply nested, is -32700, and the server
-answers a ``Content-Length`` that is not a decimal integer with HTTP 400 and
-one over ``MAX_BODY_BYTES`` with 413, without reading the body.
+loopback HTTP server (one JSON-RPC payload per POST), and only ``serve``
+loads ``http.server``. Application error codes: 1001 bad_signature,
+1002 bad_nonce, 1003 insufficient_funds, 1004 duplicate, 1005
+payload_too_large. Every request gets a reply:
+
+- a body that does not parse, however deeply nested, is -32700;
+- a request whose ``id`` is not a string, a number or null, and a batch
+  longer than ``MAX_BATCH_LENGTH``, are -32600 with a null ``id``;
+- the server answers a POST without ``Content-Length`` with HTTP 411, one
+  that is not a decimal integer with 400 and one over ``MAX_BODY_BYTES``
+  with 413, each without reading the body.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import ledger
 
+if TYPE_CHECKING:
+    from http.server import ThreadingHTTPServer
+
 # the largest POST body served: about 400 maximal transactions in one batch
 MAX_BODY_BYTES = 1 << 20
+# the most requests one batch may carry (geth's default batch limit)
+MAX_BATCH_LENGTH = 1000
 
 PARSE_ERROR = -32700
 INVALID_REQUEST = -32600
@@ -139,6 +149,8 @@ class RpcDispatcher:
 
     def _handle_one(self, req) -> dict:
         rid = req.get("id") if isinstance(req, dict) else None
+        if not _valid_id(rid):  # never echoed, so a deep id never reaches the encoder
+            return _error_response(None, INVALID_REQUEST, "invalid request")
         if (
             not isinstance(req, dict)
             or req.get("jsonrpc") != "2.0"
@@ -167,8 +179,17 @@ class RpcDispatcher:
             if isinstance(req, list):
                 if not req:
                     return _encode(_error_response(None, INVALID_REQUEST, "empty batch"))
+                if len(req) > MAX_BATCH_LENGTH:
+                    return _encode(_error_response(
+                        None, INVALID_REQUEST, f"batch over {MAX_BATCH_LENGTH} requests"))
                 return _encode([self._handle_one(r) for r in req])
             return _encode(self._handle_one(req))
+
+
+def _valid_id(rid) -> bool:
+    """JSON-RPC 2.0 §4: a string, a number or null; a bool is not a number."""
+    return rid is None or type(rid) in (str, int) or (
+        type(rid) is float and math.isfinite(rid))
 
 
 def _error_response(rid, code: int, message: str) -> dict:
@@ -179,36 +200,38 @@ def _encode(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
-class _Handler(BaseHTTPRequestHandler):
-    dispatcher: RpcDispatcher = None
-
-    def do_POST(self):
-        declared = self.headers.get("Content-Length", "0")
-        if not (declared.isascii() and declared.isdigit()):  # RFC 9110 §8.6
-            self.send_error(400, "Content-Length must be a non-negative integer")
-            return
-        digits = declared.lstrip("0") or "0"  # int() refuses very long digit runs
-        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
-            self.send_error(413, f"request body over {MAX_BODY_BYTES} bytes")
-            return
-        body = self.rfile.read(int(digits))
-        response = self.dispatcher.handle_payload(body)
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(response)))
-        self.end_headers()
-        self.wfile.write(response)
-
-    def log_message(self, fmt, *args):  # quiet server
-        pass
-
-
 def serve(node, host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:
     """Start an HTTP JSON-RPC server for ``node``; returns the server
     (serve_forever runs on a daemon thread; .server_address has the port)."""
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
     dispatcher = RpcDispatcher(node)
-    handler = type("Handler", (_Handler,), {"dispatcher": dispatcher})
-    server = ThreadingHTTPServer((host, port), handler)
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            declared = self.headers.get("Content-Length")
+            if declared is None:  # chunked or unframed: RFC 9110 §15.5.12
+                self.send_error(411, "Content-Length required")
+                return
+            if not (declared.isascii() and declared.isdigit()):  # RFC 9110 §8.6
+                self.send_error(400, "Content-Length must be a non-negative integer")
+                return
+            digits = declared.lstrip("0") or "0"  # int() refuses very long digit runs
+            if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+                self.send_error(413, f"request body over {MAX_BODY_BYTES} bytes")
+                return
+            body = self.rfile.read(int(digits))
+            response = dispatcher.handle_payload(body)
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(response)))
+            self.end_headers()
+            self.wfile.write(response)
+
+        def log_message(self, fmt, *args):  # quiet server
+            pass
+
+    server = ThreadingHTTPServer((host, port), Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chainsim
 from chainsim import ledger
 from chainsim.cli import main
 
@@ -10,6 +15,19 @@ from conftest import addr, build_chain, signed_tx
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def test_cli_start_up_loads_no_http_server_or_key_serialization():
+    """Only `serve-rpc` needs the HTTP server, and no command needs the
+    key-serialization module; a fresh interpreter shows what a command loads."""
+    src = str(Path(chainsim.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, chainsim.cli, chainsim.rpc; print(sorted(m for m in sys.modules if m in "
+             "('http.server', 'cryptography.hazmat.primitives.serialization')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_keygen_deterministic(capsys):

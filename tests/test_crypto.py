@@ -1,7 +1,8 @@
 import hashlib
 
 import pytest
-from hypothesis import given, strategies as st
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from hypothesis import given, settings, strategies as st
 
 from chainsim.crypto import (
     generate_keypair,
@@ -64,6 +65,26 @@ def test_sign_verify_round_trip(message):
     sig = sign(kp.private_key, message)
     assert len(sig) == 64
     assert verify(kp.public_key, message, sig)
+
+
+def test_rfc8032_test_vector_1():
+    kp = generate_keypair(bytes.fromhex(
+        "9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60"))
+    assert kp.public_key.hex() == (
+        "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a")
+    assert sign(kp.private_key, b"").hex() == (
+        "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e065224901555"
+        "fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(min_size=32, max_size=32), st.lists(st.binary(max_size=64), min_size=1,
+                                                     max_size=3))
+def test_cached_signing_key_signs_as_a_fresh_key(seed, messages):
+    fresh = Ed25519PrivateKey.from_private_bytes(seed)
+    assert generate_keypair(seed).public_key == fresh.public_key().public_bytes_raw()
+    for message in messages + messages:  # one cached key object signs every time
+        assert sign(seed, message) == fresh.sign(message)
 
 
 def test_altered_message_does_not_verify():

@@ -1,13 +1,23 @@
 import json
 import socket
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainsim.kademlia import Contact
 from chainsim.ledger import make_genesis
 from chainsim.netsim import SimConfig, Simulator
 from chainsim.node import SimNode
-from chainsim.rpc import INVALID_PARAMS, MAX_BODY_BYTES, PARSE_ERROR, RpcDispatcher, serve
+from chainsim.rpc import (
+    INVALID_PARAMS,
+    INVALID_REQUEST,
+    MAX_BATCH_LENGTH,
+    MAX_BODY_BYTES,
+    PARSE_ERROR,
+    RpcDispatcher,
+    serve,
+)
 
 from conftest import addr, oversized_tx_body, signed_tx
 
@@ -222,3 +232,92 @@ def test_bad_content_length_gets_an_http_error(length, status):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_missing_content_length_gets_411():
+    sim, node = make_node()
+    server = serve(node, port=0)
+    try:
+        head = b"POST / HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+        with socket.create_connection(("127.0.0.1", server.server_address[1]),
+                                      timeout=5) as sock:
+            sock.sendall(head + b"2\r\n{}\r\n0\r\n\r\n")
+            reply = sock.recv(65536)
+        assert reply.split(b"\r\n", 1)[0].split(b" ")[1] == b"411"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.mark.parametrize("rid", [
+    b"[1]",
+    b'{"a":1}',
+    b"true",
+    b"[" * 990 + b"]" * 990,  # parses from a script's top level; never echoed
+], ids=["list", "object", "bool", "deep_array"])
+def test_an_id_that_is_not_a_string_number_or_null_is_invalid(rid):
+    sim, node = make_node()
+    payload = b'{"jsonrpc":"2.0","method":"chain_getHead","id":' + rid + b"}"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 200)  # give back the frames pytest itself holds
+    try:
+        reply = json.loads(RpcDispatcher(node).handle_payload(payload))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert reply == {"jsonrpc": "2.0", "id": None,
+                     "error": {"code": INVALID_REQUEST, "message": "invalid request"}}
+
+
+def test_a_batch_over_the_limit_gets_one_invalid_request_reply():
+    sim, node = make_node()
+    d = RpcDispatcher(node)
+    head = {"jsonrpc": "2.0", "id": 1, "method": "chain_getHead"}
+    full = json.loads(d.handle_payload(json.dumps([head] * MAX_BATCH_LENGTH).encode()))
+    assert len(full) == MAX_BATCH_LENGTH and "result" in full[0]
+    over = json.loads(d.handle_payload(json.dumps([head] * (MAX_BATCH_LENGTH + 1)).encode()))
+    assert over["error"]["code"] == INVALID_REQUEST and over["id"] is None
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=10,
+)
+REQUESTS = st.fixed_dictionaries(
+    {"jsonrpc": st.sampled_from(["2.0", "1.0"]),
+     "method": st.sampled_from(sorted(RpcDispatcher.METHODS) + ["nope"])},
+    optional={
+        "id": JSON_VALUES,
+        "params": st.dictionaries(st.sampled_from(["tx", "hash", "address", "height"]),
+                                  JSON_VALUES, max_size=2) | JSON_VALUES,
+    },
+)
+
+
+def assert_one_reply(raw: bytes):
+    reply = json.loads(raw)
+    replies = reply if isinstance(reply, list) else [reply]
+    assert replies
+    for r in replies:
+        assert r["jsonrpc"] == "2.0" and ("result" in r) != ("error" in r)
+        assert r["id"] is None or type(r["id"]) in (str, int, float)
+        assert set(r) == {"jsonrpc", "id", "result" if "result" in r else "error"}
+
+
+@pytest.fixture(scope="module")
+def dispatcher():
+    return RpcDispatcher(make_node()[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=st.binary(max_size=64))
+def test_arbitrary_bytes_always_get_one_reply(dispatcher, payload):
+    assert_one_reply(dispatcher.handle_payload(payload))
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=JSON_VALUES | REQUESTS | st.lists(REQUESTS | JSON_VALUES, max_size=4))
+def test_arbitrary_json_values_always_get_one_reply(dispatcher, value):
+    assert_one_reply(dispatcher.handle_payload(json.dumps(value).encode()))
