@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import ledger, metrics, rpc
 from .crypto import address_from_public_key, generate_keypair
-from .ledger import ChainError, read_chain_file, verify_chain_lines, write_chain_file
+from .ledger import ChainError, chain_file_lines, decode_chain_lines, verify_chain_lines
 from .netsim import SimConfig, Simulator
 from .scenario import ScenarioError, load_scenario_file, node_key_seed, run_scenario
 
@@ -60,7 +60,9 @@ def cmd_run(args) -> int:
     (out / "metrics.csv").write_bytes(metrics.metrics_csv(rows))
     for i, node in enumerate(result.nodes):
         if node is not None:
-            write_chain_file(node.store.canonical_chain(), out / f"chain_node{i}.jsonl")
+            lines = chain_file_lines(node.store.canonical_chain())
+            with open(out / f"chain_node{i}.jsonl", "wb") as f:
+                f.writelines(ln + b"\n" for ln in lines)  # no joined copy of the file
     summary = result.summary()
     (out / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
@@ -85,8 +87,9 @@ def cmd_run(args) -> int:
 
 
 def _parse_seed(seed_hex: str) -> bytes:
-    """A key seed given on the command line; ValueError unless 32 bytes of hex."""
-    seed = bytes.fromhex(seed_hex)
+    """A key seed given on the command line; ValueError unless 32 bytes of
+    lowercase hex, spelled as in scenarios and chain files."""
+    seed = ledger._hex(seed_hex)
     if len(seed) != 32:
         raise ValueError("seed must be 32 bytes of hex")
     return seed
@@ -103,15 +106,29 @@ def cmd_keygen(args) -> int:
     return 0
 
 
-def cmd_inspect(args) -> int:
-    try:
-        blocks = read_chain_file(args.chain_file)
-    except Exception as e:
-        print(f"config error: unreadable chain file: {e}", file=sys.stderr)
-        return 2
-    if not blocks:
-        print("config error: empty chain file", file=sys.stderr)
-        return 2
+def _chain_file_command(command):
+    """``command(args, lines)`` as a command on the lines of ``args.chain_file``.
+    An unreadable or empty file is a config error (exit 2); a ChainError (every
+    bad line raises one) prints ``FAIL at height N: <code>`` (exit 1)."""
+
+    def run(args) -> int:
+        try:
+            lines = ledger.read_chain_lines(args.chain_file)
+        except (OSError, ValueError) as e:
+            print(f"config error: {e}", file=sys.stderr)
+            return 2
+        try:
+            return command(args, lines)
+        except ChainError as e:
+            print(f"FAIL at height {e.height}: {e.code}")
+            return 1
+
+    return run
+
+
+@_chain_file_command
+def cmd_inspect(args, lines) -> int:
+    blocks = decode_chain_lines(lines)
     head = blocks[-1]
     total_txs = sum(len(b.transactions) for b in blocks)
     print(f"blocks:    {len(blocks)} (height 0..{head.height})")
@@ -123,59 +140,40 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-def _chain_lines(path) -> list:
-    """A chain file's non-blank lines; ValueError if none, OSError if unreadable."""
-    with open(path, "rb") as f:
-        lines = [ln for ln in f.read().split(b"\n") if ln.strip()]
-    if not lines:
-        raise ValueError("empty chain file")
-    return lines
-
-
-def cmd_verify(args) -> int:
-    try:
-        lines = _chain_lines(args.chain_file)
-    except (OSError, ValueError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    try:
-        state = verify_chain_lines(lines)
-    except ChainError as e:
-        print(f"FAIL at height {e.height}: {e.code}")
-        return 1
+@_chain_file_command
+def cmd_verify(args, lines) -> int:
+    state = verify_chain_lines(lines)
     print(f"ok: {len(lines)} blocks, supply {state.total_supply()}")
     return 0
 
 
-def cmd_serve_rpc(args) -> int:
+@_chain_file_command
+def cmd_serve_rpc(args, lines) -> int:
     from .node import SimNode
 
     try:
         seed = _parse_seed(args.seed_hex) if args.seed_hex else node_key_seed(0, 0)
-        lines = _chain_lines(args.chain_file)
-    except (OSError, ValueError) as e:
+    except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    try:  # the node decodes every line as `verify` does
-        genesis = ledger.decode_chain_lines(lines[:1])[0]
-        sim = Simulator(SimConfig(), 1)  # a lone node: no peers to send to
-        node = SimNode(sim, 0, seed, genesis, persisted_lines=lines)
-        sim.attach(0, node)
-    except ChainError as e:
-        print(f"FAIL at height {e.height}: {e.code}")
-        return 1
-    except ledger.BlockError as e:  # the genesis block, refused by the node's store
-        print(f"FAIL at height 0: {e.code}")
-        return 1
-    server = rpc.serve(node, port=args.port)
-    host, port = server.server_address
-    if not args.quiet:
-        print(f"serving JSON-RPC on http://{host}:{port} "
-              f"(head height {node.head().height})")
+    # the node decodes every line as `verify` does
+    genesis = decode_chain_lines(lines[:1])[0]
+    sim = Simulator(SimConfig(), 1)  # a lone node: no peers to send to
     try:
-        server.serve_forever()
+        node = SimNode(sim, 0, seed, genesis, persisted_lines=lines)
+    except ledger.BlockError as e:  # the genesis block, refused by the node's store
+        raise ChainError(0, e.code) from e
+    sim.attach(0, node)
+    server = rpc.serve(node, port=args.port)
+    try:
+        if not args.quiet:
+            host, port = server.server_address
+            print(f"serving JSON-RPC on http://{host}:{port} "
+                  f"(head height {node.head().height})", flush=True)
+        server.thread.join()  # the server's one loop, until Ctrl-C
     except KeyboardInterrupt:
-        pass
+        server.shutdown()
+    server.server_close()
     return 0
 
 

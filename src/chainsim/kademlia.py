@@ -59,14 +59,6 @@ class RoutingTable:
     def __len__(self) -> int:
         return sum(len(b) for b in self.buckets)
 
-    def get(self, node_id: bytes) -> Optional[Contact]:
-        if node_id == self.owner:
-            return None
-        for c in self.buckets[bucket_index(self.owner, node_id)]:
-            if c.node_id == node_id:
-                return c
-        return None
-
     def observe_contact(
         self,
         contact: Contact,

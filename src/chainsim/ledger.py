@@ -89,6 +89,21 @@ _BLOCK_KEYS = frozenset(
 _GENESIS_KEYS = _BLOCK_KEYS | {"allocations"}
 
 
+# The one canonical JSON encoder, of chain lines, BLOCKS bodies, contact lists,
+# RPC replies and trace rows: json.dumps(obj, sort_keys=True, separators=(",",
+# ":")) as ASCII text in pieces. It is the C encoder json.dumps builds on every
+# call, built once (chainsim runs on CPython only); every value it encodes is a
+# tree, so it skips the circular-reference check.
+json_chunks = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+    ":", ",", True, False, True,
+)
+
+
+def canonical_json(obj) -> bytes:
+    return "".join(json_chunks(obj, 0)).encode()
+
+
 def _check_keys(obj, keys: frozenset) -> None:
     """The JSON decoders take exactly the fields ``to_json`` writes."""
     if type(obj) is not dict or obj.keys() != keys:
@@ -131,10 +146,22 @@ class Transaction:
         return address_from_public_key(self.sender_public_key)
 
     def signing_bytes(self) -> bytes:
-        return tx_signing_bytes(self)
+        if len(self.payload) > MAX_PAYLOAD_BYTES:
+            raise TxError("payload_too_large", f"{len(self.payload)} > {MAX_PAYLOAD_BYTES}")
+        return b"".join(
+            [
+                self.sender_public_key,
+                self.recipient,
+                struct.pack(">Q", self.amount),
+                struct.pack(">Q", self.fee),
+                struct.pack(">Q", self.nonce),
+                struct.pack(">H", len(self.payload)),
+                self.payload,
+            ]
+        )
 
     def encode(self) -> bytes:
-        return tx_signing_bytes(self) + self.signature
+        return self.signing_bytes() + self.signature
 
     @cached_property
     def tx_hash(self) -> bytes:
@@ -168,22 +195,6 @@ class Transaction:
             payload=_hex(obj["payload"]),
             signature=_hex(obj["signature"]),
         )
-
-
-def tx_signing_bytes(tx: Transaction) -> bytes:
-    if len(tx.payload) > MAX_PAYLOAD_BYTES:
-        raise TxError("payload_too_large", f"{len(tx.payload)} > {MAX_PAYLOAD_BYTES}")
-    return b"".join(
-        [
-            tx.sender_public_key,
-            tx.recipient,
-            struct.pack(">Q", tx.amount),
-            struct.pack(">Q", tx.fee),
-            struct.pack(">Q", tx.nonce),
-            struct.pack(">H", len(tx.payload)),
-            tx.payload,
-        ]
-    )
 
 
 def decode_transaction(data: bytes) -> Transaction:
@@ -302,7 +313,7 @@ class Block:
         )
 
     def encode(self) -> bytes:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")).encode()
+        return canonical_json(self.to_json())
 
     @staticmethod
     def decode(data: bytes) -> "Block":
@@ -340,12 +351,6 @@ class AccountState:
 
     def total_supply(self) -> int:
         return sum(self.balances.values())
-
-    def state_hash(self) -> bytes:
-        items = sorted(self.balances.items()) + sorted(self.nonces.items())
-        return hash_bytes(
-            b"".join(k + struct.pack(">Q", v) for k, v in items if v)
-        )
 
 
 # tx hash -> None, oldest first: transactions whose signature verified
@@ -625,20 +630,24 @@ def _last_state(path: list) -> AccountState:
     return state
 
 
-def write_chain_file(blocks: Iterable[Block], path) -> None:
-    with open(path, "wb") as f:
-        for block in blocks:
-            f.write(block.encode() + b"\n")
-
-
 def chain_file_lines(blocks: Iterable[Block]) -> list:
+    """The one chain-file writer: a file is these lines, each ended by a newline."""
     return [block.encode() for block in blocks]
 
 
-def read_chain_file(path) -> list:
+def read_chain_lines(path) -> list:
+    """The one chain-file reader: the file's non-blank lines, for
+    ``decode_chain_lines``; ValueError if none, OSError if unreadable."""
     with open(path, "rb") as f:
         lines = [ln for ln in f.read().split(b"\n") if ln.strip()]
-    return [Block.decode(ln) for ln in lines]
+    if not lines:
+        raise ValueError("empty chain file")
+    return lines
+
+
+def read_chain_file(path) -> list:
+    """A chain file's blocks; a bad line raises ChainError at its height."""
+    return decode_chain_lines(read_chain_lines(path))
 
 
 def decode_chain_lines(lines: list) -> list:

@@ -4,9 +4,10 @@ Virtual time only: every message delivery, mining and sync timer, crash,
 restart and scheduled call is an entry ``(time, seq, handler, args)`` in
 one priority queue, ordered by time and then insertion sequence; running
 an event calls ``handler(*args)``. A node is down exactly when its slot
-in ``Simulator.nodes`` is ``None``. All randomness (latency, drops, mining
-delays) comes from per-node RNG streams derived from (seed, node index,
-purpose), so replaying a scenario with the same seed reproduces the
+in ``Simulator.nodes`` is ``None``, and a link is cut only inside a window
+of ``SimConfig.partition_schedule``. All randomness (latency, drops,
+mining delays) comes from per-node RNG streams derived from (seed, node
+index, purpose), so replaying a scenario with the same seed reproduces the
 exact event trace. The ``Tracer`` streams that trace: each row is encoded
 and written to its sink as it is logged.
 
@@ -26,28 +27,18 @@ from __future__ import annotations
 import hashlib
 import heapq
 import io
-import json
 import random
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
+from .ledger import json_chunks
+
 
 # distinct gossip bodies held by each run-wide body map (see _remember);
 # perfbench chain_growth (seed 1) decodes 1,737
 DECODE_CACHE_SIZE = 4096
-# one encoder for every trace row: the bytes of json.dumps(row, sort_keys=True,
-# separators=(",", ":")) without building an encoder per row
-_TRACE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-# the C encoder that _TRACE_ENCODER.encode builds anew on every call, built
-# once (CPython's json has it, and chainsim runs on CPython only); a row is a
-# tree, so it skips the circular-reference check
-_encode_row = json.encoder.c_make_encoder(
-    None, _TRACE_ENCODER.default, json.encoder.encode_basestring_ascii, None,
-    _TRACE_ENCODER.key_separator, _TRACE_ENCODER.item_separator,
-    _TRACE_ENCODER.sort_keys, _TRACE_ENCODER.skipkeys, _TRACE_ENCODER.allow_nan,
-)
 
 
 @dataclass
@@ -106,8 +97,8 @@ class Envelope(NamedTuple):
 
 
 class Tracer:
-    """Encodes each trace row as it is logged and writes the line to a
-    binary sink; holds no rows. Serialization is byte-stable (sorted keys).
+    """Encodes each trace row as it is logged, in ledger's canonical JSON,
+    and writes the line to a binary sink; holds no rows.
     With no sink, lines go to an in-memory buffer that ``lines`` reads back."""
 
     def __init__(self, sink=None):
@@ -115,7 +106,7 @@ class Tracer:
 
     def log(self, row: dict) -> None:
         """Write ``row``, which must be complete: it is encoded now."""
-        self.sink.write(("".join(_encode_row(row, 0)) + "\n").encode())
+        self.sink.write(("".join(json_chunks(row, 0)) + "\n").encode())
 
     def lines(self) -> list:
         """The in-memory buffer's lines."""
@@ -154,7 +145,6 @@ class Simulator:
         self._seq = 0
         self.nodes: list = [None] * num_nodes  # None: not attached, or down
         self.persisted: dict = {}  # node index -> list of chain-file lines
-        self.dynamic_partitions: list = []  # (setA, setB)
         self._net_rng = [_derive_rng(config.rng_seed, i, "net") for i in range(num_nodes)]
         self._mine_rng = [_derive_rng(config.rng_seed, i, "mine") for i in range(num_nodes)]
         self.messages_sent = 0
@@ -194,9 +184,6 @@ class Simulator:
             if start <= self.now < end:
                 if (a in side_a and b in side_b) or (a in side_b and b in side_a):
                     return True
-        for side_a, side_b in self.dynamic_partitions:
-            if (a in side_a and b in side_b) or (a in side_b and b in side_a):
-                return True
         return False
 
     def send(self, src: int, dst: int, kind: str, body: bytes) -> bool:
@@ -220,7 +207,7 @@ class Simulator:
         nodes = self.nodes
         if nodes[src] is None or nodes[dst] is None:
             return False
-        if (config.partition_schedule or self.dynamic_partitions) and self._partitioned(src, dst):
+        if config.partition_schedule and self._partitioned(src, dst):
             return False
         now = self.now
         deliver_time = now + config.latency_min_ms + offset
@@ -377,8 +364,3 @@ class Simulator:
         if self.config.hash_rate_shares.get(index, 0) > 0:
             self._schedule_next_mine(index)
 
-    def partition(self, side_a, side_b) -> None:
-        self.dynamic_partitions.append((set(side_a), set(side_b)))
-
-    def heal(self) -> None:
-        self.dynamic_partitions.clear()

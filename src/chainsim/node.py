@@ -29,7 +29,7 @@ MALFORMED = (
 
 
 def encode_blocks(blocks: list) -> bytes:
-    return json.dumps([b.to_json() for b in blocks], sort_keys=True, separators=(",", ":")).encode()
+    return ledger.canonical_json([b.to_json() for b in blocks])
 
 
 def decode_block(body: bytes) -> Block:
@@ -82,10 +82,7 @@ def decode_message(kind: str, body: bytes, decoded: OrderedDict):
 
 
 def encode_contacts(contacts: list) -> bytes:
-    return json.dumps(
-        [[c.node_id.hex(), c.endpoint] for c in contacts],
-        separators=(",", ":"),
-    ).encode()
+    return ledger.canonical_json([[c.node_id.hex(), c.endpoint] for c in contacts])
 
 
 def decode_contacts(body: bytes) -> list:
@@ -161,7 +158,7 @@ class SimNode:
         except kademlia.LookupFailed:
             pass
 
-    def lookup(self, target: bytes, k: int = kademlia.K, alpha: int = kademlia.ALPHA):
+    def lookup(self, target: bytes) -> None:
         def query(contact: Contact, tgt: bytes):
             # body = requester id || target, so the peer learns us too
             resp = self.sim.query(
@@ -171,12 +168,9 @@ class SimNode:
                 return None
             return decode_contacts(resp)
 
-        found, rounds = kademlia.iterative_lookup(
-            self.routing, target, query, k=k, alpha=alpha
-        )
+        found, _ = kademlia.iterative_lookup(self.routing, target, query)
         for contact in found:
             self.observe(contact)
-        return found, rounds
 
     def handle_query(self, kind: str, body: bytes, src: int) -> Optional[bytes]:
         """Synchronous overlay RPCs (FIND_NODE, PING) served in place."""
@@ -362,9 +356,6 @@ class SimNode:
     def _request_blocks(self, peer: int) -> None:
         body = b"".join(self._locator())
         self.sim.send(self.index, peer, "GET_BLOCKS", body)
-
-    def sync(self, peer: int) -> None:
-        self._request_blocks(peer)
 
     def periodic_sync(self) -> None:
         """Anti-entropy: ask a rotating contact for anything newer."""

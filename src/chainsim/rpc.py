@@ -174,16 +174,18 @@ class RpcDispatcher:
         try:
             req = json.loads(payload)
         except (ValueError, UnicodeDecodeError, RecursionError):
-            return _encode(_error_response(None, PARSE_ERROR, "parse error"))
+            return ledger.canonical_json(_error_response(None, PARSE_ERROR, "parse error"))
         with self._lock:
-            if isinstance(req, list):
-                if not req:
-                    return _encode(_error_response(None, INVALID_REQUEST, "empty batch"))
-                if len(req) > MAX_BATCH_LENGTH:
-                    return _encode(_error_response(
-                        None, INVALID_REQUEST, f"batch over {MAX_BATCH_LENGTH} requests"))
-                return _encode([self._handle_one(r) for r in req])
-            return _encode(self._handle_one(req))
+            if not isinstance(req, list):
+                reply = self._handle_one(req)
+            elif not req:
+                reply = _error_response(None, INVALID_REQUEST, "empty batch")
+            elif len(req) > MAX_BATCH_LENGTH:
+                reply = _error_response(
+                    None, INVALID_REQUEST, f"batch over {MAX_BATCH_LENGTH} requests")
+            else:
+                reply = [self._handle_one(r) for r in req]
+            return ledger.canonical_json(reply)
 
 
 def _valid_id(rid) -> bool:
@@ -196,13 +198,10 @@ def _error_response(rid, code: int, message: str) -> dict:
     return {"jsonrpc": "2.0", "id": rid, "error": {"code": code, "message": message}}
 
 
-def _encode(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
-
-
 def serve(node, host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:
-    """Start an HTTP JSON-RPC server for ``node``; returns the server
-    (serve_forever runs on a daemon thread; .server_address has the port)."""
+    """Start an HTTP JSON-RPC server for ``node``; returns the server, whose
+    one ``serve_forever`` loop runs on the daemon thread ``.thread``
+    (``.server_address`` has the port)."""
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
     dispatcher = RpcDispatcher(node)
@@ -232,6 +231,6 @@ def serve(node, host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:
             pass
 
     server = ThreadingHTTPServer((host, port), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server.thread = threading.Thread(target=server.serve_forever, daemon=True)
+    server.thread.start()
     return server

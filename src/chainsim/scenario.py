@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from . import consensus, ledger
+from . import ledger
 from .blobstore import BlobStore, blob_link_payload
 from .crypto import address_from_public_key, generate_keypair
 from .kademlia import Contact
@@ -33,6 +33,14 @@ SIM_INT_FIELDS = (
     "latency_min_ms", "latency_max_ms", "block_interval_target_ms", "difficulty_bits",
     "sync_interval_ms",
 )
+# the keys each JSON object of a scenario may hold; any other key is refused
+SCENARIO_KEYS = {"name", "num_nodes", "seed", "sim", "miners", "duration_ms",
+                 "genesis_allocations", "workload", "crashes", "restarts", "max_block_txs"}
+SIM_KEYS = {*SIM_INT_FIELDS, "drop_probability", "partition_schedule"}
+GENESIS_KEYS = {"address", "seed", "amount"}
+WORKLOAD_KEYS = {"time_ms", "node", "sender_seed", "recipient_address", "recipient_seed",
+                 "amount", "fee", "blob"}
+SCHEDULE_KEYS = {"time_ms", "node"}
 
 
 class ScenarioError(Exception):
@@ -87,8 +95,23 @@ class Scenario:
                 check_node(idx, "partition_schedule")
 
 
+def _known(obj, keys: set, what: str) -> dict:
+    """``obj``, which must be a JSON object with no key outside ``keys``."""
+    if type(obj) is not dict:
+        raise ScenarioError(f"{what} must be a JSON object")
+    unknown = sorted(obj.keys() - keys)
+    if unknown:
+        raise ScenarioError(f"unknown {what} key(s): {', '.join(unknown)}")
+    return obj
+
+
+def _entries(obj: dict, key: str, keys: set) -> list:
+    """The JSON objects listed under ``obj[key]`` (none if it is absent)."""
+    return [_known(e, keys, f"{key} entry") for e in obj.get(key, [])]
+
+
 def _seed_bytes(value: str) -> bytes:
-    raw = bytes.fromhex(value)
+    raw = ledger._hex(value)
     if len(raw) == 32:
         return raw
     return hashlib.sha256(raw).digest()
@@ -96,7 +119,7 @@ def _seed_bytes(value: str) -> bytes:
 
 def _resolve_address(entry: dict, key_prefix: str) -> bytes:
     if f"{key_prefix}address" in entry:
-        raw = bytes.fromhex(entry[f"{key_prefix}address"])
+        raw = ledger._hex(entry[f"{key_prefix}address"])
         if len(raw) != 20:
             raise ScenarioError(f"{key_prefix}address must be 20 bytes")
         return raw
@@ -118,17 +141,18 @@ def _json_number(value, what: str) -> float:
     return float(value)
 
 
-def _schedule(entries: list, what: str) -> list:
+def _schedule(obj: dict, key: str) -> list:
     """(time_ms, node) per crash or restart entry."""
     return [
-        (_json_int(e["time_ms"], f"{what} time_ms"), _json_int(e["node"], f"{what} node"))
-        for e in entries
+        (_json_int(e["time_ms"], f"{key} time_ms"), _json_int(e["node"], f"{key} node"))
+        for e in _entries(obj, key, SCHEDULE_KEYS)
     ]
 
 
 def load_scenario(obj: dict) -> Scenario:
+    _known(obj, SCENARIO_KEYS, "scenario")
     try:
-        sim_cfg = dict(obj.get("sim", {}))
+        sim_cfg = _known(obj.get("sim", {}), SIM_KEYS, "sim")
         miners = obj.get("miners", {})
         shares = {int(k): _json_number(v, f"miner {k} share") for k, v in miners.items()}
         fields = {k: _json_int(sim_cfg[k], f"sim.{k}") for k in SIM_INT_FIELDS if k in sim_cfg}
@@ -149,7 +173,7 @@ def load_scenario(obj: dict) -> Scenario:
         ]
         allocations = [
             (_resolve_address(e, ""), _json_int(e["amount"], "genesis amount"))
-            for e in obj.get("genesis_allocations", [])
+            for e in _entries(obj, "genesis_allocations", GENESIS_KEYS)
         ]
         workload = [
             WorkloadItem(
@@ -159,9 +183,9 @@ def load_scenario(obj: dict) -> Scenario:
                 recipient=_resolve_address(w, "recipient_"),
                 amount=_json_int(w["amount"], "workload amount"),
                 fee=_json_int(w["fee"], "workload fee"),
-                blob=bytes.fromhex(w["blob"]) if "blob" in w else None,
+                blob=ledger._hex(w["blob"]) if "blob" in w else None,
             )
-            for w in obj.get("workload", [])
+            for w in _entries(obj, "workload", WORKLOAD_KEYS)
         ]
         scenario = Scenario(
             name=obj["name"],
@@ -170,13 +194,13 @@ def load_scenario(obj: dict) -> Scenario:
             duration_ms=_json_int(obj["duration_ms"], "duration_ms"),
             genesis_allocations=allocations,
             workload=workload,
-            crashes=_schedule(obj.get("crashes", []), "crash"),
-            restarts=_schedule(obj.get("restarts", []), "restart"),
+            crashes=_schedule(obj, "crashes"),
+            restarts=_schedule(obj, "restarts"),
             max_block_txs=_json_int(
                 obj.get("max_block_txs", ledger.MAX_BLOCK_TXS), "max_block_txs"
             ),
         )
-    except (KeyError, ValueError, TypeError) as e:
+    except (KeyError, ValueError, TypeError, AttributeError) as e:  # e.g. a list of miners
         raise ScenarioError(f"malformed scenario: {e!r}")
     scenario.validate()
     return scenario
@@ -214,7 +238,6 @@ class RunResult:
     sim: Simulator
     tracer: FoldingTracer
     nodes: list
-    genesis: ledger.Block
     submitted: list  # (time_ms, node, Transaction)
 
     def head_hashes(self) -> list:
@@ -332,7 +355,7 @@ def run_scenario(
 
     sim.run_until(scenario.duration_ms)
     _quiesce(sim)
-    return RunResult(scenario, sim, tracer, sim.nodes, genesis, submitted)
+    return RunResult(scenario, sim, tracer, sim.nodes, submitted)
 
 
 def _quiesce(sim: Simulator) -> None:

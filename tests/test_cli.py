@@ -17,6 +17,11 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def write_chain(path, blocks):
+    """A chain file as `chainsim run` writes one."""
+    path.write_bytes(b"\n".join(ledger.chain_file_lines(blocks)) + b"\n")
+
+
 def test_cli_start_up_loads_no_http_server_or_key_serialization():
     """Only `serve-rpc` needs the HTTP server, and no command needs the
     key-serialization module; a fresh interpreter shows what a command loads."""
@@ -45,7 +50,7 @@ def test_keygen_bad_seed(capsys):
 def test_verify_ok_and_inspect(tmp_path, capsys):
     _, blocks = build_chain(5, allocations=[(addr(1), 100)])
     chain = tmp_path / "chain.jsonl"
-    ledger.write_chain_file(blocks, chain)
+    write_chain(chain, blocks)
     assert run_cli("verify", str(chain)) == 0
     out = capsys.readouterr().out
     assert out.startswith("ok: 6 blocks")
@@ -100,6 +105,7 @@ BAD_SCENARIO_VALUES = {
     "num_nodes_as_string": (None, "num_nodes", "3"),
     "fractional_duration": (None, "duration_ms", 14000.5),
     "boolean_seed": (None, "seed", True),
+    "miners_as_list": (None, "miners", [1.0]),
 }
 
 
@@ -117,7 +123,8 @@ def test_run_bad_scenario_value_is_a_config_error(tmp_path, capsys, section, key
     assert not (tmp_path / "out").exists()
 
 
-# (bundled scenario, path to the value, value): each must be a JSON integer
+# (bundled scenario, path to the value, value): an integer must be a JSON
+# integer, a key must be known and hex must be lowercase with no separators
 BAD_SCENARIO_ENTRIES = {
     "workload_fractional_amount": ("churn_restart", ("workload", 0, "amount"), 3.9),
     "workload_string_time": ("churn_restart", ("workload", 0, "time_ms"), "2000"),
@@ -130,6 +137,17 @@ BAD_SCENARIO_ENTRIES = {
     "partition_boolean_member": ("partition_heal", ("sim", "partition_schedule", 0, 2, 1), True),
     "genesis_fractional_amount": ("tamper_detect", ("genesis_allocations", 0, "amount"), 1e4),
     "max_block_txs_string": ("tamper_detect", ("max_block_txs",), "10"),
+    "unknown_top_level_key": ("tamper_detect", ("durration_ms",), 14000),
+    "unknown_sim_key": ("tamper_detect", ("sim", "latency_mx_ms"), 10),
+    "unknown_workload_key": ("churn_restart", ("workload", 0, "memo"), "rent"),
+    "unknown_genesis_key": ("tamper_detect", ("genesis_allocations", 0, "note"), 1),
+    "unknown_crash_key": ("churn_restart", ("crashes", 0, "reason"), "power"),
+    "unknown_restart_key": ("churn_restart", ("restarts", 0, "reason"), "power"),
+    "uppercase_sender_seed": ("churn_restart", ("workload", 0, "sender_seed"), "3A" * 32),
+    "spaced_genesis_seed": ("tamper_detect", ("genesis_allocations", 0, "seed"), "40 40"),
+    "uppercase_recipient_address": ("churn_restart", ("workload", 0, "recipient_address"),
+                                    "AB" * 20),
+    "spaced_blob": ("churn_restart", ("workload", 0, "blob"), "ab cd"),
 }
 
 
@@ -231,7 +249,6 @@ def test_run_seed_override_changes_output(tmp_path):
 
 
 def test_serve_rpc_end_to_end(tmp_path):
-    import threading
     import urllib.request
 
     from chainsim import rpc
@@ -241,9 +258,9 @@ def test_serve_rpc_end_to_end(tmp_path):
 
     _, blocks = build_chain(4, allocations=[(addr(1), 100)])
     chain = tmp_path / "chain.jsonl"
-    ledger.write_chain_file(blocks, chain)
+    write_chain(chain, blocks)
     # exercise the same wiring cmd_serve_rpc uses, with an ephemeral port
-    lines = ledger.chain_file_lines(ledger.read_chain_file(chain))
+    lines = ledger.read_chain_lines(chain)
     sim = Simulator(SimConfig(), 1)
     node = SimNode(sim, 0, node_key_seed(0, 0), blocks[0], persisted_lines=lines)
     sim.attach(0, node)
@@ -263,12 +280,75 @@ def test_serve_rpc_end_to_end(tmp_path):
         server.server_close()
 
 
-def _serve_rpc_on_edited_chain(tmp_path, monkeypatch, height, edit):
-    """``serve-rpc`` on a chain file whose line ``height`` went through
-    ``edit``; the server must never start."""
-    from chainsim import rpc
+def test_serve_rpc_runs_one_serve_loop_and_closes_the_server(tmp_path, monkeypatch):
+    """`serve-rpc` waits on the loop `rpc.serve` started rather than running a
+    second one on the same socket; when that loop ends, the command closes the
+    server and exits 0."""
+    import socketserver
+    import threading
+    import time
 
-    monkeypatch.setattr(rpc, "serve", lambda *a, **k: pytest.fail("served a bad chain"))
+    loops = []  # the server of each serve_forever call
+    real_serve_forever = socketserver.BaseServer.serve_forever
+
+    def counted(server, *args, **kwargs):
+        loops.append(server)
+        return real_serve_forever(server, *args, **kwargs)
+
+    monkeypatch.setattr(socketserver.BaseServer, "serve_forever", counted)
+    _, blocks = build_chain(2, allocations=[(addr(1), 100)])
+    chain = tmp_path / "chain.jsonl"
+    write_chain(chain, blocks)
+    codes = []
+    command = threading.Thread(
+        target=lambda: codes.append(run_cli("serve-rpc", str(chain), "--port", "0", "--quiet")),
+        daemon=True,
+    )
+    command.start()
+    deadline = time.monotonic() + 10
+    while not loops and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(0.3)  # room for a second loop to start, were there one
+    assert len(loops) == 1
+    server = loops[0]
+    server.shutdown()
+    command.join(timeout=10)
+    assert not command.is_alive()
+    assert codes == [0]
+    assert server.socket.fileno() == -1  # closed
+
+
+def test_serve_rpc_exits_0_on_ctrl_c(tmp_path):
+    import signal
+
+    _, blocks = build_chain(2, allocations=[(addr(1), 100)])
+    chain = tmp_path / "chain.jsonl"
+    write_chain(chain, blocks)
+    src = str(Path(chainsim.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # Ctrl-C raises KeyboardInterrupt even where SIGINT is ignored on entry (as
+    # in a background job), the way it does in a terminal
+    command = ("import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
+               "from chainsim.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", command, "serve-rpc", str(chain), "--port", "0"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        assert proc.stdout.readline().startswith("serving JSON-RPC on http://127.0.0.1:")
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=10) == 0
+        assert proc.stderr.read() == ""  # no traceback
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+def _edited_chain(tmp_path, height, edit):
+    """A 4-block chain file whose line ``height`` went through ``edit``."""
     _, blocks = build_chain(4, allocations=[(addr(1), 100)], difficulty=8)
     lines = ledger.chain_file_lines(blocks)
     obj = json.loads(lines[height])
@@ -276,31 +356,62 @@ def _serve_rpc_on_edited_chain(tmp_path, monkeypatch, height, edit):
     lines[height] = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
     chain = tmp_path / "chain.jsonl"
     chain.write_bytes(b"\n".join(lines) + b"\n")
-    return run_cli("serve-rpc", str(chain), "--port", "0", "--quiet")
+    return chain
+
+
+def _run_chain_command(command, chain, monkeypatch):
+    """``command`` on ``chain``; `serve-rpc` must never start its server."""
+    from chainsim import rpc
+
+    monkeypatch.setattr(rpc, "serve", lambda *a, **k: pytest.fail("served a bad chain"))
+    extra = ["--port", "0", "--quiet"] if command == "serve-rpc" else []
+    return run_cli(command, str(chain), *extra)
 
 
 def test_serve_rpc_edited_timestamp_fails_cleanly(tmp_path, monkeypatch, capsys):
-    assert _serve_rpc_on_edited_chain(
-        tmp_path, monkeypatch, 2, lambda obj: obj.update(timestamp=obj["timestamp"] + 1)
-    ) == 1
+    chain = _edited_chain(tmp_path, 2, lambda obj: obj.update(timestamp=obj["timestamp"] + 1))
+    assert _run_chain_command("serve-rpc", chain, monkeypatch) == 1
     assert capsys.readouterr().out == "FAIL at height 2: bad_pow\n"
 
 
 def test_serve_rpc_nonzero_genesis_miner_fails_cleanly(tmp_path, monkeypatch, capsys):
-    assert _serve_rpc_on_edited_chain(
-        tmp_path, monkeypatch, 0, lambda obj: obj.update(miner="11" * 20)
-    ) == 1
+    chain = _edited_chain(tmp_path, 0, lambda obj: obj.update(miner="11" * 20))
+    assert _run_chain_command("serve-rpc", chain, monkeypatch) == 1
     assert capsys.readouterr().out == "FAIL at height 0: bad_genesis\n"
 
 
-@pytest.mark.parametrize("height", [0, 1])
-def test_serve_rpc_and_verify_agree_on_an_unparsable_line(tmp_path, monkeypatch, capsys, height):
-    assert _serve_rpc_on_edited_chain(
-        tmp_path, monkeypatch, height, lambda obj: obj.update(height=str(height))
-    ) == 1
-    served = capsys.readouterr().out
-    assert run_cli("verify", str(tmp_path / "chain.jsonl")) == 1
-    assert capsys.readouterr().out == served == f"FAIL at height {height}: parse_error\n"
+CHAIN_COMMANDS = ["inspect", "verify", "serve-rpc"]
+# (height of the edited line, edit, the line every chain-file command prints)
+BAD_CHAIN_LINES = {
+    "unparsable_genesis": (0, lambda obj: obj.update(height="0"),
+                           "FAIL at height 0: parse_error\n"),
+    "unparsable_line_1": (1, lambda obj: obj.update(height="1"),
+                          "FAIL at height 1: parse_error\n"),
+    "wrong_declared_height": (1, lambda obj: obj.update(height=2),
+                              "FAIL at height 1: bad_height\n"),
+}
+
+
+@pytest.mark.parametrize("height,edit,fail", BAD_CHAIN_LINES.values(),
+                         ids=BAD_CHAIN_LINES.keys())
+@pytest.mark.parametrize("command", CHAIN_COMMANDS)
+def test_chain_file_commands_agree_on_a_bad_line(tmp_path, monkeypatch, capsys, command,
+                                                 height, edit, fail):
+    chain = _edited_chain(tmp_path, height, edit)
+    assert _run_chain_command(command, chain, monkeypatch) == 1
+    assert capsys.readouterr().out == fail
+
+
+@pytest.mark.parametrize("content", [None, b"", b"\n \n"], ids=["missing", "empty", "blank"])
+@pytest.mark.parametrize("command", CHAIN_COMMANDS)
+def test_chain_file_commands_refuse_a_missing_or_empty_file(tmp_path, monkeypatch, capsys,
+                                                            command, content):
+    chain = tmp_path / "chain.jsonl"
+    if content is not None:
+        chain.write_bytes(content)
+    assert _run_chain_command(command, chain, monkeypatch) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error: ")
 
 
 @pytest.mark.parametrize("edit", [
@@ -320,13 +431,14 @@ def test_verify_loosely_typed_line_fails_at_its_height(tmp_path, capsys, edit):
     assert capsys.readouterr().out == "FAIL at height 1: parse_error\n"
 
 
-@pytest.mark.parametrize("seed", ["zz", "00"], ids=["not_hex", "one_byte"])
+@pytest.mark.parametrize("seed", ["zz", "00", "11 " * 32, "AB" * 32],
+                         ids=["not_hex", "one_byte", "spaced_hex", "uppercase_hex"])
 def test_serve_rpc_bad_seed_is_a_config_error(tmp_path, monkeypatch, capsys, seed):
     from chainsim import rpc
 
     monkeypatch.setattr(rpc, "serve", lambda *a, **k: pytest.fail("served with a bad seed"))
     _, blocks = build_chain(2, allocations=[(addr(1), 100)])
     chain = tmp_path / "chain.jsonl"
-    ledger.write_chain_file(blocks, chain)
+    write_chain(chain, blocks)
     assert run_cli("serve-rpc", str(chain), "--port", "0", "--quiet", "--seed", seed) == 2
     assert capsys.readouterr().err.startswith("config error: ")

@@ -101,7 +101,8 @@ def test_full_bucket_keeps_live_stalest():
     pinged = []
     t.observe_contact(Contact(newcomer, 99), ping=lambda c: pinged.append(c) or True)
     assert [c.node_id for c in pinged] == [members[0]]
-    assert t.get(newcomer) is None          # live stalest kept, newcomer dropped
+    # live stalest kept, newcomer dropped
+    assert newcomer not in [c.node_id for c in t.contacts()]
     assert t.buckets[159][-1].node_id == members[0]  # refreshed to MRS end
     t.audit()
 
@@ -118,8 +119,9 @@ def test_full_bucket_evicts_dead_stalest():
             newcomer = cand
         i += 1
     t.observe_contact(Contact(newcomer, 99), ping=lambda c: False)
-    assert t.get(members[0]) is None
-    assert t.get(newcomer) is not None
+    known = [c.node_id for c in t.contacts()]
+    assert members[0] not in known
+    assert newcomer in known
     t.audit()
 
 

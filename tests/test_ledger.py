@@ -19,8 +19,8 @@ from chainsim.ledger import (
     check_signature,
     decode_transaction,
     make_genesis,
+    canonical_json,
     replay_blocks,
-    tx_signing_bytes,
     validate_block,
     validate_genesis,
     verify_chain,
@@ -35,7 +35,22 @@ from conftest import addr, build_chain, keypair, mine_child, signed_tx
 def test_encoding_deterministic():
     tx = signed_tx(1, 2, 60, 10, 0)
     assert tx.encode() == tx.encode()
-    assert tx_signing_bytes(tx) == tx.encode()[:-64]
+    assert tx.signing_bytes() == tx.encode()[:-64]
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**200, 2**200)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(json_values)
+def test_canonical_json_is_json_dumps_sorted_and_compact(value):
+    """The one encoder of every JSON wire format writes json.dumps's bytes."""
+    reference = json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+    assert canonical_json(value) == reference
 
 
 def test_nonce_changes_hash():
@@ -68,7 +83,7 @@ def test_transaction_json_round_trip(tx):
 def test_oversized_payload_rejected():
     big = Transaction(keypair(1).public_key, addr(2), 1, 1, 0, b"y" * 1025)
     with pytest.raises(TxError) as e:
-        tx_signing_bytes(big)
+        big.signing_bytes()
     assert e.value.code == "payload_too_large"
 
 
@@ -282,7 +297,7 @@ def test_replay_determinism():
     store, blocks = _chain_with_txs()
     s1 = verify_chain(store, blocks[-1].block_hash)
     s2 = verify_chain(store, blocks[-1].block_hash)
-    assert s1.state_hash() == s2.state_hash()
+    assert s1 == s2
 
 
 def test_verify_holds_one_replay_state_at_a_time(monkeypatch):
@@ -315,11 +330,11 @@ def test_nonce_monotonicity_along_chain():
 def test_chain_file_round_trip(tmp_path):
     store, blocks = _chain_with_txs()
     path = tmp_path / "chain.jsonl"
-    ledger.write_chain_file(blocks, path)
+    path.write_bytes(b"\n".join(ledger.chain_file_lines(blocks)) + b"\n")
     loaded = ledger.read_chain_file(path)
     assert [b.block_hash for b in loaded] == [b.block_hash for b in blocks]
-    with open(path, "rb") as f:
-        lines = [ln for ln in f.read().split(b"\n") if ln]
+    lines = ledger.read_chain_lines(path)
+    assert lines == ledger.chain_file_lines(blocks)
     verify_chain_lines(lines)
 
 

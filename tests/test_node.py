@@ -43,6 +43,15 @@ def make_net(n, difficulty=4, **cfg):
     return sim
 
 
+def split(sim, side_a, side_b):
+    """Cut every link between the two sides from now until the schedule is cleared."""
+    sim.config.partition_schedule = [(sim.now, 2**63, set(side_a), set(side_b))]
+
+
+def heal(sim):
+    sim.config.partition_schedule = []
+
+
 def test_join_populates_routing_tables():
     sim = make_net(6)
     for node in sim.nodes:
@@ -148,16 +157,16 @@ def test_orphan_pool_evicts_oldest_and_connects_children_in_arrival_order():
 def test_reorg_reinstates_displaced_transactions():
     sim = make_net(2)
     a, b = sim.nodes
-    sim.partition([0], [1])
+    split(sim, [0], [1])
     tx = signed_tx(1, 2, 10, 3, 0)
     a.on_transaction(tx)
     short = a.mine_and_broadcast()  # a's branch: height 1, carries tx
     b.mine_and_broadcast()
     b.mine_and_broadcast()          # b's branch: height 2, empty
     sim.drain_deliveries()
-    sim.heal()
+    heal(sim)
     assert a.head().height == 1 and b.head().height == 2
-    a.sync(1)
+    a._request_blocks(1)
     sim.drain_deliveries()
     assert a.head().block_hash == b.head().block_hash
     assert tx.tx_hash in a.mempool  # displaced tx back in the pool
@@ -167,12 +176,12 @@ def test_reorg_reinstates_displaced_transactions():
 def test_sync_catches_up_over_many_pages():
     sim = make_net(2, sync_interval_ms=0)
     a, b = sim.nodes
-    sim.partition([0], [1])
+    split(sim, [0], [1])
     for _ in range(75):  # > 2 sync pages of 32
         a.mine_and_broadcast()
     sim.drain_deliveries()
-    sim.heal()
-    b.sync(0)
+    heal(sim)
+    b._request_blocks(0)
     sim.drain_deliveries()
     assert b.head().height == 75
     assert b.head().block_hash == a.head().block_hash
@@ -199,15 +208,15 @@ def test_crash_persists_and_restart_recovers():
 def test_mempool_filtering_keeps_templates_valid_after_reorg():
     sim = make_net(2)
     a, b = sim.nodes
-    sim.partition([0], [1])
+    split(sim, [0], [1])
     # a sees a tx and holds it; b mines a conflicting spend of the same nonce
     a.on_transaction(signed_tx(1, 2, 10, 3, 0))
     b.on_transaction(signed_tx(1, 3, 9_999, 1, 0))
     b.mine_and_broadcast()
     b.mine_and_broadcast()
     sim.drain_deliveries()
-    sim.heal()
-    a.sync(1)
+    heal(sim)
+    a._request_blocks(1)
     sim.drain_deliveries()
     assert a.head().block_hash == b.head().block_hash
     template = a.build_template()
