@@ -45,6 +45,7 @@ def cmd_run(args) -> int:
         scenario = load_scenario_file(path)
         if args.seed is not None:
             scenario.sim.rng_seed = args.seed
+            scenario.validate()
     except ScenarioError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -86,18 +87,9 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _parse_seed(seed_hex: str) -> bytes:
-    """A key seed given on the command line; ValueError unless 32 bytes of
-    lowercase hex, spelled as in scenarios and chain files."""
-    seed = ledger._hex(seed_hex)
-    if len(seed) != 32:
-        raise ValueError("seed must be 32 bytes of hex")
-    return seed
-
-
 def cmd_keygen(args) -> int:
     try:
-        kp = generate_keypair(_parse_seed(args.seed))
+        kp = generate_keypair(ledger._hex(args.seed, 32))  # spelled as in chain files
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -152,7 +144,7 @@ def cmd_serve_rpc(args, lines) -> int:
     from .node import SimNode
 
     try:
-        seed = _parse_seed(args.seed_hex) if args.seed_hex else node_key_seed(0, 0)
+        seed = ledger._hex(args.seed_hex, 32) if args.seed_hex else node_key_seed(0, 0)
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -179,7 +171,6 @@ def cmd_serve_rpc(args, lines) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chainsim")
-    parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario")
@@ -213,9 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # propagate the global flag for subcommands that read it
-    if not hasattr(args, "quiet"):
-        args.quiet = False
     return args.func(args)
 
 

@@ -16,7 +16,8 @@ Canonical binary encodings (the basis of every hash):
   reference hash.
 
 Chain files are JSON lines, one block per line, genesis first, all byte
-fields lowercase hex.
+fields lowercase hex. The JSON decoders own every field rule (widths, u64
+and u8 ranges, the payload bound), so whatever they return encodes.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ class TxError(LedgerError):
 
 
 class BlockError(LedgerError):
-    """Causes: malformed, bad_link, bad_height, bad_tx_root, bad_pow, bad_tx,
-    too_many_txs, bad_timestamp, bad_genesis."""
+    """Causes: bad_link, bad_height, bad_tx_root, bad_pow, bad_tx, too_many_txs,
+    bad_timestamp, bad_genesis."""
 
     def __init__(self, code: str, detail: str = "", tx_index: Optional[int] = None):
         self.tx_index = tx_index
@@ -110,18 +111,24 @@ def _check_keys(obj, keys: frozenset) -> None:
         raise ValueError(f"expected an object with exactly the fields {sorted(keys)}")
 
 
-def _int(value) -> int:
+def _int(value, top: int = U64_MAX) -> int:
+    """An integer field, in ``0..top``: the range its packed form holds."""
     if type(value) is not int:
         raise TypeError(f"expected an integer, got {type(value).__name__}")
+    if not 0 <= value <= top:
+        raise ValueError(f"integer outside 0..{top}")
     return value
 
 
-def _hex(value) -> bytes:
+def _hex(value, width: Optional[int] = None) -> bytes:
+    """A byte field, of exactly ``width`` bytes when the field is fixed-width."""
     if type(value) is not str:
         raise TypeError(f"expected a hex string, got {type(value).__name__}")
     data = bytes.fromhex(value)
     if data.hex() != value:  # one spelling per value: lowercase, no separators
         raise ValueError("hex must be lowercase with no separators")
+    if width is not None and len(data) != width:
+        raise ValueError(f"expected {width} bytes, got {len(data)}")
     return data
 
 
@@ -186,14 +193,17 @@ class Transaction:
     @staticmethod
     def from_json(obj: dict) -> "Transaction":
         _check_keys(obj, _TX_KEYS)
+        payload = _hex(obj["payload"])
+        if len(payload) > MAX_PAYLOAD_BYTES:  # encode, and so tx_hash, would refuse it
+            raise TxError("payload_too_large", f"{len(payload)} > {MAX_PAYLOAD_BYTES}")
         return Transaction(
-            sender_public_key=_hex(obj["sender_public_key"]),
-            recipient=_hex(obj["recipient"]),
+            sender_public_key=_hex(obj["sender_public_key"], PUBLIC_KEY_SIZE),
+            recipient=_hex(obj["recipient"], 20),
             amount=_int(obj["amount"]),
             fee=_int(obj["fee"]),
             nonce=_int(obj["nonce"]),
-            payload=_hex(obj["payload"]),
-            signature=_hex(obj["signature"]),
+            payload=payload,
+            signature=_hex(obj["signature"], SIGNATURE_SIZE),
         )
 
 
@@ -299,15 +309,15 @@ class Block:
         for pair in _list(obj.get("allocations", [])):
             if len(_list(pair)) != 2:
                 raise ValueError("an allocation is an [address, amount] pair")
-            allocations.append((_hex(pair[0]), _int(pair[1])))
+            allocations.append((_hex(pair[0], 20), _int(pair[1])))
         return Block(
             height=_int(obj["height"]),
-            prev_hash=_hex(obj["prev_hash"]),
+            prev_hash=_hex(obj["prev_hash"], 32),
             timestamp=_int(obj["timestamp"]),
-            difficulty_bits=_int(obj["difficulty_bits"]),
+            difficulty_bits=_int(obj["difficulty_bits"], 0xFF),
             pow_nonce=_int(obj["pow_nonce"]),
-            miner=_hex(obj["miner"]),
-            tx_root=_hex(obj["tx_root"]),
+            miner=_hex(obj["miner"], 20),
+            tx_root=_hex(obj["tx_root"], 32),
             transactions=tuple(Transaction.from_json(t) for t in _list(obj["transactions"])),
             allocations=tuple(allocations),
         )
@@ -358,17 +368,18 @@ _verified_signatures: OrderedDict = OrderedDict()
 
 
 def check_signature(tx: Transaction) -> None:
-    """Raise TxError unless ``tx``'s payload fits and its signature verifies.
+    """Raise TxError unless ``tx``'s signature verifies.
 
-    The one admission check of block validation and the mempool. Signature
-    validity is a pure function of the transaction bytes, so a pass is
-    remembered process-wide by ``tx_hash`` (which covers every byte,
-    signature included) and every simulated node shares it; failures are
-    never remembered. A hit also needs the standard key and signature
-    widths: only then do equal encodings give ``verify`` equal arguments.
-    The oldest pass is forgotten once ``SIGNATURE_CACHE_SIZE`` are held."""
-    if len(tx.payload) > MAX_PAYLOAD_BYTES:
-        raise TxError("payload_too_large")
+    The one admission check of block validation and the mempool. The field
+    rules are the decoders'; a directly built ``Transaction`` with an
+    oversized payload still raises ``payload_too_large``, from ``tx_hash``,
+    before any verify. Signature validity is a pure function of the
+    transaction bytes, so a pass is remembered process-wide by ``tx_hash``
+    (which covers every byte, signature included) and every simulated node
+    shares it; failures are never remembered. A hit also needs the standard
+    key and signature widths, which every decoded transaction has: only then
+    do equal encodings give ``verify`` equal arguments. The oldest pass is
+    forgotten once ``SIGNATURE_CACHE_SIZE`` are held."""
     key = tx.tx_hash
     if (
         key in _verified_signatures
@@ -427,36 +438,7 @@ def apply_block(state: AccountState, block: Block) -> AccountState:
     return new
 
 
-def check_fields(block: Block) -> None:
-    """Reject a field the binary encodings cannot carry: a wrong-width hash
-    or address, an integer outside its packed range, or an oversized
-    payload. Runs before anything hashes or signs the block, so a decoded
-    chain line or gossiped block that passes the JSON parse still fails
-    with a cause code rather than a packing error. Runs on every block
-    validation, so the checks are inline comparisons."""
-    if len(block.prev_hash) != 32 or len(block.tx_root) != 32 or len(block.miner) != 20:
-        raise BlockError("malformed", "header hash or miner width")
-    if not (
-        0 <= block.height <= U64_MAX
-        and 0 <= block.timestamp <= U64_MAX
-        and 0 <= block.pow_nonce <= U64_MAX
-        and 0 <= block.difficulty_bits <= 0xFF
-    ):
-        raise BlockError("malformed", "header integer outside its packed range")
-    for address, amount in block.allocations:
-        if len(address) != 20 or not 0 <= amount <= U64_MAX:
-            raise BlockError("malformed", "allocation address width or amount range")
-    for i, tx in enumerate(block.transactions):
-        if len(tx.payload) > MAX_PAYLOAD_BYTES:
-            raise BlockError("bad_tx", f"tx {i}: payload_too_large", tx_index=i)
-        if len(tx.recipient) != 20 or not (
-            0 <= tx.amount <= U64_MAX and 0 <= tx.fee <= U64_MAX and 0 <= tx.nonce <= U64_MAX
-        ):
-            raise BlockError("malformed", f"tx {i}: recipient width or u64 range", tx_index=i)
-
-
 def validate_genesis(block: Block) -> None:
-    check_fields(block)
     if block.height != 0:
         raise BlockError("bad_genesis", "genesis height must be 0")
     if block.prev_hash != ZERO_HASH:
@@ -477,10 +459,10 @@ def validate_block(block: Block, parent: Block, state_at_parent: AccountState) -
     """Full validation of ``block`` against its parent and parent state;
     returns the state after it.
 
-    The checks that need no state come first (fields, link, root, PoW,
-    duplicate transactions and every signature), then ``apply_block`` is
-    the state check, so a block is validated and applied in one pass."""
-    check_fields(block)
+    The checks that need no state come first (link, root, PoW, duplicate
+    transactions and every signature), then ``apply_block`` is the state
+    check, so a block is validated and applied in one pass. Field widths and
+    ranges are the decoders': a decoded block can always be encoded."""
     if block.height != parent.height + 1:
         raise BlockError("bad_height", f"{block.height} != {parent.height + 1}")
     if block.prev_hash != parent.block_hash:

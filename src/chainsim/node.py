@@ -32,21 +32,8 @@ def encode_blocks(blocks: list) -> bytes:
     return ledger.canonical_json([b.to_json() for b in blocks])
 
 
-def decode_block(body: bytes) -> Block:
-    """One gossiped block, its fields checked before anything hashes it."""
-    block = Block.decode(body)
-    ledger.check_fields(block)
-    return block
-
-
 def decode_blocks(body: bytes) -> tuple:
-    objs = json.loads(body)
-    if not isinstance(objs, list):
-        raise TypeError("BLOCKS body is not a list")
-    blocks = tuple(Block.from_json(obj) for obj in objs)
-    for block in blocks:
-        ledger.check_fields(block)
-    return blocks
+    return tuple(Block.from_json(obj) for obj in ledger._list(json.loads(body)))
 
 
 def decode_locator(body: bytes) -> tuple:
@@ -59,7 +46,7 @@ def _decode(kind: str, body: bytes):
     if kind == "TX_ANNOUNCE":
         return ledger.decode_transaction(body)
     if kind == "BLOCK_ANNOUNCE":
-        return decode_block(body)
+        return Block.decode(body)
     if kind == "GET_BLOCKS":
         return decode_locator(body)
     if kind == "BLOCKS":
@@ -98,7 +85,6 @@ class SimNode:
         index: int,
         seed: bytes,
         genesis: Block,
-        max_block_txs: int = ledger.MAX_BLOCK_TXS,
         persisted_lines: Optional[list] = None,
     ):
         self.sim = sim
@@ -106,7 +92,6 @@ class SimNode:
         self.keypair = generate_keypair(seed)
         self.node_id = node_id_from_public_key(self.keypair.public_key)
         self.address = self.node_id  # same 20-byte derivation
-        self.max_block_txs = max_block_txs
         self.store = BlockStore(genesis)
         self.snapshots: dict = {
             genesis.block_hash: ledger.apply_block(AccountState(), genesis)
@@ -315,16 +300,14 @@ class SimNode:
 
     # -- mining ------------------------------------------------------------
 
-    def build_template(self, difficulty_bits: Optional[int] = None) -> consensus.BlockTemplate:
+    def build_template(self) -> consensus.BlockTemplate:
         parent = self.head()
-        txs = self.mempool.select_for_block(self.max_block_txs)
-        if difficulty_bits is None:
-            difficulty_bits = self.sim.config.difficulty_bits
+        txs = self.mempool.select_for_block(ledger.MAX_BLOCK_TXS)
         return consensus.BlockTemplate(
             height=parent.height + 1,
             prev_hash=parent.block_hash,
             timestamp=max(self.sim.now, parent.timestamp),
-            difficulty_bits=difficulty_bits,
+            difficulty_bits=self.sim.config.difficulty_bits,
             miner=self.address,
             tx_root=ledger.compute_tx_root(txs),
             transactions=tuple(txs),

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import ledger
-from .blobstore import BlobStore, blob_link_payload
+from .blobstore import MAX_BLOB_BYTES, BlobStore, blob_link_payload
 from .crypto import address_from_public_key, generate_keypair
 from .kademlia import Contact
 from .ledger import make_genesis, make_transaction
@@ -35,7 +35,7 @@ SIM_INT_FIELDS = (
 )
 # the keys each JSON object of a scenario may hold; any other key is refused
 SCENARIO_KEYS = {"name", "num_nodes", "seed", "sim", "miners", "duration_ms",
-                 "genesis_allocations", "workload", "crashes", "restarts", "max_block_txs"}
+                 "genesis_allocations", "workload", "crashes", "restarts"}
 SIM_KEYS = {*SIM_INT_FIELDS, "drop_probability", "partition_schedule"}
 GENESIS_KEYS = {"address", "seed", "amount"}
 WORKLOAD_KEYS = {"time_ms", "node", "sender_seed", "recipient_address", "recipient_seed",
@@ -68,7 +68,6 @@ class Scenario:
     workload: list = field(default_factory=list)
     crashes: list = field(default_factory=list)  # (time_ms, node)
     restarts: list = field(default_factory=list)
-    max_block_txs: int = ledger.MAX_BLOCK_TXS
 
     def validate(self) -> None:
         try:
@@ -77,6 +76,17 @@ class Scenario:
             raise ScenarioError(str(e))
         if self.num_nodes < 1:
             raise ScenarioError("num_nodes must be >= 1")
+        # the integers the run packs: node_key_seed's signed seed, and each
+        # genesis amount and workload amount and fee as a u64
+        if not -(1 << 63) <= self.sim.rng_seed < 1 << 63:
+            raise ScenarioError("seed must be a signed 64-bit integer")
+        amounts = [n for _, n in self.genesis_allocations]
+        amounts += [n for item in self.workload for n in (item.amount, item.fee)]
+        if not all(0 <= n <= ledger.U64_MAX for n in amounts):
+            raise ScenarioError("amounts and fees must be in 0..2**64-1")
+        for item in self.workload:
+            if item.blob is not None and not 0 < len(item.blob) <= MAX_BLOB_BYTES:
+                raise ScenarioError(f"a workload blob must hold 1..{MAX_BLOB_BYTES} bytes")
 
         def check_node(idx, what):
             if not 0 <= idx < self.num_nodes:
@@ -129,6 +139,14 @@ def _resolve_address(entry: dict, key_prefix: str) -> bytes:
     raise ScenarioError(f"entry needs {key_prefix}address or {key_prefix}seed")
 
 
+def _node_index(key: str) -> int:
+    """A ``miners`` key: a node index in canonical decimal, one spelling per node."""
+    index = int(key)
+    if str(index) != key:
+        raise ScenarioError(f"miner key {key!r} is not a node index in canonical decimal")
+    return index
+
+
 def _json_int(value, what: str) -> int:
     if type(value) is not int:
         raise ScenarioError(f"{what} must be a JSON integer, not {value!r}")
@@ -154,7 +172,7 @@ def load_scenario(obj: dict) -> Scenario:
     try:
         sim_cfg = _known(obj.get("sim", {}), SIM_KEYS, "sim")
         miners = obj.get("miners", {})
-        shares = {int(k): _json_number(v, f"miner {k} share") for k, v in miners.items()}
+        shares = {_node_index(k): _json_number(v, f"miner {k} share") for k, v in miners.items()}
         fields = {k: _json_int(sim_cfg[k], f"sim.{k}") for k in SIM_INT_FIELDS if k in sim_cfg}
         if "drop_probability" in sim_cfg:
             fields["drop_probability"] = _json_number(
@@ -196,9 +214,6 @@ def load_scenario(obj: dict) -> Scenario:
             workload=workload,
             crashes=_schedule(obj, "crashes"),
             restarts=_schedule(obj, "restarts"),
-            max_block_txs=_json_int(
-                obj.get("max_block_txs", ledger.MAX_BLOCK_TXS), "max_block_txs"
-            ),
         )
     except (KeyError, ValueError, TypeError, AttributeError) as e:  # e.g. a list of miners
         raise ScenarioError(f"malformed scenario: {e!r}")
@@ -292,7 +307,6 @@ def run_scenario(
             index,
             node_key_seed(scenario.sim.rng_seed, index),
             genesis,
-            max_block_txs=scenario.max_block_txs,
             persisted_lines=persisted_lines,
         )
         if index != 0:

@@ -82,7 +82,7 @@ def test_verify_out_of_range_amount_fails_cleanly(tmp_path, capsys):
     chain = tmp_path / "chain.jsonl"
     chain.write_bytes(b"\n".join(lines) + b"\n")
     assert run_cli("verify", str(chain)) == 1
-    assert capsys.readouterr().out == "FAIL at height 1: malformed\n"
+    assert capsys.readouterr().out == "FAIL at height 1: parse_error\n"
 
 
 def test_verify_missing_file(capsys):
@@ -106,6 +106,10 @@ BAD_SCENARIO_VALUES = {
     "fractional_duration": (None, "duration_ms", 14000.5),
     "boolean_seed": (None, "seed", True),
     "miners_as_list": (None, "miners", [1.0]),
+    "miner_key_with_leading_zero": ("miners", "00", 0.3),  # beside "0": one node, two shares
+    "miner_key_with_space": ("miners", " 1", 0.5),
+    "seed_above_i64": (None, "seed", 1 << 63),
+    "seed_below_i64": (None, "seed", -(1 << 63) - 1),
 }
 
 
@@ -136,7 +140,7 @@ BAD_SCENARIO_ENTRIES = {
     "partition_fractional_end": ("partition_heal", ("sim", "partition_schedule", 0, 1), 3e4),
     "partition_boolean_member": ("partition_heal", ("sim", "partition_schedule", 0, 2, 1), True),
     "genesis_fractional_amount": ("tamper_detect", ("genesis_allocations", 0, "amount"), 1e4),
-    "max_block_txs_string": ("tamper_detect", ("max_block_txs",), "10"),
+    "max_block_txs_string": ("tamper_detect", ("max_block_txs",), "10"),  # an unknown key
     "unknown_top_level_key": ("tamper_detect", ("durration_ms",), 14000),
     "unknown_sim_key": ("tamper_detect", ("sim", "latency_mx_ms"), 10),
     "unknown_workload_key": ("churn_restart", ("workload", 0, "memo"), "rent"),
@@ -148,6 +152,11 @@ BAD_SCENARIO_ENTRIES = {
     "uppercase_recipient_address": ("churn_restart", ("workload", 0, "recipient_address"),
                                     "AB" * 20),
     "spaced_blob": ("churn_restart", ("workload", 0, "blob"), "ab cd"),
+    # integers the run packs as u64, and a blob the store refuses
+    "genesis_amount_above_u64": ("tamper_detect", ("genesis_allocations", 0, "amount"), 1 << 64),
+    "workload_negative_amount": ("churn_restart", ("workload", 0, "amount"), -1),
+    "workload_fee_above_u64": ("churn_restart", ("workload", 0, "fee"), 1 << 64),
+    "workload_empty_blob": ("churn_restart", ("workload", 0, "blob"), ""),
 }
 
 
@@ -166,6 +175,14 @@ def test_run_bad_scenario_entry_is_a_config_error(tmp_path, capsys, name, path, 
     assert run_cli("run", str(spath), "--out", str(tmp_path / "out"), "--quiet") == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", [1 << 63, -(1 << 63) - 1])
+def test_run_seed_override_out_of_range_is_a_config_error(tmp_path, capsys, seed):
+    out = tmp_path / "out"
+    assert run_cli("run", "tamper_detect", "--out", str(out), "--seed", str(seed)) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
 
 
 def test_run_writes_all_artifacts(tmp_path, capsys):
@@ -348,8 +365,10 @@ def test_serve_rpc_exits_0_on_ctrl_c(tmp_path):
 
 
 def _edited_chain(tmp_path, height, edit):
-    """A 4-block chain file whose line ``height`` went through ``edit``."""
-    _, blocks = build_chain(4, allocations=[(addr(1), 100)], difficulty=8)
+    """A 4-block chain file, one tx at height 1, whose line ``height`` went
+    through ``edit``."""
+    _, blocks = build_chain(4, allocations=[(addr(1), 100)], difficulty=8,
+                            tx_plan={1: [signed_tx(1, 2, 10, 1, 0)]})
     lines = ledger.chain_file_lines(blocks)
     obj = json.loads(lines[height])
     edit(obj)
@@ -389,6 +408,13 @@ BAD_CHAIN_LINES = {
                           "FAIL at height 1: parse_error\n"),
     "wrong_declared_height": (1, lambda obj: obj.update(height=2),
                               "FAIL at height 1: bad_height\n"),
+    # a field rule broken: the decoder refuses the line, as a retyped one
+    "short_miner": (1, lambda obj: obj.update(miner="00" * 19),
+                    "FAIL at height 1: parse_error\n"),
+    "negative_amount": (1, lambda obj: obj["transactions"][0].update(amount=-1),
+                        "FAIL at height 1: parse_error\n"),
+    "oversized_payload": (1, lambda obj: obj["transactions"][0].update(
+        payload="00" * (ledger.MAX_PAYLOAD_BYTES + 1)), "FAIL at height 1: parse_error\n"),
 }
 
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainsim import consensus, ledger
+from chainsim import consensus, ledger, node
 from chainsim.ledger import (
     AccountState,
     Block,
@@ -22,7 +22,6 @@ from chainsim.ledger import (
     canonical_json,
     replay_blocks,
     validate_block,
-    validate_genesis,
     verify_chain,
     verify_chain_lines,
 )
@@ -479,25 +478,23 @@ def _chain_lines_with(mutate, height=1):
 def test_sealed_short_miner_is_rejected():
     genesis = make_genesis([(addr(1), 100)])
     block = mine_child(genesis, miner=bytes(19))  # valid PoW over a 19-byte miner
-    with pytest.raises(BlockError) as e:
-        validate_block(block, genesis, apply_block(AccountState(), genesis))
-    assert e.value.code == "malformed"
+    with pytest.raises(ValueError):
+        Block.decode(block.encode())
     with pytest.raises(ChainError) as e:
         verify_chain_lines(ledger.chain_file_lines([genesis, block]))
-    assert (e.value.height, e.value.code) == (1, "malformed")
+    assert (e.value.height, e.value.code) == (1, "parse_error")
 
 
 @pytest.mark.parametrize("field,width", [("miner", 19), ("prev_hash", 31), ("tx_root", 33)])
-def test_validate_rejects_wrong_width_fields(field, width):
+def test_decode_rejects_wrong_width_fields(field, width):
     genesis = make_genesis([(addr(1), 100)])
-    block = mine_child(genesis)
-    state = apply_block(AccountState(), genesis)
-    with pytest.raises(BlockError) as e:
-        validate_block(replace(block, **{field: bytes(width)}), genesis, state)
-    assert e.value.code == "malformed"
-    with pytest.raises(BlockError) as e:
-        validate_genesis(replace(genesis, **{field: bytes(width)}))
-    assert e.value.code == "malformed"
+    for block in (mine_child(genesis), genesis):
+        obj = block.to_json()
+        obj[field] = bytes(width).hex()
+        with pytest.raises(ValueError):
+            Block.from_json(obj)
+        with pytest.raises(ValueError):
+            node.decode_blocks(canonical_json([obj]))
 
 
 @pytest.mark.parametrize("field,value", [
@@ -508,7 +505,7 @@ def test_out_of_range_tx_field_fails_at_its_height(field, value):
         obj["transactions"][0][field] = value
     with pytest.raises(ChainError) as e:
         verify_chain_lines(_chain_lines_with(mutate))
-    assert (e.value.height, e.value.code) == (1, "malformed")
+    assert (e.value.height, e.value.code) == (1, "parse_error")
 
 
 def test_signed_short_recipient_is_rejected():
@@ -518,7 +515,7 @@ def test_signed_short_recipient_is_rejected():
     block = mine_child(genesis, txs=[tx])
     with pytest.raises(ChainError) as e:
         verify_chain_lines(ledger.chain_file_lines([genesis, block]))
-    assert (e.value.height, e.value.code) == (1, "malformed")
+    assert (e.value.height, e.value.code) == (1, "parse_error")
 
 
 @pytest.mark.parametrize("field,value", [
@@ -529,7 +526,7 @@ def test_out_of_range_header_field_fails_at_its_height(field, value):
         obj[field] = value
     with pytest.raises(ChainError) as e:
         verify_chain_lines(_chain_lines_with(mutate, height=2))
-    assert (e.value.height, e.value.code) == (2, "malformed")
+    assert (e.value.height, e.value.code) == (2, "parse_error")
 
 
 def test_out_of_range_allocation_fails_at_genesis():
@@ -537,7 +534,7 @@ def test_out_of_range_allocation_fails_at_genesis():
         obj["allocations"][0][1] = -100
     with pytest.raises(ChainError) as e:
         verify_chain_lines(_chain_lines_with(mutate, height=0))
-    assert (e.value.height, e.value.code) == (0, "malformed")
+    assert (e.value.height, e.value.code) == (0, "parse_error")
 
 
 def test_oversized_payload_in_chain_file_fails_at_its_height():
@@ -545,7 +542,7 @@ def test_oversized_payload_in_chain_file_fails_at_its_height():
         obj["transactions"][0]["payload"] = "00" * (ledger.MAX_PAYLOAD_BYTES + 1)
     with pytest.raises(ChainError) as e:
         verify_chain_lines(_chain_lines_with(mutate))
-    assert (e.value.height, e.value.code) == (1, "bad_tx")
+    assert (e.value.height, e.value.code) == (1, "parse_error")
 
 
 # -- strict JSON decoding ------------------------------------------------------
@@ -583,39 +580,85 @@ def test_loosely_typed_allocations_fail_at_genesis(allocations):
     assert (e.value.height, e.value.code) == (0, "parse_error")
 
 
-u64 = st.integers(0, ledger.U64_MAX)
+# arbitrary widths and ranges: each drawn value meets every field rule or
+# breaks some, and `fitted` makes one that meets them all
+any_u64 = st.integers(-2, ledger.U64_MAX + 2)
 raw_tx_strategy = st.builds(
     Transaction,
     sender_public_key=st.binary(max_size=40),
     recipient=st.binary(max_size=24),
-    amount=u64,
-    fee=u64,
-    nonce=u64,
-    payload=st.binary(max_size=16),
+    amount=any_u64,
+    fee=any_u64,
+    nonce=any_u64,
+    payload=st.binary(max_size=16) | st.binary(min_size=1024, max_size=1026),
     signature=st.binary(max_size=70),
 )
 raw_block_strategy = st.builds(
     Block,
-    height=u64,
+    height=any_u64,
     prev_hash=st.binary(max_size=34),
-    timestamp=u64,
-    difficulty_bits=st.integers(0, 255),
-    pow_nonce=u64,
+    timestamp=any_u64,
+    difficulty_bits=st.integers(-2, 257),
+    pow_nonce=any_u64,
     miner=st.binary(max_size=22),
     tx_root=st.binary(max_size=34),
     transactions=st.lists(raw_tx_strategy, max_size=3).map(tuple),
-    allocations=st.lists(st.tuples(st.binary(max_size=22), u64), max_size=3).map(tuple),
+    allocations=st.lists(st.tuples(st.binary(max_size=22), any_u64), max_size=3).map(tuple),
 )
+REFUSED = (ValueError, TxError)  # a field rule broken; TxError for payload_too_large
 
 
-@given(raw_tx_strategy)
-def test_transaction_json_decode_inverts_encode(tx):
-    assert Transaction.from_json(json.loads(json.dumps(tx.to_json()))) == tx
+def _width(data: bytes, n: int) -> bytes:
+    return data[:n].ljust(n, b"\0")
 
 
-@given(raw_block_strategy)
-def test_block_decode_inverts_encode(block):
-    assert Block.decode(block.encode()) == block
+def _range(n: int, top: int = ledger.U64_MAX) -> int:
+    return min(max(n, 0), top)
+
+
+def fitted(value):
+    """``value`` with every field cut, padded or clamped to its rule."""
+    if isinstance(value, Transaction):
+        return Transaction(
+            _width(value.sender_public_key, 32), _width(value.recipient, 20),
+            _range(value.amount), _range(value.fee), _range(value.nonce),
+            value.payload[: ledger.MAX_PAYLOAD_BYTES], _width(value.signature, 64),
+        )
+    return replace(
+        value,
+        height=_range(value.height), prev_hash=_width(value.prev_hash, 32),
+        timestamp=_range(value.timestamp), difficulty_bits=_range(value.difficulty_bits, 0xFF),
+        pow_nonce=_range(value.pow_nonce), miner=_width(value.miner, 20),
+        tx_root=_width(value.tx_root, 32),
+        transactions=tuple(fitted(tx) for tx in value.transactions),
+        allocations=tuple((_width(a, 20), _range(n)) for a, n in value.allocations),
+    )
+
+
+@given(raw_tx_strategy, st.booleans())
+def test_transaction_json_decode_inverts_encode(tx, fit):
+    tx = fitted(tx) if fit else tx
+    obj = json.loads(json.dumps(tx.to_json()))
+    if fitted(tx) == tx:
+        decoded = Transaction.from_json(obj)
+        assert decoded == tx
+        assert decode_transaction(decoded.encode()) == tx  # and the binary form
+    else:
+        with pytest.raises(REFUSED):
+            Transaction.from_json(obj)
+
+
+@given(raw_block_strategy, st.booleans())
+def test_block_decode_inverts_encode(block, fit):
+    block = fitted(block) if fit else block
+    if fitted(block) == block:
+        decoded = Block.decode(block.encode())
+        assert decoded == block
+        assert len(decoded.header_bytes()) == 109  # each header field packs at its width
+        ledger.compute_tx_root(decoded.transactions, decoded.allocations)  # and the body
+    else:
+        with pytest.raises(REFUSED):
+            Block.decode(block.encode())
 
 
 # -- the account-state transition ------------------------------------------------

@@ -65,6 +65,16 @@ def test_load_rejects_bad_references():
         load_scenario({"name": "x"})  # missing required keys
 
 
+def test_oversized_workload_blob_is_refused_at_load():
+    """The store's bound, checked before the run, not when the blob is put."""
+    from chainsim.blobstore import MAX_BLOB_BYTES
+
+    obj = tiny_scenario()
+    obj["workload"][0]["blob"] = "00" * (MAX_BLOB_BYTES + 1)
+    with pytest.raises(ScenarioError, match="blob"):
+        load_scenario(obj)
+
+
 def test_node_key_seed_is_stable_and_distinct():
     assert node_key_seed(1, 0) == node_key_seed(1, 0)
     assert node_key_seed(1, 0) != node_key_seed(1, 1)
