@@ -76,15 +76,18 @@ def mine(template: BlockTemplate, start_nonce: int = 0, max_attempts: int = 1 <<
     d = template.difficulty_bits
     if not 0 <= d <= 255:
         raise ValueError("difficulty_bits out of range")
-    # meets_difficulty per attempt, inlined: the digest as an integer is
-    # below 2^(256 - d) iff its first d bits are zero
-    target = 1 << (256 - d)
+    # meets_difficulty per attempt, inlined: the digest's first d bits are
+    # zero iff, read big-endian, it is at most 2^(256 - d) - 1; equal-length
+    # bytes compare as their big-endian integers, and d = 0 admits all
+    ceiling = ((1 << (256 - d)) - 1).to_bytes(32, "big")
     header = template.seal(0).header_bytes()
-    # rebuild just the nonce's 8 bytes of the header per attempt
-    head, tail = header[:POW_NONCE_OFFSET], header[POW_NONCE_OFFSET + 8 :]
-    pack, from_bytes = _NONCE.pack, int.from_bytes
+    # hash the bytes before the nonce once, and per attempt only the rest
+    head, tail = sha256(header[:POW_NONCE_OFFSET]), header[POW_NONCE_OFFSET + 8 :]
+    copy, pack = head.copy, _NONCE.pack
     for nonce in range(start_nonce, start_nonce + max_attempts):
-        if from_bytes(sha256(head + pack(nonce) + tail).digest(), "big") < target:
+        attempt = copy()
+        attempt.update(pack(nonce) + tail)
+        if attempt.digest() <= ceiling:
             return template.seal(nonce)
     raise MiningExhausted(max_attempts)
 

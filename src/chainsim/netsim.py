@@ -9,7 +9,8 @@ of ``SimConfig.partition_schedule``. All randomness (latency, drops,
 mining delays) comes from per-node RNG streams derived from (seed, node
 index, purpose), so replaying a scenario with the same seed reproduces the
 exact event trace. The ``Tracer`` streams that trace: each row is encoded
-and written to its sink as it is logged.
+and written to its sink as it is logged, a deliver row from a fixed
+format and any other row by ``ledger.canonical_json``'s encoder.
 
 ``send`` and the delivery path run once per message, so they are written
 for few interpreter calls; the latency draw inlines ``Random.randint``'s
@@ -19,7 +20,8 @@ path at four seams, which must stay:
 - every event runs through ``Simulator.step``, looked up on the class;
 - every message goes through ``Simulator.send``;
 - ``SimNode.handle(env, trace_row=...)`` gets an envelope with a ``.kind``;
-- ``scenario.FoldingTracer.log`` calls ``Tracer.log``.
+- ``scenario.FoldingTracer.log`` calls ``Tracer.log``, and
+  ``scenario.FoldingTracer.deliver`` calls ``Tracer.deliver``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import random
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional
 
 from .ledger import json_chunks
@@ -96,6 +99,21 @@ class Envelope(NamedTuple):
     body: bytes
 
 
+# Simulator._deliver's row as ledger.canonical_json writes it, keys in
+# sorted order: one format for no label and one for each label that
+# SimNode.handle may add. "kind" and "reject" take their JSON spelling.
+_DELIVER = '{"body_hash":"%s","from":%d,"kind":%s,"time":%d,"to":%d,"type":"deliver"}\n'
+_DELIVER_BLOCK = (
+    '{"block":"%s","body_hash":"%s","from":%d,"kind":%s,"time":%d,"to":%d,"type":"deliver"}\n'
+)
+_DELIVER_REJECT = (
+    '{"body_hash":"%s","from":%d,"kind":%s,"reject":%s,"time":%d,"to":%d,"type":"deliver"}\n'
+)
+_DELIVER_TX = (
+    '{"body_hash":"%s","from":%d,"kind":%s,"time":%d,"to":%d,"tx":"%s","type":"deliver"}\n'
+)
+
+
 class Tracer:
     """Encodes each trace row as it is logged, in ledger's canonical JSON,
     and writes the line to a binary sink; holds no rows.
@@ -103,10 +121,34 @@ class Tracer:
 
     def __init__(self, sink=None):
         self.sink = io.BytesIO() if sink is None else sink
+        self._kinds: dict = {}  # each deliver row kind -> its JSON string literal
 
     def log(self, row: dict) -> None:
         """Write ``row``, which must be complete: it is encoded now."""
         self.sink.write(("".join(json_chunks(row, 0)) + "\n").encode())
+
+    def deliver(self, row: dict) -> None:
+        """``log`` for a row of ``Simulator._deliver``'s shape, written from
+        a fixed format: the same bytes, at about a third of the cost.
+        ``time``, ``from`` and ``to`` are ints; ``body_hash`` and a ``tx``
+        or ``block`` label are lowercase hex."""
+        kind = row["kind"]
+        kind_json = self._kinds.get(kind)
+        if kind_json is None:
+            kind_json = self._kinds[kind] = encode_basestring_ascii(kind)
+        if "tx" in row:
+            line = _DELIVER_TX % (
+                row["body_hash"], row["from"], kind_json, row["time"], row["to"], row["tx"])
+        elif "block" in row:
+            line = _DELIVER_BLOCK % (
+                row["block"], row["body_hash"], row["from"], kind_json, row["time"], row["to"])
+        elif "reject" in row:
+            reject_json = encode_basestring_ascii(row["reject"])
+            line = _DELIVER_REJECT % (
+                row["body_hash"], row["from"], kind_json, reject_json, row["time"], row["to"])
+        else:
+            line = _DELIVER % (row["body_hash"], row["from"], kind_json, row["time"], row["to"])
+        self.sink.write(line.encode())
 
     def lines(self) -> list:
         """The in-memory buffer's lines."""
@@ -278,7 +320,7 @@ class Simulator:
             "body_hash": body_hash,
         }
         node.handle(env, trace_row=row)
-        self.tracer.log(row)
+        self.tracer.deliver(row)
 
     # -- mining ------------------------------------------------------------
 

@@ -54,16 +54,11 @@ class RpcError(Exception):
 
 
 def _require_hex(params: dict, key: str, length: Optional[int] = None) -> bytes:
-    value = params.get(key)
-    if not isinstance(value, str):
-        raise RpcError(INVALID_PARAMS, f"missing or non-string param '{key}'")
     try:
-        raw = ledger._hex(value)  # one spelling per value, as in chain files
-    except ValueError:
-        raise RpcError(INVALID_PARAMS, f"param '{key}' is not lowercase hex")
-    if length is not None and len(raw) != length:
-        raise RpcError(INVALID_PARAMS, f"param '{key}' must be {length} bytes")
-    return raw
+        # one spelling and one width per value, as in chain files
+        return ledger._hex(params.get(key), length)
+    except (TypeError, ValueError) as e:  # missing, not a string, or not the hex rule
+        raise RpcError(INVALID_PARAMS, f"param '{key}': {e}")
 
 
 class RpcDispatcher:

@@ -129,10 +129,7 @@ def _seed_bytes(value: str) -> bytes:
 
 def _resolve_address(entry: dict, key_prefix: str) -> bytes:
     if f"{key_prefix}address" in entry:
-        raw = ledger._hex(entry[f"{key_prefix}address"])
-        if len(raw) != 20:
-            raise ScenarioError(f"{key_prefix}address must be 20 bytes")
-        return raw
+        return ledger._hex(entry[f"{key_prefix}address"], 20)
     if f"{key_prefix}seed" in entry:
         kp = generate_keypair(_seed_bytes(entry[f"{key_prefix}seed"]))
         return address_from_public_key(kp.public_key)
@@ -245,6 +242,10 @@ class FoldingTracer(Tracer):
     def log(self, row: dict) -> None:
         self.fold.add(row)
         Tracer.log(self, row)
+
+    def deliver(self, row: dict) -> None:
+        self.fold.add(row)
+        Tracer.deliver(self, row)
 
 
 @dataclass

@@ -152,6 +152,11 @@ BAD_SCENARIO_ENTRIES = {
     "uppercase_recipient_address": ("churn_restart", ("workload", 0, "recipient_address"),
                                     "AB" * 20),
     "spaced_blob": ("churn_restart", ("workload", 0, "blob"), "ab cd"),
+    # an address is exactly 20 bytes
+    "recipient_address_19_bytes": ("churn_restart", ("workload", 0, "recipient_address"),
+                                   "ab" * 19),
+    "genesis_address_21_bytes": ("tamper_detect", ("genesis_allocations", 0, "address"),
+                                 "ab" * 21),
     # integers the run packs as u64, and a blob the store refuses
     "genesis_amount_above_u64": ("tamper_detect", ("genesis_allocations", 0, "amount"), 1 << 64),
     "workload_negative_amount": ("churn_restart", ("workload", 0, "amount"), -1),

@@ -337,6 +337,41 @@ def test_chain_file_round_trip(tmp_path):
     verify_chain_lines(lines)
 
 
+@st.composite
+def valid_chains(draw):
+    """A genesis with drawn allocations, then up to four sealed blocks of
+    signed transfers from its funded keys: a chain ``verify_chain_lines``
+    accepts."""
+    funded = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True))
+    others = draw(st.lists(st.tuples(st.binary(min_size=20, max_size=20),
+                                     st.integers(0, ledger.U64_MAX)), max_size=2))
+    genesis = make_genesis([(addr(i), 1_000) for i in funded] + others,
+                           timestamp=draw(st.integers(0, 1 << 40)))
+    blocks, nonces = [genesis], dict.fromkeys(funded, 0)
+    for _ in range(draw(st.integers(0, 4))):
+        txs = []
+        for sender, recipient, amount, payload in draw(st.lists(st.tuples(
+            st.sampled_from(funded), st.integers(1, 30), st.integers(0, 50),
+            st.binary(max_size=40),
+        ), max_size=3)):
+            txs.append(signed_tx(sender, recipient, amount, 1, nonces[sender], payload))
+            nonces[sender] += 1
+        blocks.append(mine_child(
+            blocks[-1], txs, miner=addr(draw(st.integers(1, 30))),
+            difficulty=draw(st.integers(0, 4)),
+            timestamp=blocks[-1].timestamp + draw(st.integers(0, 5_000)),
+        ))
+    return blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_chains())
+def test_chain_file_lines_decode_to_the_same_blocks(blocks):
+    lines = ledger.chain_file_lines(blocks)
+    assert ledger.decode_chain_lines(lines) == blocks
+    verify_chain_lines(lines)  # valid, not only decodable
+
+
 def test_verify_chain_lines_reports_parse_error_height():
     _, blocks = _chain_with_txs()
     lines = ledger.chain_file_lines(blocks)

@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chainsim.ledger import canonical_json
 from chainsim.netsim import DECODE_CACHE_SIZE, Envelope, SimConfig, Simulator, Tracer
+from chainsim.scenario import FoldingTracer
 
 
 class Recorder:
@@ -184,6 +186,38 @@ def test_tracer_lines_match_per_row_json_dumps(rows):
     assert t.lines() == [
         json.dumps(row, sort_keys=True, separators=(",", ":")).encode() for row in rows
     ]
+
+
+HEX32 = st.binary(min_size=32, max_size=32).map(bytes.hex)
+WIDE_INTS = st.integers(-(1 << 63), 1 << 63)
+KINDS = st.sampled_from(["TX_ANNOUNCE", "BLOCK_ANNOUNCE", "GET_BLOCKS", "BLOCKS"]) | st.text()
+# rows of Simulator._deliver's shape: no label, or the one SimNode.handle adds
+deliver_rows = st.builds(
+    lambda row, label: {**row, **label},
+    st.fixed_dictionaries({"time": WIDE_INTS, "type": st.just("deliver"), "from": WIDE_INTS,
+                           "to": WIDE_INTS, "kind": KINDS, "body_hash": HEX32}),
+    st.just({}) | st.fixed_dictionaries({"tx": HEX32}) | st.fixed_dictionaries({"block": HEX32})
+    | st.fixed_dictionaries({"reject": st.just("malformed") | st.text()}),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(deliver_rows, max_size=6))
+def test_deliver_writes_the_canonical_json_line(rows):
+    t = Tracer()
+    for row in rows:
+        t.deliver(row)
+    assert t.sink.getvalue() == b"".join(canonical_json(row) + b"\n" for row in rows)
+
+
+@given(st.lists(deliver_rows, max_size=6))
+def test_folding_tracer_folds_and_writes_a_delivered_row_as_a_logged_one(rows):
+    delivered, logged = FoldingTracer(), FoldingTracer()
+    for row in rows:
+        delivered.deliver(row)
+        logged.log(row)
+    assert vars(delivered.fold) == vars(logged.fold)
+    assert delivered.lines() == logged.lines()
 
 
 def test_drain_deliveries_runs_all_but_timers_in_order():

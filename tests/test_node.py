@@ -477,8 +477,10 @@ def test_each_distinct_body_is_hashed_once_per_run(monkeypatch):
 def test_every_deliver_row_for_one_item_shares_one_label(monkeypatch):
     sim = make_net(5)
     logged = []  # each row as it reaches the tracer, before it is encoded
-    log = sim.tracer.log
-    monkeypatch.setattr(sim.tracer, "log", lambda row: logged.append(row) or log(row))
+    for name in ("log", "deliver"):
+        write = getattr(sim.tracer, name)
+        monkeypatch.setattr(sim.tracer, name,
+                            lambda row, write=write: logged.append(row) or write(row))
     tx = signed_tx(1, 2, 10, 1, 0)
     sim.nodes[0].on_transaction(tx)
     sim.drain_deliveries()

@@ -203,6 +203,19 @@ def test_hex_params_have_one_spelling(spell):
         assert call(d, method, {key: spell(value)})["error"]["code"] == INVALID_PARAMS
 
 
+@pytest.mark.parametrize("method,key,width", [
+    ("chain_getBalance", "address", 20),
+    ("chain_getBlockByHash", "hash", 32),
+    ("chain_getTransactionStatus", "hash", 32),
+])
+@pytest.mark.parametrize("off_by", [-1, 1])
+def test_hex_params_have_one_width(method, key, width, off_by):
+    sim, node = make_node()
+    reply = call(RpcDispatcher(node), method, {key: "ab" * (width + off_by)})
+    assert reply["error"]["code"] == INVALID_PARAMS
+    assert f"'{key}'" in reply["error"]["message"]
+
+
 def raw_post(port: int, length: str, body: bytes = b"") -> bytes:
     """One hand-written POST; the whole reply, or a timeout if none comes."""
     head = f"POST / HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n".encode()
