@@ -12,13 +12,11 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from .crypto import hash_bytes
 
 MAX_BLOB_BYTES = 16 * 1024 * 1024
 BLOB_LINK_TAG = 0x01
-BLOB_LINK_LEN = 36  # tag(1) + digest(32) + reserved(3)
 
 
 class BlobStoreError(Exception):
@@ -78,20 +76,9 @@ class BlobStore:
             raise BlobIntegrityError(digest.hex())
         return blob
 
-    def has(self, digest: bytes) -> bool:
-        return self._path(digest).exists()
-
 
 def blob_link_payload(digest: bytes) -> bytes:
     """36-byte transaction payload marking an off-chain blob link."""
     if len(digest) != 32:
         raise ValueError("digest must be 32 bytes")
     return bytes([BLOB_LINK_TAG]) + digest + bytes(3)
-
-
-def link_in_transaction(payload: bytes) -> Optional[BlobRef]:
-    """Parse a blob link from a transaction payload; None when the payload
-    is anything else (opaque)."""
-    if len(payload) != BLOB_LINK_LEN or payload[0] != BLOB_LINK_TAG:
-        return None
-    return BlobRef(digest=payload[1:33], size_bytes=0)

@@ -90,10 +90,3 @@ def mine(template: BlockTemplate, start_nonce: int = 0, max_attempts: int = 1 <<
         if attempt.digest() <= ceiling:
             return template.seal(nonce)
     raise MiningExhausted(max_attempts)
-
-
-def count_attempts(template: BlockTemplate, start_nonce: int = 0, max_attempts: int = 1 << 24) -> int:
-    """Number of hash attempts mine() needs for this template (>= 1)."""
-    block = mine(template, start_nonce, max_attempts)
-    return block.pow_nonce - start_nonce + 1
-

@@ -94,14 +94,6 @@ class RoutingTable:
         closest = sorted(self.contacts(), key=lambda c: xor_distance(c.node_id, target))
         return closest[:n]
 
-    def audit(self) -> None:
-        """Assert the bucket-placement and size invariants; test hook."""
-        for i, bucket in enumerate(self.buckets):
-            assert len(bucket) <= self.k, f"bucket {i} over capacity"
-            for c in bucket:
-                assert c.node_id != self.owner, "owner stored in own table"
-                assert bucket_index(self.owner, c.node_id) == i, "misplaced contact"
-
 
 class LookupFailed(Exception):
     pass

@@ -416,26 +416,69 @@ def apply_tx(state: AccountState, tx: Transaction) -> None:
 
 
 def apply_block(state: AccountState, block: Block) -> AccountState:
-    """Replay ``block`` onto a copy of ``state``; atomic, pure.
+    """Replay ``block`` onto a copy of ``state`` (see ``settle_block``);
+    atomic, pure."""
+    new = state.copy()
+    settle_block(new, block)
+    return new
+
+
+def settle_block(state: AccountState, block: Block) -> None:
+    """Settle ``block`` onto ``state`` in place.
 
     Transactions settle in order through ``apply_tx``, then the miner is
     credited the block reward plus total fees. Genesis only credits its
     allocations. Checks no signature: ``validate_block`` does that first.
+    A BlockError leaves ``state`` part-settled, so ``apply_block`` settles a
+    copy; settle in place only a block already validated on this state.
     """
-    new = state.copy()
+    balances = state.balances
     if block.height == 0:
         for addr, amount in block.allocations:
-            new.balances[addr] = new.balances.get(addr, 0) + amount
-        return new
+            balances[addr] = balances.get(addr, 0) + amount
+        return
     fees = 0
     for i, tx in enumerate(block.transactions):
         try:
-            apply_tx(new, tx)
+            apply_tx(state, tx)
         except TxError as e:
             raise BlockError("bad_tx", f"tx {i}: {e.code}", tx_index=i) from e
         fees += tx.fee
-    new.balances[block.miner] = new.balance(block.miner) + block_reward(block.height) + fees
-    return new
+    balances[block.miner] = balances.get(block.miner, 0) + block_reward(block.height) + fees
+
+
+def block_undo(state: AccountState, block: Block) -> tuple:
+    """The undo record of ``block`` over ``state``, the state before it, as
+    Bitcoin Core's ``CBlockUndo`` is of a block's spent outputs: an
+    address, balance and nonce for each account the block touches, holding
+    what ``state`` held, or None where it held no entry, so that
+    ``rewind_block`` restores which keys are present too. One flat tuple
+    of those triples, three fields per account, as a node keeps one per
+    stored block."""
+    touched = [block.miner] if block.height else [a for a, _ in block.allocations]
+    for tx in block.transactions:
+        touched += (tx.sender, tx.recipient)
+    balances, nonces = state.balances, state.nonces
+    undo = []
+    for address in dict.fromkeys(touched):
+        undo += (address, balances.get(address), nonces.get(address))
+    return tuple(undo)
+
+
+def rewind_block(state: AccountState, undo: tuple) -> None:
+    """Take a block off ``state``, the state after it, in place, given its
+    ``block_undo`` record: ``state`` becomes the state before the block."""
+    balances, nonces = state.balances, state.nonces
+    fields = iter(undo)
+    for address, balance, nonce in zip(fields, fields, fields):
+        if balance is None:
+            balances.pop(address, None)
+        else:
+            balances[address] = balance
+        if nonce is None:
+            nonces.pop(address, None)
+        else:
+            nonces[address] = nonce
 
 
 def validate_genesis(block: Block) -> None:
@@ -551,17 +594,24 @@ class BlockStore:
             and self.canonical[block.height] == block_hash
         )
 
+    def branch(self, tip: bytes) -> tuple:
+        """``(fork, blocks)``: the stored blocks from ``tip`` down to the
+        canonical chain, ``tip`` first, and the height of the canonical
+        block they fork from (``tip``'s own height, and no blocks, when
+        ``tip`` is canonical)."""
+        blocks = []
+        h = tip
+        while not self.is_canonical(h):
+            block = self.blocks[h]
+            blocks.append(block)
+            h = block.prev_hash
+        return self.blocks[h].height, blocks
+
     def set_canonical(self, tip: bytes) -> tuple:
         """Make ``tip`` the canonical head. Returns ``(displaced, adopted)``:
         the blocks that left and joined the canonical chain, each in height
         order. Only those blocks are touched."""
-        adopted = []
-        h = tip
-        while not self.is_canonical(h):
-            block = self.blocks[h]
-            adopted.append(block)
-            h = block.prev_hash
-        fork = self.blocks[h].height
+        fork, adopted = self.branch(tip)
         displaced = [self.blocks[d] for d in self.canonical[fork + 1 :]]
         del self.canonical[fork + 1 :]
         for block in displaced:

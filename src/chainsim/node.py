@@ -20,6 +20,9 @@ from .mempool import Mempool
 from .netsim import _remember
 
 ORPHAN_POOL_CAP = 64
+# side-branch block states a node holds, newest last: a branch that arrives
+# in order (a BLOCKS page after a heal) finds each parent's state here
+SIDE_STATE_CAP = 8
 SYNC_PAGE_SIZE = 32
 # what decoding a peer's body can raise; JSON also yields OverflowError
 # (an int field of Infinity) and RecursionError (deep nesting)
@@ -93,9 +96,9 @@ class SimNode:
         self.node_id = node_id_from_public_key(self.keypair.public_key)
         self.address = self.node_id  # same 20-byte derivation
         self.store = BlockStore(genesis)
-        self.snapshots: dict = {
-            genesis.block_hash: ledger.apply_block(AccountState(), genesis)
-        }
+        self._state = ledger.apply_block(AccountState(), genesis)  # at the canonical tip
+        self.undo: dict = {}  # stored block hash -> its ledger.block_undo record
+        self.side_states: dict = {}  # side-branch block hash -> state after it, oldest first
         self.mempool = Mempool()
         self.routing = RoutingTable(self.node_id)
         self.orphan_pool: dict = {}  # block hash -> Block, oldest first
@@ -109,17 +112,41 @@ class SimNode:
 
     @property
     def canonical_state(self) -> AccountState:
-        return self.snapshots[self.store.canonical_tip]
+        return self._state
 
     def head(self) -> Block:
         return self.store.blocks[self.store.canonical_tip]
 
+    def state_at(self, block_hash: bytes) -> AccountState:
+        """The account state after stored block ``block_hash``, not to be
+        mutated. The canonical tip's is the canonical state, and a recent
+        side-branch block's is held in ``side_states``. Any other is
+        derived: the canonical state, copied, rewound to the fork with the
+        undo records, then the branch settled again."""
+        store = self.store
+        if block_hash == store.canonical_tip:
+            return self._state
+        state = self.side_states.get(block_hash)
+        if state is not None:
+            return state
+        fork, branch = store.branch(block_hash)
+        state = self._state.copy()
+        for d in reversed(store.canonical[fork + 1 :]):
+            ledger.rewind_block(state, self.undo[d])
+        for block in reversed(branch):
+            ledger.settle_block(state, block)
+        return state
+
     def _load_persisted(self, lines: list) -> None:
         blocks = ledger.decode_chain_lines(lines)
-        states = list(ledger.replay_blocks(blocks))  # refuse corrupt persistence
-        for block, state in zip(blocks[1:], states[1:]):
-            self.snapshots[block.block_hash] = state
+        states = ledger.replay_blocks(blocks)  # refuses corrupt persistence
+        next(states)  # genesis, whose state the constructor holds
+        state = self._state
+        for block, after in zip(blocks[1:], states):
+            self.undo[block.block_hash] = ledger.block_undo(state, block)
             self.store.insert(block)
+            state = after
+        self._state = state
 
     def persist_chain_lines(self) -> list:
         return ledger.chain_file_lines(self.store.canonical_chain())
@@ -253,15 +280,21 @@ class SimNode:
 
     def _connect(self, block: Block) -> str:
         parent = self.store.blocks[block.prev_hash]
+        parent_state = self.state_at(parent.block_hash)
         try:
-            state = ledger.validate_block(block, parent, self.snapshots[parent.block_hash])
+            state = ledger.validate_block(block, parent, parent_state)
         except ledger.BlockError as e:
             return f"rejected:{e.code}"
-        self.snapshots[block.block_hash] = state
+        h = block.block_hash
+        self.undo[h] = ledger.block_undo(parent_state, block)
         displaced, adopted = self.store.insert(block)
         if adopted:
+            self._state = state  # the block was just validated on its parent's state
             self._adopt(displaced, adopted)
             return "adopted"
+        self.side_states[h] = state
+        if len(self.side_states) > SIDE_STATE_CAP:
+            del self.side_states[next(iter(self.side_states))]
         return "side_chain"
 
     def _adopt(self, displaced_blocks: list, adopted: list) -> None:

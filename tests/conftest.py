@@ -5,6 +5,7 @@ import pytest
 
 from chainsim import consensus, ledger
 from chainsim.crypto import address_from_public_key, generate_keypair
+from chainsim.kademlia import bucket_index
 from chainsim.ledger import AccountState, BlockStore, make_genesis, make_transaction
 
 
@@ -45,6 +46,21 @@ def mine_child(parent, txs=(), miner=None, difficulty=4, timestamp=None):
         transactions=txs,
     )
     return consensus.mine(template, start_nonce=0)
+
+
+def count_attempts(template, start_nonce: int = 0, max_attempts: int = 1 << 24) -> int:
+    """Number of hash attempts ``consensus.mine`` needs for this template (>= 1)."""
+    block = consensus.mine(template, start_nonce, max_attempts)
+    return block.pow_nonce - start_nonce + 1
+
+
+def audit_routing(table) -> None:
+    """Assert a RoutingTable's bucket-placement and size invariants."""
+    for i, bucket in enumerate(table.buckets):
+        assert len(bucket) <= table.k, f"bucket {i} over capacity"
+        for c in bucket:
+            assert c.node_id != table.owner, "owner stored in own table"
+            assert bucket_index(table.owner, c.node_id) == i, "misplaced contact"
 
 
 def build_chain(n_blocks, allocations=(), tx_plan=None, difficulty=4):

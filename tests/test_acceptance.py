@@ -23,7 +23,7 @@ from chainsim.netsim import SimConfig, Simulator
 from chainsim.node import SimNode
 from chainsim.scenario import load_scenario_file, run_scenario
 
-from conftest import addr, build_chain, signed_tx
+from conftest import addr, build_chain, count_attempts, signed_tx
 from test_mempool import oracle_select, rich_state
 
 
@@ -161,7 +161,7 @@ def test_criterion_05_pow_work_law():
                 miner=addr(1),
                 tx_root=ledger.compute_tx_root(()),
             )
-            total_attempts += consensus.count_attempts(template)
+            total_attempts += count_attempts(template)
         mean = total_attempts / mines
         assert 2**d / 2 <= mean <= 2**d * 2, f"d={d}: mean {mean:.0f}"
         results[d] = mean

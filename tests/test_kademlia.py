@@ -13,6 +13,8 @@ from chainsim.kademlia import (
     xor_distance,
 )
 
+from conftest import audit_routing
+
 
 def nid(i: int) -> bytes:
     return hash_bytes(b"kad" + i.to_bytes(8, "big"))[:20]
@@ -72,7 +74,7 @@ def test_observe_moves_known_contact_to_fresh_end():
     bucket = t.buckets[159]
     assert bucket[-1].node_id == bucket_members[0]
     assert [c.node_id for c in bucket] == bucket_members[1:] + bucket_members[:1]
-    t.audit()
+    audit_routing(t)
 
 
 def _fill_bucket(t, owner, idx, k):
@@ -104,7 +106,7 @@ def test_full_bucket_keeps_live_stalest():
     # live stalest kept, newcomer dropped
     assert newcomer not in [c.node_id for c in t.contacts()]
     assert t.buckets[159][-1].node_id == members[0]  # refreshed to MRS end
-    t.audit()
+    audit_routing(t)
 
 
 def test_full_bucket_evicts_dead_stalest():
@@ -122,7 +124,7 @@ def test_full_bucket_evicts_dead_stalest():
     known = [c.node_id for c in t.contacts()]
     assert members[0] not in known
     assert newcomer in known
-    t.audit()
+    audit_routing(t)
 
 
 def test_find_closest_matches_brute_force():
@@ -164,7 +166,7 @@ def test_contacts_follow_every_bucket_change(ops):
             t.find_closest(POOL[pick % len(POOL)], 3)
             assert t.contacts() is before
             assert list(before) == [c for b in t.buckets for c in b]
-    t.audit()
+    audit_routing(t)
 
 
 # -- iterative lookup ------------------------------------------------------

@@ -1,7 +1,9 @@
+import functools
 import hashlib
 import json
 from collections import OrderedDict
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from chainsim.ledger import AccountState, BlockStore, make_genesis
 from chainsim.netsim import DECODE_CACHE_SIZE, Envelope, SimConfig, Simulator
 from chainsim.node import SYNC_PAGE_SIZE, SimNode, decode_blocks, decode_message, encode_blocks
 
-from conftest import addr, mine_child, oversized_tx_body, signed_tx
+from conftest import addr, audit_routing, mine_child, oversized_tx_body, signed_tx
 
 
 def seed_of(i: int) -> bytes:
@@ -56,7 +58,7 @@ def test_join_populates_routing_tables():
     sim = make_net(6)
     for node in sim.nodes:
         assert len(node.routing) >= 1
-        node.routing.audit()
+        audit_routing(node.routing)
 
 
 def test_transaction_gossip_reaches_everyone():
@@ -372,8 +374,117 @@ def test_reloading_a_persisted_chain_applies_each_block_once(monkeypatch):
     # genesis's state is built by the constructor as well; mined blocks once each
     assert [h for h in applied if h != GENESIS.block_hash] == mined
     assert restored.store.canonical == node.store.canonical
-    for h in node.store.canonical:
-        assert restored.snapshots[h] == node.snapshots[h]
+    assert restored.undo == node.undo
+    for h in node.store.canonical:  # the state reached at each height, rewound from the tip
+        replayed = ledger._last_state(node.store.path_to_genesis(h))
+        assert restored.state_at(h) == node.state_at(h) == replayed
+
+
+# -- one state per node, undo records and side states ---------------------------
+
+class ReplayNode(SimNode):
+    """The reference: every state it validates against is replayed from genesis."""
+
+    def state_at(self, block_hash):
+        return ledger._last_state(self.store.path_to_genesis(block_hash))
+
+    @property
+    def canonical_state(self):
+        return self.state_at(self.store.canonical_tip)
+
+
+def lone(cls):
+    sim = Simulator(SimConfig(difficulty_bits=4, sync_interval_ms=0), 1)
+    sim.attach(0, cls(sim, 0, seed_of(0), GENESIS))
+    return sim.nodes[0]
+
+
+@functools.cache  # signing is the slow part of building a tree
+def tx_of(sender: int, recipient: int, amount: int, nonce: int):
+    return signed_tx(sender, recipient, amount, 1, nonce)
+
+
+def assert_states_replay(node):
+    """The canonical state, and the state derived at every stored block,
+    equal a replay from genesis, keys present included."""
+    store = node.store
+    assert node.canonical_state == ledger._last_state(store.path_to_genesis(store.canonical_tip))
+    for h in store.blocks:
+        assert node.state_at(h) == ledger._last_state(store.path_to_genesis(h))
+    assert len(node.side_states) <= node_mod.SIDE_STATE_CAP
+
+
+@st.composite
+def block_trees(draw):
+    """Blocks over GENESIS in arrival order. Each picks a parent among the
+    blocks before it, so forks and reorgs of any depth occur, and carries
+    txs that continue its branch's nonces or, now and then, replay or skip
+    one. Sender 2 starts unfunded and miner 4 unknown, so a branch decides
+    both balances and which keys exist. Arrival is a permutation: a child
+    that comes before its parent waits in the orphan pool."""
+    n = draw(st.integers(1, 12))
+    blocks, nonces = [GENESIS], [{1: 0, 2: 0}]
+    for i in range(1, n + 1):
+        p = i - 1 - draw(st.integers(0, i - 1))
+        nonce = dict(nonces[p])
+        txs = []
+        for sender in draw(st.lists(st.sampled_from([1, 2]), max_size=3)):
+            skew = draw(st.sampled_from([0, 0, 0, -1, 1]))
+            recipient, amount = draw(st.sampled_from([2, 3, 5])), draw(st.sampled_from([5, 40]))
+            txs.append(tx_of(sender, recipient, amount, max(0, nonce[sender] + skew)))
+            nonce[sender] += 1
+        blocks.append(mine_child(blocks[p], txs, miner=addr(draw(st.sampled_from([2, 3, 4])))))
+        nonces.append(nonce)
+    return [blocks[i] for i in draw(st.permutations(range(1, n + 1)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_trees(), st.sampled_from([1, 2, node_mod.SIDE_STATE_CAP]))
+def test_the_state_at_every_block_equals_a_replay_from_genesis(arrivals, cap):
+    node, reference = lone(SimNode), lone(ReplayNode)
+    with mock.patch.object(node_mod, "SIDE_STATE_CAP", cap):  # small bounds evict, so rewinds run
+        for block in arrivals:
+            assert node.on_block(block) == reference.on_block(block)
+            assert node.store.canonical == reference.store.canonical
+            assert_states_replay(node)
+
+
+def test_a_branch_past_the_side_state_bound_is_rewound_with_the_same_statuses(monkeypatch):
+    cap = node_mod.SIDE_STATE_CAP
+    main, side = [GENESIS], [GENESIS]
+    for n in range(cap + 4):
+        main.append(mine_child(main[-1], [tx_of(1, 2, 5, n)], miner=addr(3)))
+        pays_on = [tx_of(5, 2, 10, n - 1)] if n else []  # 5 is funded on this branch only
+        side.append(mine_child(side[-1], [tx_of(1, 5, 40, n)] + pays_on, miner=addr(4)))
+    fork = mine_child(side[1], [tx_of(5, 3, 20, 0)], miner=addr(2))
+    side_next = mine_child(side[-1], miner=addr(4))
+    main_next = mine_child(main[-1], miner=addr(3))
+    main_last = mine_child(main_next, miner=addr(3))
+    node, reference = lone(SimNode), lone(ReplayNode)
+    settled = []
+    real_settle = ledger.settle_block
+    monkeypatch.setattr(ledger, "settle_block", lambda state, block: (
+        settled.append(block.block_hash) or real_settle(state, block)))
+
+    by_node = []  # what the node settled in its last on_block
+
+    def arrive(block):
+        settled.clear()
+        status = node.on_block(block)
+        by_node[:] = settled
+        assert status == reference.on_block(block)
+        assert_states_replay(node)
+        return status
+
+    assert [arrive(b) for b in main[1:] + side[1:]] == ["adopted"] * (cap + 4) + ["side_chain"] * (cap + 4)
+    assert side[1].block_hash not in node.side_states  # the branch outgrew the bound
+    assert arrive(fork) == "side_chain"
+    # rewound to genesis, side[1] settled again, then the fork validated on that
+    assert by_node == [side[1].block_hash, fork.block_hash]
+    assert arrive(side_next) == "adopted"  # a reorg as deep as the main chain
+    assert arrive(main_next) == "side_chain"
+    assert by_node == [b.block_hash for b in main[1:]] + [main_next.block_hash]
+    assert arrive(main_last) == "adopted"
 
 
 # -- the run-wide decode map -----------------------------------------------------
