@@ -264,6 +264,13 @@ class Block:
     tx_root: bytes
     transactions: tuple = ()
     allocations: tuple = ()  # genesis only: ((address, amount), ...)
+    # encode's bytes once made. __init__ sets it (a default_factory does, a
+    # plain default would not), so every block has the key from the start:
+    # CPython shares one key table among a class's instances, and a key
+    # first set once many blocks exist gives each block a dict of its own.
+    _canonical: Optional[bytes] = field(
+        default_factory=type(None), init=False, repr=False, compare=False
+    )
 
     def header_bytes(self) -> bytes:
         return b"".join(
@@ -323,11 +330,27 @@ class Block:
         )
 
     def encode(self) -> bytes:
-        return canonical_json(self.to_json())
+        """The canonical JSON bytes, encoded once per block object: every
+        relay, ``BLOCKS`` page and chain-file line of the block reuses them."""
+        data = self._canonical
+        if data is None:
+            data = canonical_json(self.to_json())
+            object.__setattr__(self, "_canonical", data)
+        return data
 
     @staticmethod
     def decode(data: bytes) -> "Block":
         return Block.from_json(json.loads(data))
+
+
+def decode_relayed_block(data: bytes) -> Block:
+    """``Block.decode`` for a gossip body. A body in the canonical spelling,
+    which every relay sends, becomes the block's kept encoding, so the body
+    and the block hold one copy of those bytes."""
+    block = Block.decode(data)
+    if block.encode() == data:
+        object.__setattr__(block, "_canonical", data)
+    return block
 
 
 def make_genesis(allocations: Iterable[tuple], timestamp: int = 0) -> Block:

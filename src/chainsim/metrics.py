@@ -31,16 +31,25 @@ class MetricsFold:
         self.submit_time: dict = {}  # tx -> first relayed submission time
         self.last_announce: dict = {}  # block label -> last BLOCK_ANNOUNCE receipt
 
-    def add(self, row: dict) -> None:
-        time_ms = row["time"]
+    def deliver(self, time_ms: int, block=None) -> None:
+        """Fold a deliver row: its time, and ``block``, the block label of a
+        ``BLOCK_ANNOUNCE`` row (None for any other row, or for a body that
+        carries no label)."""
         if self.end_time is None or time_ms > self.end_time:
             self.end_time = time_ms
+        if block is not None:
+            self.last_announce[block] = max(self.last_announce.get(block, 0), time_ms)
+
+    def add(self, row: dict) -> None:
+        time_ms = row["time"]
         kind = row.get("type")
         if kind == "deliver":
-            if row.get("kind") == "BLOCK_ANNOUNCE":
-                label = row.get("block")
-                self.last_announce[label] = max(self.last_announce.get(label, 0), time_ms)
-        elif kind == "adopt":
+            announce = row.get("kind") == "BLOCK_ANNOUNCE"
+            self.deliver(time_ms, row.get("block") if announce else None)
+            return
+        if self.end_time is None or time_ms > self.end_time:
+            self.end_time = time_ms
+        if kind == "adopt":
             self.heads.append((time_ms, row["node"], row["height"]))
         elif kind == "mine":
             self.mine_rows.append(row)

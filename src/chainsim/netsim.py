@@ -9,19 +9,24 @@ of ``SimConfig.partition_schedule``. All randomness (latency, drops,
 mining delays) comes from per-node RNG streams derived from (seed, node
 index, purpose), so replaying a scenario with the same seed reproduces the
 exact event trace. The ``Tracer`` streams that trace: each row is encoded
-and written to its sink as it is logged, a deliver row from a fixed
-format and any other row by ``ledger.canonical_json``'s encoder.
+and written to its sink as it is logged, a deliver row by filling its
+body's record line (``Delivery``) and any other row by
+``ledger.canonical_json``'s encoder.
 
 ``send`` and the delivery path run once per message, so they are written
-for few interpreter calls; the latency draw inlines ``Random.randint``'s
-``getrandbits`` loop, draw for draw. Tools outside the package hook the
-path at four seams, which must stay:
+for few interpreter calls: the latency draw inlines ``Random.randint``'s
+``getrandbits`` loop, draw for draw, and everything a delivery needs that
+depends only on its ``(kind, body)`` is built once per body, in a record of
+the run-wide ``Simulator.records``. Tools outside the package hook the path
+at four seams, which must stay:
 
 - every event runs through ``Simulator.step``, looked up on the class;
 - every message goes through ``Simulator.send``;
-- ``SimNode.handle(env, trace_row=...)`` gets an envelope with a ``.kind``;
-- ``scenario.FoldingTracer.log`` calls ``Tracer.log``, and
-  ``scenario.FoldingTracer.deliver`` calls ``Tracer.deliver``.
+- ``SimNode.handle(env)`` gets an envelope with a ``.kind`` and returns the
+  body's ``Delivery`` record;
+- ``scenario.FoldingTracer.log(row)`` calls ``Tracer.log(row)``, and
+  ``scenario.FoldingTracer.deliver(time_ms, line, block)`` calls
+  ``Tracer.deliver(time_ms, line, block)``.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from typing import Callable, NamedTuple, Optional
 from .ledger import json_chunks
 
 
-# distinct gossip bodies held by each run-wide body map (see _remember);
+# distinct gossip bodies held in Simulator.records (see node.gossip_record);
 # perfbench chain_growth (seed 1) decodes 1,737
 DECODE_CACHE_SIZE = 4096
 
@@ -74,19 +79,6 @@ class SimConfig:
                 raise ValueError("partition sides overlap")
 
 
-def _remember(memo: OrderedDict, key, make, *args):
-    """``memo[key]``, set to ``make(*args)`` on a miss: a run-wide map of a
-    pure function of a gossip body. A ``make`` that raises stores nothing, a
-    hit does not reorder, and the oldest entry is forgotten beyond
-    ``DECODE_CACHE_SIZE``."""
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = make(*args)
-        if len(memo) > DECODE_CACHE_SIZE:
-            memo.popitem(last=False)
-    return value
-
-
 class Envelope(NamedTuple):
     """One message in flight: immutable, and built positionally on every
     send, so a named tuple (cheaper to build than a frozen dataclass)."""
@@ -99,19 +91,51 @@ class Envelope(NamedTuple):
     body: bytes
 
 
-# Simulator._deliver's row as ledger.canonical_json writes it, keys in
-# sorted order: one format for no label and one for each label that
-# SimNode.handle may add. "kind" and "reject" take their JSON spelling.
-_DELIVER = '{"body_hash":"%s","from":%d,"kind":%s,"time":%d,"to":%d,"type":"deliver"}\n'
-_DELIVER_BLOCK = (
-    '{"block":"%s","body_hash":"%s","from":%d,"kind":%s,"time":%d,"to":%d,"type":"deliver"}\n'
-)
-_DELIVER_REJECT = (
-    '{"body_hash":"%s","from":%d,"kind":%s,"reject":%s,"time":%d,"to":%d,"type":"deliver"}\n'
-)
-_DELIVER_TX = (
-    '{"body_hash":"%s","from":%d,"kind":%s,"time":%d,"to":%d,"tx":"%s","type":"deliver"}\n'
-)
+# a deliver row as ledger.canonical_json writes it, keys in sorted order, by
+# its label: none, or the one a record may carry. A record fills the body's
+# fields once; "%%d" stays for from, time and to.
+_DELIVER = {
+    "": '{"body_hash":"%s","from":%%d,"kind":%s,"time":%%d,"to":%%d,"type":"deliver"}\n',
+    "block": '{"block":"%s","body_hash":"%s","from":%%d,"kind":%s,"time":%%d,"to":%%d,'
+             '"type":"deliver"}\n',
+    "reject": '{"body_hash":"%s","from":%%d,"kind":%s,"reject":%s,"time":%%d,"to":%%d,'
+              '"type":"deliver"}\n',
+    "tx": '{"body_hash":"%s","from":%%d,"kind":%s,"time":%%d,"to":%%d,"tx":"%s",'
+          '"type":"deliver"}\n',
+}
+
+
+def _json_string(text: str) -> str:
+    """``text`` as a JSON string literal, its ``%`` doubled for a format."""
+    return encode_basestring_ascii(text).replace("%", "%%")
+
+
+class Delivery(NamedTuple):
+    """The record of one gossip body ``(kind, body)``: what every delivery
+    of that body hands on and writes, built once per body."""
+
+    msg: object  # the decoded message; None when the body does not decode
+    line: bytes  # the deliver row; line % (from, time, to) fills it
+    block: Optional[str]  # a BLOCK_ANNOUNCE's block label, for the metrics fold
+
+
+def delivery(kind: str, body: bytes, msg=None, label: str = "", text: str = "") -> Delivery:
+    """The record of ``body`` sent as ``kind``, decoded to ``msg``. Its row
+    carries ``body``'s SHA-256 and, unless ``label`` is empty, one label:
+    ``tx`` or ``block`` with a lowercase hex ``text``, or ``reject`` with
+    any ``text``."""
+    body_hash, kind_json = hashlib.sha256(body).hexdigest(), _json_string(kind)
+    if label == "block":
+        fields = (text, body_hash, kind_json)
+    elif label == "tx":
+        fields = (body_hash, kind_json, text)
+    elif label == "reject":
+        fields = (body_hash, kind_json, _json_string(text))
+    else:
+        fields = (body_hash, kind_json)
+    # the label MetricsFold.add reads from the row
+    block = text if label == "block" and kind == "BLOCK_ANNOUNCE" else None
+    return Delivery(msg, (_DELIVER[label] % fields).encode(), block)
 
 
 class Tracer:
@@ -121,42 +145,20 @@ class Tracer:
 
     def __init__(self, sink=None):
         self.sink = io.BytesIO() if sink is None else sink
-        self._kinds: dict = {}  # each deliver row kind -> its JSON string literal
 
     def log(self, row: dict) -> None:
         """Write ``row``, which must be complete: it is encoded now."""
         self.sink.write(("".join(json_chunks(row, 0)) + "\n").encode())
 
-    def deliver(self, row: dict) -> None:
-        """``log`` for a row of ``Simulator._deliver``'s shape, written from
-        a fixed format: the same bytes, at about a third of the cost.
-        ``time``, ``from`` and ``to`` are ints; ``body_hash`` and a ``tx``
-        or ``block`` label are lowercase hex."""
-        kind = row["kind"]
-        kind_json = self._kinds.get(kind)
-        if kind_json is None:
-            kind_json = self._kinds[kind] = encode_basestring_ascii(kind)
-        if "tx" in row:
-            line = _DELIVER_TX % (
-                row["body_hash"], row["from"], kind_json, row["time"], row["to"], row["tx"])
-        elif "block" in row:
-            line = _DELIVER_BLOCK % (
-                row["block"], row["body_hash"], row["from"], kind_json, row["time"], row["to"])
-        elif "reject" in row:
-            reject_json = encode_basestring_ascii(row["reject"])
-            line = _DELIVER_REJECT % (
-                row["body_hash"], row["from"], kind_json, reject_json, row["time"], row["to"])
-        else:
-            line = _DELIVER % (row["body_hash"], row["from"], kind_json, row["time"], row["to"])
-        self.sink.write(line.encode())
+    def deliver(self, time_ms: int, line: bytes, block: Optional[str]) -> None:
+        """Write a deliver row at ``time_ms``, already encoded as ``line``
+        (a filled ``Delivery.line``); ``block`` is its record's block label,
+        which only a tracer that folds metrics reads."""
+        self.sink.write(line)
 
     def lines(self) -> list:
         """The in-memory buffer's lines."""
         return self.sink.getvalue().splitlines()
-
-
-def _sha256_hex(body: bytes) -> str:
-    return hashlib.sha256(body).hexdigest()
 
 
 def _derive_rng(seed: int, node: int, purpose: str) -> random.Random:
@@ -191,12 +193,9 @@ class Simulator:
         self._mine_rng = [_derive_rng(config.rng_seed, i, "mine") for i in range(num_nodes)]
         self.messages_sent = 0
         self.messages_delivered = 0
-        # (kind, body) -> decoded message, oldest first: every node that
-        # receives a body shares the one object decoded from it
-        self.decoded: OrderedDict = OrderedDict()
-        # body -> its SHA-256 hex digest for the deliver row, oldest first;
-        # a body that does not decode is hashed like any other
-        self.body_hashes: OrderedDict = OrderedDict()
+        # (kind, body) -> its Delivery record, oldest first: every node that
+        # receives a body shares the one record, and the message, built from it
+        self.records: OrderedDict = OrderedDict()
 
     # -- wiring ------------------------------------------------------------
 
@@ -307,20 +306,9 @@ class Simulator:
         if node is None:
             return  # the destination went down while the message was in flight
         self.messages_delivered += 1
-        body = env.body
-        body_hash = self.body_hashes.get(body)
-        if body_hash is None:
-            body_hash = _remember(self.body_hashes, body, _sha256_hex, body)
-        row = {
-            "time": self.now,
-            "type": "deliver",
-            "from": env.src,
-            "to": env.dst,
-            "kind": env.kind,
-            "body_hash": body_hash,
-        }
-        node.handle(env, trace_row=row)
-        self.tracer.deliver(row)
+        record = node.handle(env)
+        now = self.now
+        self.tracer.deliver(now, record.line % (env.src, now, env.dst), record.block)
 
     # -- mining ------------------------------------------------------------
 

@@ -17,7 +17,7 @@ from .crypto import generate_keypair, node_id_from_public_key
 from .kademlia import Contact, RoutingTable
 from .ledger import AccountState, Block, BlockStore, Transaction
 from .mempool import Mempool
-from .netsim import _remember
+from .netsim import DECODE_CACHE_SIZE, Delivery, delivery
 
 ORPHAN_POOL_CAP = 64
 # side-branch block states a node holds, newest last: a branch that arrives
@@ -32,7 +32,9 @@ MALFORMED = (
 
 
 def encode_blocks(blocks: list) -> bytes:
-    return ledger.canonical_json([b.to_json() for b in blocks])
+    """A ``BLOCKS`` body: the blocks' canonical JSON list, joined from the
+    bytes each block keeps (``Block.encode``)."""
+    return b"[" + b",".join([b.encode() for b in blocks]) + b"]"
 
 
 def decode_blocks(body: bytes) -> tuple:
@@ -49,7 +51,7 @@ def _decode(kind: str, body: bytes):
     if kind == "TX_ANNOUNCE":
         return ledger.decode_transaction(body)
     if kind == "BLOCK_ANNOUNCE":
-        return Block.decode(body)
+        return ledger.decode_relayed_block(body)
     if kind == "GET_BLOCKS":
         return decode_locator(body)
     if kind == "BLOCKS":
@@ -57,18 +59,42 @@ def _decode(kind: str, body: bytes):
     raise ValueError(f"unknown message kind {kind}")
 
 
-def decode_message(kind: str, body: bytes, decoded: OrderedDict):
-    """The typed content of a gossip body; raises one of MALFORMED.
+def _record(kind: str, body: bytes) -> Delivery:
+    """A new record of a gossip body; raises one of MALFORMED."""
+    msg = _decode(kind, body)
+    if kind == "TX_ANNOUNCE":
+        return delivery(kind, body, msg, "tx", msg.hash_hex)
+    if kind == "BLOCK_ANNOUNCE":
+        return delivery(kind, body, msg, "block", msg.hash_hex)
+    return delivery(kind, body, msg)
 
-    The content is a pure function of ``(kind, body)`` and immutable, so
-    ``decoded`` (the simulator's run-wide map) hands every recipient the
-    object the first one decoded. Only successes are kept, so a malformed
-    body is decoded and rejected each time; the oldest entry is forgotten
-    beyond ``netsim.DECODE_CACHE_SIZE``."""
-    msg = decoded.get((kind, body))
-    if msg is None:
-        msg = _remember(decoded, (kind, body), _decode, kind, body)
-    return msg
+
+def gossip_record(kind: str, body: bytes, records: OrderedDict) -> Delivery:
+    """The record of a gossip body (``netsim.Delivery``) in ``records``, the
+    simulator's run-wide map, made on a miss; never raises.
+
+    The decoded message is a pure function of ``(kind, body)`` and
+    immutable, so every recipient of a body shares the record, message
+    included, that the first one made. A body that does not decode gets a
+    ``reject: malformed`` record with no message, kept so that its digest is
+    computed once, but it is decoded again at every delivery: a failed
+    decode is never kept, because a RecursionError depends on call depth. A
+    hit does not reorder, and the oldest record is forgotten beyond
+    ``netsim.DECODE_CACHE_SIZE``."""
+    key = (kind, body)
+    known = records.get(key)
+    if known is not None and known.msg is not None:
+        return known
+    try:
+        record = _record(kind, body)
+    except MALFORMED:
+        if known is not None:
+            return known
+        record = delivery(kind, body, None, "reject", "malformed")
+    records[key] = record
+    if len(records) > DECODE_CACHE_SIZE:
+        records.popitem(last=False)
+    return record
 
 
 def encode_contacts(contacts: list) -> bytes:
@@ -219,33 +245,35 @@ class SimNode:
             if endpoint != exclude and endpoint != index:
                 send(index, endpoint, kind, body)
 
-    def handle(self, env, trace_row: Optional[dict] = None) -> None:
-        """Deliver one message. A body that does not decode is dropped and
-        marked ``reject: malformed`` on its deliver row; it never raises."""
-        kind, origin = env.kind, env.src
-        try:
-            msg = decode_message(kind, env.body, self.sim.decoded)
-        except MALFORMED:
-            if trace_row is not None:
-                trace_row["reject"] = "malformed"
-            return
+    def handle(self, env) -> Delivery:
+        """Deliver one message and return its body's record
+        (``gossip_record``). A body that does not decode is dropped, and its
+        record's row says ``reject: malformed``; it never raises."""
+        kind, records = env.kind, self.sim.records
+        record = records.get((kind, env.body))
+        if record is None or record.msg is None:
+            record = gossip_record(kind, env.body, records)
+            if record.msg is None:
+                return record
+        msg, origin = record.msg, env.src
         if kind == "TX_ANNOUNCE":
-            if trace_row is not None:
-                trace_row["tx"] = msg.hash_hex
-            self.on_transaction(msg, origin)
+            self.on_transaction(msg, origin, env.body)
         elif kind == "BLOCK_ANNOUNCE":
-            if trace_row is not None:
-                trace_row["block"] = msg.hash_hex
             self.on_block(msg, origin)
         elif kind == "GET_BLOCKS":
             self._serve_blocks(msg, origin)
         else:
             self._on_blocks(msg, origin)
+        return record
 
     # -- transactions ----------------------------------------------------------
 
-    def on_transaction(self, tx: Transaction, origin: Optional[int] = None) -> str:
-        """Returns 'relayed', 'duplicate', or 'rejected:<cause>'."""
+    def on_transaction(
+        self, tx: Transaction, origin: Optional[int] = None, body: Optional[bytes] = None
+    ) -> str:
+        """Returns 'relayed', 'duplicate', or 'rejected:<cause>'. ``body``,
+        the gossip body ``tx`` was decoded from, is relayed as it came:
+        ``decode_transaction`` is the exact inverse of ``Transaction.encode``."""
         if tx.tx_hash in self.seen:
             return "duplicate"
         try:
@@ -255,7 +283,7 @@ class SimNode:
                 return "duplicate"
             return f"rejected:{e.code}"
         self.seen.add(tx.tx_hash)
-        self._gossip("TX_ANNOUNCE", tx.encode(), exclude=origin)
+        self._gossip("TX_ANNOUNCE", tx.encode() if body is None else body, exclude=origin)
         return "relayed"
 
     # -- blocks ------------------------------------------------------------

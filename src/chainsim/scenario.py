@@ -243,9 +243,9 @@ class FoldingTracer(Tracer):
         self.fold.add(row)
         Tracer.log(self, row)
 
-    def deliver(self, row: dict) -> None:
-        self.fold.add(row)
-        Tracer.deliver(self, row)
+    def deliver(self, time_ms: int, line: bytes, block: Optional[str]) -> None:
+        self.fold.deliver(time_ms, block)
+        Tracer.deliver(self, time_ms, line, block)
 
 
 @dataclass

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chainsim.ledger import canonical_json
-from chainsim.netsim import DECODE_CACHE_SIZE, Envelope, SimConfig, Simulator, Tracer
+from chainsim.netsim import Envelope, SimConfig, Simulator, Tracer, delivery
 from chainsim.scenario import FoldingTracer
 
 
@@ -18,8 +18,9 @@ class Recorder:
         self.queries = []
         self.synced = 0
 
-    def handle(self, env, trace_row=None):
+    def handle(self, env):
         self.received.append(env)
+        return delivery(env.kind, env.body)
 
     def handle_query(self, kind, body, src):
         self.queries.append((kind, body, src))
@@ -191,30 +192,43 @@ def test_tracer_lines_match_per_row_json_dumps(rows):
 HEX32 = st.binary(min_size=32, max_size=32).map(bytes.hex)
 WIDE_INTS = st.integers(-(1 << 63), 1 << 63)
 KINDS = st.sampled_from(["TX_ANNOUNCE", "BLOCK_ANNOUNCE", "GET_BLOCKS", "BLOCKS"]) | st.text()
-# rows of Simulator._deliver's shape: no label, or the one SimNode.handle adds
-deliver_rows = st.builds(
-    lambda row, label: {**row, **label},
-    st.fixed_dictionaries({"time": WIDE_INTS, "type": st.just("deliver"), "from": WIDE_INTS,
-                           "to": WIDE_INTS, "kind": KINDS, "body_hash": HEX32}),
-    st.just({}) | st.fixed_dictionaries({"tx": HEX32}) | st.fixed_dictionaries({"block": HEX32})
-    | st.fixed_dictionaries({"reject": st.just("malformed") | st.text()}),
+# no label, or the one label a record may carry
+LABELS = (
+    st.just(("", ""))
+    | st.tuples(st.sampled_from(["tx", "block"]), HEX32)
+    | st.tuples(st.just("reject"), st.just("malformed") | st.text())
 )
 
 
+@st.composite
+def deliveries(draw):
+    """``(record, from, time, to, row)``: the record of a drawn body, kind and
+    label, one delivery of it, and the row that delivery stands for."""
+    kind, body, (label, text) = draw(KINDS), draw(st.binary(max_size=40)), draw(LABELS)
+    src, time_ms, dst = draw(WIDE_INTS), draw(WIDE_INTS), draw(WIDE_INTS)
+    row = {"time": time_ms, "type": "deliver", "from": src, "to": dst, "kind": kind,
+           "body_hash": hashlib.sha256(body).hexdigest()}
+    if label:
+        row[label] = text
+    return delivery(kind, body, None, label, text), src, time_ms, dst, row
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(deliver_rows, max_size=6))
-def test_deliver_writes_the_canonical_json_line(rows):
+@given(st.lists(deliveries(), max_size=6))
+def test_deliver_writes_the_canonical_json_line(drawn):
     t = Tracer()
-    for row in rows:
-        t.deliver(row)
-    assert t.sink.getvalue() == b"".join(canonical_json(row) + b"\n" for row in rows)
+    for record, src, time_ms, dst, row in drawn:
+        line = record.line % (src, time_ms, dst)
+        assert line == canonical_json(row) + b"\n"
+        t.deliver(time_ms, line, record.block)
+    assert t.sink.getvalue() == b"".join(canonical_json(row) + b"\n" for *_, row in drawn)
 
 
-@given(st.lists(deliver_rows, max_size=6))
-def test_folding_tracer_folds_and_writes_a_delivered_row_as_a_logged_one(rows):
+@given(st.lists(deliveries(), max_size=6))
+def test_folding_tracer_folds_and_writes_a_delivered_row_as_a_logged_one(drawn):
     delivered, logged = FoldingTracer(), FoldingTracer()
-    for row in rows:
-        delivered.deliver(row)
+    for record, src, time_ms, dst, row in drawn:
+        delivered.deliver(time_ms, record.line % (src, time_ms, dst), record.block)
         logged.log(row)
     assert vars(delivered.fold) == vars(logged.fold)
     assert delivered.lines() == logged.lines()
@@ -241,24 +255,6 @@ def test_envelope_builds_positionally_and_is_immutable():
     with pytest.raises(AttributeError):
         env.kind = "BLOCKS"
     assert env.kind == "TX_ANNOUNCE"
-
-
-def test_body_hash_map_evicts_its_oldest_entry_beyond_its_bound():
-    sim = make_sim(2, latency_min_ms=5, latency_max_ms=5)  # delivered in send order
-    bodies = [i.to_bytes(4, "big") for i in range(DECODE_CACHE_SIZE + 1)]
-    for body in bodies:
-        sim.send(0, 1, "PING", body)
-    sim.drain_deliveries()
-    assert len(sim.body_hashes) == DECODE_CACHE_SIZE
-    assert bodies[0] not in sim.body_hashes
-    assert next(iter(sim.body_hashes)) == bodies[1]
-    assert sim.body_hashes[bodies[-1]] == hashlib.sha256(bodies[-1]).hexdigest()
-    # a forgotten body is hashed again, to the same digest, as the newest entry
-    sim.send(0, 1, "PING", bodies[0])
-    sim.drain_deliveries()
-    assert next(reversed(sim.body_hashes)) == bodies[0]
-    assert json.loads(sim.tracer.lines()[-1])["body_hash"] == hashlib.sha256(bodies[0]).hexdigest()
-    assert len(sim.body_hashes) == DECODE_CACHE_SIZE
 
 
 @pytest.mark.parametrize("src,dst", [(-1, 0), (0, -1), (3, 0), (0, 3)])

@@ -10,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from chainsim import consensus, ledger, netsim, node as node_mod
 from chainsim.kademlia import Contact
-from chainsim.ledger import AccountState, BlockStore, make_genesis
+from chainsim.ledger import AccountState, Block, BlockStore, canonical_json, make_genesis
 from chainsim.netsim import DECODE_CACHE_SIZE, Envelope, SimConfig, Simulator
-from chainsim.node import SYNC_PAGE_SIZE, SimNode, decode_blocks, decode_message, encode_blocks
+from chainsim.scenario import FoldingTracer
+from chainsim.metrics import MetricsFold, parse_trace_lines
+from chainsim.node import SYNC_PAGE_SIZE, SimNode, decode_blocks, encode_blocks, gossip_record
 
 from conftest import addr, audit_routing, mine_child, oversized_tx_body, signed_tx
 
@@ -487,22 +489,22 @@ def test_a_branch_past_the_side_state_bound_is_rewound_with_the_same_statuses(mo
     assert arrive(main_last) == "adopted"
 
 
-# -- the run-wide decode map -----------------------------------------------------
+# -- the run-wide record map ------------------------------------------------------
 
 def count_decodes(monkeypatch):
     """Record every delivered (kind, body) and every strict decode that ran."""
     delivered, decodes = [], []
-    real_message, real_decode = node_mod.decode_message, node_mod._decode
-    monkeypatch.setattr(node_mod, "decode_message", lambda kind, body, decoded: (
-        delivered.append((kind, body)) or real_message(kind, body, decoded)))
+    real_handle, real_decode = SimNode.handle, node_mod._decode
+    monkeypatch.setattr(SimNode, "handle", lambda node, env: (
+        delivered.append((env.kind, env.body)) or real_handle(node, env)))
     monkeypatch.setattr(node_mod, "_decode", lambda kind, body: (
         decodes.append((kind, body)) or real_decode(kind, body)))
     return delivered, decodes
 
 
-def test_each_distinct_body_is_decoded_once_per_run(monkeypatch):
-    sim = make_net(5)
-    delivered, decodes = count_decodes(monkeypatch)
+def churn(sim):
+    """Gossip txs, mine with node 4 down, then restart it: it replays its
+    persisted chain and re-syncs with GET_BLOCKS and a BLOCKS page."""
     for n in range(3):
         sim.nodes[n].on_transaction(signed_tx(1, 2, 10, 1, n))
     sim.drain_deliveries()
@@ -510,13 +512,20 @@ def test_each_distinct_body_is_decoded_once_per_run(monkeypatch):
     for _ in range(3):
         sim.nodes[0].mine_and_broadcast()
         sim.drain_deliveries()
-    sim.restart_node(4)  # re-syncs with GET_BLOCKS and a BLOCKS page
+    sim.restart_node(4)
     sim.drain_deliveries()
     assert sim.nodes[4].head() == sim.nodes[0].head()
+
+
+def test_each_distinct_body_is_decoded_once_per_run(monkeypatch):
+    sim = make_net(5)
+    delivered, decodes = count_decodes(monkeypatch)
+    churn(sim)
     assert {kind for kind, _ in delivered} == set(VALID_BODIES)
     assert len(delivered) > 2 * len(set(delivered))
     assert sorted(decodes) == sorted(set(delivered))
-    assert len(sim.decoded) == len(decodes)
+    assert sorted(sim.records) == sorted(decodes)
+    assert all(record.msg is not None for record in sim.records.values())
 
 
 def test_malformed_body_is_decoded_and_rejected_every_time(monkeypatch):
@@ -525,7 +534,8 @@ def test_malformed_body_is_decoded_and_rejected_every_time(monkeypatch):
     for _ in range(2):
         assert deliver(sim, 1, "TX_ANNOUNCE", b"junk")["reject"] == "malformed"
     assert decodes == [("TX_ANNOUNCE", b"junk")] * 2
-    assert not sim.decoded
+    # kept for its row only: the record holds no message
+    assert [record.msg for record in sim.records.values()] == [None]
 
 
 def test_recipients_of_one_body_share_one_decoded_object():
@@ -541,17 +551,37 @@ def test_recipients_of_one_body_share_one_decoded_object():
     assert sim.nodes[1].head() is not sim.nodes[0].head()
 
 
-def test_decode_map_evicts_the_oldest_beyond_its_bound():
-    decoded = OrderedDict()
+def test_record_map_evicts_the_oldest_beyond_its_bound():
+    records = OrderedDict()
     keys = [("GET_BLOCKS", i.to_bytes(32, "big")) for i in range(DECODE_CACHE_SIZE + 1)]
-    first = decode_message(*keys[0], decoded)
+    first = gossip_record(*keys[0], records)
     for key in keys[1:DECODE_CACHE_SIZE]:
-        decode_message(*key, decoded)
-    assert decode_message(*keys[0], decoded) is first  # a hit does not reorder
-    decode_message(*keys[-1], decoded)
-    assert list(decoded) == keys[1:]
-    assert decode_message(*keys[0], decoded) is not first
-    assert list(decoded) == keys[2:] + keys[:1]
+        gossip_record(*key, records)
+    assert gossip_record(*keys[0], records) is first  # a hit does not reorder
+    gossip_record(*keys[-1], records)
+    assert list(records) == keys[1:]
+    again = gossip_record(*keys[0], records)
+    assert again is not first and again == first
+    assert list(records) == keys[2:] + keys[:1]
+
+
+def test_simulator_record_map_evicts_its_oldest_body_and_hashes_it_again(monkeypatch):
+    sim = make_net(2)
+    hashed = count_body_hashes(monkeypatch)
+    bodies = [i.to_bytes(32, "big") for i in range(DECODE_CACHE_SIZE + 1)]
+    for body in bodies:
+        sim.schedule(sim.now, sim._deliver, Envelope(sim.now, sim.now, 0, 1, "GET_BLOCKS", body))
+    for _ in bodies:  # in send order, before any BLOCKS reply arrives
+        sim.step()
+    assert len(sim.records) == DECODE_CACHE_SIZE
+    assert ("GET_BLOCKS", bodies[0]) not in sim.records
+    assert next(iter(sim.records)) == ("GET_BLOCKS", bodies[1])
+    assert sorted(hashed) == sorted(bodies)
+    # a forgotten body is hashed again, to the same digest, as the newest record
+    row = deliver(sim, 1, "GET_BLOCKS", bodies[0])
+    assert next(reversed(sim.records)) == ("GET_BLOCKS", bodies[0])
+    assert row["body_hash"] == hashlib.sha256(bodies[0]).hexdigest()
+    assert hashed[-1] == bodies[0] and len(sim.records) == DECODE_CACHE_SIZE
 
 
 # -- per-body work in the deliver path ---------------------------------------------
@@ -587,20 +617,23 @@ def test_each_distinct_body_is_hashed_once_per_run(monkeypatch):
 
 def test_every_deliver_row_for_one_item_shares_one_label(monkeypatch):
     sim = make_net(5)
-    logged = []  # each row as it reaches the tracer, before it is encoded
-    for name in ("log", "deliver"):
-        write = getattr(sim.tracer, name)
-        monkeypatch.setattr(sim.tracer, name,
-                            lambda row, write=write: logged.append(row) or write(row))
+    handled = []  # (kind, record) of each delivery, as handle returns it
+    real = SimNode.handle
+    monkeypatch.setattr(SimNode, "handle", lambda node, env: (
+        handled.append((env.kind, real(node, env))) or handled[-1][1]))
     tx = signed_tx(1, 2, 10, 1, 0)
     sim.nodes[0].on_transaction(tx)
     sim.drain_deliveries()
     block = sim.nodes[1].mine_and_broadcast()
     sim.drain_deliveries()
-    for key, label in (("tx", tx.tx_hash.hex()), ("block", block.block_hash.hex())):
-        labels = [r[key] for r in logged if r["type"] == "deliver" and key in r]
-        assert len(labels) > 1 and labels[0] == label
-        assert all(other is labels[0] for other in labels)
+    rows = [json.loads(line) for line in sim.tracer.lines()]
+    for kind, item, key in (("TX_ANNOUNCE", tx, "tx"), ("BLOCK_ANNOUNCE", block, "block")):
+        records = [record for k, record in handled if k == kind]
+        assert len(records) > 1 and all(record is records[0] for record in records)
+        assert records[0].msg == item
+        assert records[0].block == (item.hash_hex if key == "block" else None)
+        labels = [r.get(key) for r in rows if r["type"] == "deliver" and r["kind"] == kind]
+        assert labels == [item.hash_hex] * len(records)
 
 
 def test_malformed_body_row_carries_its_sha256(monkeypatch):
@@ -610,3 +643,94 @@ def test_malformed_body_row_carries_its_sha256(monkeypatch):
     digest = hashlib.sha256(b"{not json").hexdigest()
     assert [(r["reject"], r["body_hash"]) for r in rows] == [("malformed", digest)] * 2
     assert hashed == [b"{not json"]
+
+
+def test_a_malformed_block_announce_folds_alike_live_and_from_the_file():
+    sim = make_net(3)
+    sim.tracer = FoldingTracer()
+    sim.nodes[0].mine_and_broadcast()
+    sim.drain_deliveries()
+    assert deliver(sim, 1, "BLOCK_ANNOUNCE", b"{not json")["reject"] == "malformed"
+    from_file = MetricsFold()
+    for row in parse_trace_lines(sim.tracer.lines()):
+        from_file.add(row)
+    assert vars(sim.tracer.fold) == vars(from_file)
+    assert list(from_file.last_announce) == [sim.nodes[0].head().hash_hex]
+
+
+def test_a_deliver_row_with_no_block_label_folds_no_announce():
+    fold = MetricsFold()
+    fold.add({"time": 5, "type": "deliver", "from": 0, "to": 1, "kind": "BLOCK_ANNOUNCE",
+              "body_hash": "00", "reject": "malformed"})
+    assert fold.last_announce == {} and fold.end_time == 5
+
+
+# -- each block encoded once ---------------------------------------------------------
+
+def test_each_block_object_is_json_encoded_once(monkeypatch):
+    sim = make_net(5)
+    encoded = []  # the block of every to_json call, held so that no id is reused
+    real = Block.to_json
+    monkeypatch.setattr(Block, "to_json", lambda block: encoded.append(block) or real(block))
+    delivered, _ = count_decodes(monkeypatch)
+    churn(sim)
+    kinds = {kind for kind, _ in delivered}
+    assert {"BLOCK_ANNOUNCE", "BLOCKS"} <= kinds and 4 in sim.persisted
+    assert len(sim.nodes[4].persist_chain_lines()) == 4
+    assert encoded and len({id(block) for block in encoded}) == len(encoded)
+
+
+def test_a_block_in_a_non_canonical_spelling_relays_and_persists_canonical_bytes(monkeypatch):
+    sim = make_net(3)
+    block = mine_child(GENESIS)
+    obj = block.to_json()
+    body = json.dumps(dict(reversed(list(obj.items()))), indent=1).encode()
+    canonical = canonical_json(obj)
+    assert body != canonical and Block.decode(body) == block
+    sent = []
+    real_send = Simulator.send
+    monkeypatch.setattr(Simulator, "send", lambda sim, src, dst, kind, body: (
+        sent.append((kind, body)) or real_send(sim, src, dst, kind, body)))
+    deliver(sim, 1, "BLOCK_ANNOUNCE", body)
+    relayed = [b for kind, b in sent if kind == "BLOCK_ANNOUNCE"]
+    assert relayed and set(relayed) == {canonical}
+    assert sim.nodes[1].persist_chain_lines()[-1] == canonical
+    sim.drain_deliveries()
+    assert sim.nodes[2].head() == block
+    assert sim.nodes[2].persist_chain_lines() == [GENESIS.encode(), canonical]
+
+
+def test_a_block_body_in_the_canonical_spelling_is_the_blocks_kept_encoding():
+    block = mine_child(GENESIS, txs=[signed_tx(1, 2, 10, 1, 0)])
+    body = canonical_json(block.to_json())
+    decoded = ledger.decode_relayed_block(body)
+    assert decoded == block and decoded.encode() is body
+    spelled = json.dumps(block.to_json(), indent=1).encode()
+    respelled = ledger.decode_relayed_block(spelled)
+    assert respelled == block and respelled.encode() == body
+
+
+def test_a_relayed_transaction_forwards_the_body_it_arrived_in(monkeypatch):
+    sim = make_net(3)
+    body = signed_tx(1, 2, 10, 1, 0).encode()
+    encoded, sent = [], []
+    real_encode, real_send = ledger.Transaction.encode, Simulator.send
+    monkeypatch.setattr(ledger.Transaction, "encode", lambda tx: encoded.append(tx) or real_encode(tx))
+    monkeypatch.setattr(Simulator, "send", lambda sim, src, dst, kind, data: (
+        sent.append((src, data)) or real_send(sim, src, dst, kind, data)))
+    deliver(sim, 1, "TX_ANNOUNCE", body)
+    sim.drain_deliveries()
+    assert {src for src, _ in sent} == {0, 1, 2}  # every node relayed it
+    assert all(data is body for _, data in sent)
+    assert len(encoded) == 1  # once, for the tx hash of the one decoded object
+
+
+@pytest.mark.parametrize("heights", [0, 1, 3])
+def test_a_blocks_page_is_the_canonical_json_list_of_its_blocks(heights):
+    page, parent = [GENESIS], GENESIS
+    for h in range(heights):
+        parent = mine_child(parent, txs=[signed_tx(1, 2, 10, 1, h)] if h % 2 else [])
+        page.append(parent)
+    for blocks in (page, page[1:], []):
+        assert encode_blocks(blocks) == canonical_json([b.to_json() for b in blocks])
+        assert decode_blocks(encode_blocks(blocks)) == tuple(blocks)
