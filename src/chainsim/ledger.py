@@ -73,7 +73,7 @@ class BlockError(LedgerError):
 
 
 class ChainError(LedgerError):
-    """verify_chain failure; carries the first failing height."""
+    """Chain replay failure; carries the first failing height."""
 
     def __init__(self, height: int, code: str, detail: str = ""):
         self.height = height
@@ -438,22 +438,15 @@ def apply_tx(state: AccountState, tx: Transaction) -> None:
     state.nonces[sender] = expected + 1
 
 
-def apply_block(state: AccountState, block: Block) -> AccountState:
-    """Replay ``block`` onto a copy of ``state`` (see ``settle_block``);
-    atomic, pure."""
-    new = state.copy()
-    settle_block(new, block)
-    return new
-
-
 def settle_block(state: AccountState, block: Block) -> None:
     """Settle ``block`` onto ``state`` in place.
 
     Transactions settle in order through ``apply_tx``, then the miner is
     credited the block reward plus total fees. Genesis only credits its
     allocations. Checks no signature: ``validate_block`` does that first.
-    A BlockError leaves ``state`` part-settled, so ``apply_block`` settles a
-    copy; settle in place only a block already validated on this state.
+    A BlockError leaves ``state`` part-settled, so settle directly only a
+    block already validated on this state; ``validate_block`` settles any
+    other and rewinds it on failure.
     """
     balances = state.balances
     if block.height == 0:
@@ -521,14 +514,19 @@ def validate_genesis(block: Block) -> None:
         raise BlockError("bad_tx_root", "genesis commitment mismatch")
 
 
-def validate_block(block: Block, parent: Block, state_at_parent: AccountState) -> AccountState:
-    """Full validation of ``block`` against its parent and parent state;
-    returns the state after it.
+def validate_block(block: Block, parent: Block, state: AccountState) -> tuple:
+    """Full validation of ``block`` against its parent and ``state``, the
+    state after the parent: settles ``block`` onto ``state`` in place and
+    returns its ``block_undo`` record.
 
     The checks that need no state come first (link, root, PoW, duplicate
-    transactions and every signature), then ``apply_block`` is the state
-    check, so a block is validated and applied in one pass. Field widths and
-    ranges are the decoders': a decoded block can always be encoded."""
+    transactions and every signature), then ``settle_block`` is the state
+    check, so a block is validated and settled in one pass, as Bitcoin
+    Core's ``ConnectBlock`` connects a block in place and keeps its undo
+    data. On a BlockError the undo record rewinds ``state`` to exactly what
+    it was, keys present included, so no caller copies a state to stay
+    atomic. Field widths and ranges are the decoders': a decoded block can
+    always be encoded."""
     if block.height != parent.height + 1:
         raise BlockError("bad_height", f"{block.height} != {parent.height + 1}")
     if block.prev_hash != parent.block_hash:
@@ -552,7 +550,13 @@ def validate_block(block: Block, parent: Block, state_at_parent: AccountState) -
             check_signature(tx)
         except TxError as e:
             raise BlockError("bad_tx", f"tx {i}: {e.code}", tx_index=i) from e
-    return apply_block(state_at_parent, block)
+    undo = block_undo(state, block)
+    try:
+        settle_block(state, block)
+    except BlockError:
+        rewind_block(state, undo)
+        raise
+    return undo
 
 
 class BlockStore:
@@ -591,19 +595,6 @@ class BlockStore:
         if block.height > len(self.canonical) - 1:
             return self.set_canonical(h)
         return [], []
-
-    def path_to_genesis(self, tip: bytes) -> list:
-        """Blocks from genesis to ``tip`` inclusive, in height order."""
-        path = []
-        h = tip
-        while True:
-            block = self.blocks[h]
-            path.append(block)
-            if block.height == 0:
-                break
-            h = block.prev_hash
-        path.reverse()
-        return path
 
     @property
     def canonical_tip(self) -> bytes:
@@ -652,37 +643,27 @@ class BlockStore:
         return [self.blocks[h] for h in self.canonical]
 
 
-def verify_chain(store: BlockStore, tip: bytes) -> AccountState:
-    """Replay genesis -> tip; returns the resulting state or raises ChainError."""
-    if tip not in store.blocks:
-        raise ChainError(-1, "unknown_tip")
-    return _last_state(store.path_to_genesis(tip))
-
-
-def replay_blocks(path: list):
-    """Validate and apply a genesis-rooted block list, yielding the state
-    after each block; raises ChainError at the first failing height."""
-    if not path:
+def replay_blocks(blocks: list, state: AccountState):
+    """The one chain replay: validate a genesis-rooted block list and settle
+    it onto ``state``, which starts empty, yielding each block's
+    ``block_undo`` record once it is settled; raises ChainError at the first
+    failing height. ``state`` is the state after the last block yielded."""
+    if not blocks:
         raise ChainError(0, "empty_chain")
+    genesis = blocks[0]
     try:
-        validate_genesis(path[0])
+        validate_genesis(genesis)
     except BlockError as e:
         raise ChainError(0, e.code, e.detail) from e
-    state = apply_block(AccountState(), path[0])
-    yield state
-    for i in range(1, len(path)):
+    undo = block_undo(state, genesis)
+    settle_block(state, genesis)
+    yield undo
+    for i in range(1, len(blocks)):
         try:
-            state = validate_block(path[i], path[i - 1], state)
+            undo = validate_block(blocks[i], blocks[i - 1], state)
         except BlockError as e:
             raise ChainError(i, e.code, e.detail) from e
-        yield state
-
-
-def _last_state(path: list) -> AccountState:
-    """The state after the whole path, holding one block's state at a time."""
-    for state in replay_blocks(path):
-        pass
-    return state
+        yield undo
 
 
 def chain_file_lines(blocks: Iterable[Block]) -> list:
@@ -720,5 +701,9 @@ def decode_chain_lines(lines: list) -> list:
 
 
 def verify_chain_lines(lines: list) -> AccountState:
-    """Verify serialized chain lines; ChainError carries the failing height."""
-    return _last_state(decode_chain_lines(lines))
+    """Verify serialized chain lines and return the state after them;
+    ChainError carries the failing height."""
+    state = AccountState()
+    for _ in replay_blocks(decode_chain_lines(lines), state):
+        pass
+    return state

@@ -8,10 +8,10 @@ in ``Simulator.nodes`` is ``None``, and a link is cut only inside a window
 of ``SimConfig.partition_schedule``. All randomness (latency, drops,
 mining delays) comes from per-node RNG streams derived from (seed, node
 index, purpose), so replaying a scenario with the same seed reproduces the
-exact event trace. The ``Tracer`` streams that trace: each row is encoded
-and written to its sink as it is logged, a deliver row by filling its
-body's record line (``Delivery``) and any other row by
-``ledger.canonical_json``'s encoder.
+exact event trace. The ``Tracer`` streams that trace: each row is folded
+into the run's metrics, then encoded and written to its sink as it is
+logged, a deliver row by filling its body's record line (``Delivery``) and
+any other row by ``ledger.canonical_json``'s encoder.
 
 ``send`` and the delivery path run once per message, so they are written
 for few interpreter calls: the latency draw inlines ``Random.randint``'s
@@ -24,8 +24,7 @@ at four seams, which must stay:
 - every message goes through ``Simulator.send``;
 - ``SimNode.handle(env)`` gets an envelope with a ``.kind`` and returns the
   body's ``Delivery`` record;
-- ``scenario.FoldingTracer.log(row)`` calls ``Tracer.log(row)``, and
-  ``scenario.FoldingTracer.deliver(time_ms, line, block)`` calls
+- every trace row goes through ``Tracer.log(row)`` or, for a deliver row,
   ``Tracer.deliver(time_ms, line, block)``.
 """
 
@@ -42,6 +41,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional
 
 from .ledger import json_chunks
+from .metrics import MetricsFold
 
 
 # distinct gossip bodies held in Simulator.records (see node.gossip_record);
@@ -139,21 +139,25 @@ def delivery(kind: str, body: bytes, msg=None, label: str = "", text: str = "") 
 
 
 class Tracer:
-    """Encodes each trace row as it is logged, in ledger's canonical JSON,
-    and writes the line to a binary sink; holds no rows.
+    """Folds each trace row into the run's metrics (``fold``, a
+    ``metrics.MetricsFold``) as it is logged, then encodes it in ledger's
+    canonical JSON and writes the line to a binary sink; holds no rows.
     With no sink, lines go to an in-memory buffer that ``lines`` reads back."""
 
     def __init__(self, sink=None):
         self.sink = io.BytesIO() if sink is None else sink
+        self.fold = MetricsFold()
 
     def log(self, row: dict) -> None:
-        """Write ``row``, which must be complete: it is encoded now."""
+        """Fold and write ``row``, which must be complete: it is encoded now."""
+        self.fold.add(row)
         self.sink.write(("".join(json_chunks(row, 0)) + "\n").encode())
 
     def deliver(self, time_ms: int, line: bytes, block: Optional[str]) -> None:
-        """Write a deliver row at ``time_ms``, already encoded as ``line``
-        (a filled ``Delivery.line``); ``block`` is its record's block label,
-        which only a tracer that folds metrics reads."""
+        """Fold and write a deliver row at ``time_ms``, already encoded as
+        ``line`` (a filled ``Delivery.line``); ``block`` is its record's block
+        label, the one field of the row the fold reads besides the time."""
+        self.fold.deliver(time_ms, block)
         self.sink.write(line)
 
     def lines(self) -> list:

@@ -122,7 +122,7 @@ class SimNode:
         self.node_id = node_id_from_public_key(self.keypair.public_key)
         self.address = self.node_id  # same 20-byte derivation
         self.store = BlockStore(genesis)
-        self._state = ledger.apply_block(AccountState(), genesis)  # at the canonical tip
+        self._state = AccountState()  # at the canonical tip, once genesis is settled
         self.undo: dict = {}  # stored block hash -> its ledger.block_undo record
         self.side_states: dict = {}  # side-branch block hash -> state after it, oldest first
         self.mempool = Mempool()
@@ -133,6 +133,8 @@ class SimNode:
         self.blob_store = None  # attached by the scenario runner when used
         if persisted_lines:
             self._load_persisted(persisted_lines)
+        else:
+            ledger.settle_block(self._state, genesis)
 
     # -- identity ------------------------------------------------------------
 
@@ -144,17 +146,15 @@ class SimNode:
         return self.store.blocks[self.store.canonical_tip]
 
     def state_at(self, block_hash: bytes) -> AccountState:
-        """The account state after stored block ``block_hash``, not to be
-        mutated. The canonical tip's is the canonical state, and a recent
-        side-branch block's is held in ``side_states``. Any other is
-        derived: the canonical state, copied, rewound to the fork with the
-        undo records, then the branch settled again."""
-        store = self.store
-        if block_hash == store.canonical_tip:
-            return self._state
+        """A new copy of the account state after stored block
+        ``block_hash``: of the held state of a recent side-branch block
+        (``side_states``), or else of the canonical state rewound to the
+        fork with the undo records, then the branch settled again (neither
+        step runs for a canonical tip)."""
         state = self.side_states.get(block_hash)
         if state is not None:
-            return state
+            return state.copy()
+        store = self.store
         fork, branch = store.branch(block_hash)
         state = self._state.copy()
         for d in reversed(store.canonical[fork + 1 :]):
@@ -164,15 +164,14 @@ class SimNode:
         return state
 
     def _load_persisted(self, lines: list) -> None:
+        """Replay a chain file onto the empty canonical state, keeping each
+        block's undo record; a corrupt file raises ChainError."""
         blocks = ledger.decode_chain_lines(lines)
-        states = ledger.replay_blocks(blocks)  # refuses corrupt persistence
-        next(states)  # genesis, whose state the constructor holds
-        state = self._state
-        for block, after in zip(blocks[1:], states):
-            self.undo[block.block_hash] = ledger.block_undo(state, block)
+        undos = ledger.replay_blocks(blocks, self._state)
+        next(undos)  # settles genesis, even in a file that holds nothing else
+        for block, undo in zip(blocks[1:], undos):
+            self.undo[block.block_hash] = undo
             self.store.insert(block)
-            state = after
-        self._state = state
 
     def persist_chain_lines(self) -> list:
         return ledger.chain_file_lines(self.store.canonical_chain())
@@ -307,17 +306,24 @@ class SimNode:
         return status
 
     def _connect(self, block: Block) -> str:
-        parent = self.store.blocks[block.prev_hash]
-        parent_state = self.state_at(parent.block_hash)
+        """Validate ``block``, whose parent is stored, and store it. A block
+        that extends the canonical tip settles straight onto the canonical
+        state; any other onto a copy of its parent's state (``state_at``)."""
+        store = self.store
+        parent = store.blocks[block.prev_hash]
+        if block.prev_hash == store.canonical_tip:
+            state = self.canonical_state
+        else:
+            state = self.state_at(block.prev_hash)
         try:
-            state = ledger.validate_block(block, parent, parent_state)
+            undo = ledger.validate_block(block, parent, state)  # rewinds on failure
         except ledger.BlockError as e:
             return f"rejected:{e.code}"
         h = block.block_hash
-        self.undo[h] = ledger.block_undo(parent_state, block)
-        displaced, adopted = self.store.insert(block)
+        self.undo[h] = undo
+        displaced, adopted = store.insert(block)
         if adopted:
-            self._state = state  # the block was just validated on its parent's state
+            self._state = state
             self._adopt(displaced, adopted)
             return "adopted"
         self.side_states[h] = state

@@ -24,7 +24,6 @@ from .blobstore import MAX_BLOB_BYTES, BlobStore, blob_link_payload
 from .crypto import address_from_public_key, generate_keypair
 from .kademlia import Contact
 from .ledger import make_genesis, make_transaction
-from .metrics import MetricsFold
 from .netsim import SimConfig, Simulator, Tracer
 from .node import SimNode
 
@@ -231,28 +230,11 @@ def node_key_seed(rng_seed: int, index: int) -> bytes:
     return hashlib.sha256(b"node-key" + struct.pack(">qq", rng_seed, index)).digest()
 
 
-class FoldingTracer(Tracer):
-    """The run's tracer: each row is folded into the run's metrics (``fold``)
-    and then streamed to the sink like any ``Tracer`` row."""
-
-    def __init__(self, sink=None):
-        super().__init__(sink)
-        self.fold = MetricsFold()
-
-    def log(self, row: dict) -> None:
-        self.fold.add(row)
-        Tracer.log(self, row)
-
-    def deliver(self, time_ms: int, line: bytes, block: Optional[str]) -> None:
-        self.fold.deliver(time_ms, block)
-        Tracer.deliver(self, time_ms, line, block)
-
-
 @dataclass
 class RunResult:
     scenario: Scenario
     sim: Simulator
-    tracer: FoldingTracer
+    tracer: Tracer
     nodes: list
     submitted: list  # (time_ms, node, Transaction)
 
@@ -296,7 +278,7 @@ def run_scenario(
     line to ``sink`` (a binary file) as it is logged and folding it into
     ``result.tracer.fold``; with no sink the trace goes to the tracer's
     in-memory buffer."""
-    tracer = FoldingTracer(sink)
+    tracer = Tracer(sink)
     genesis = make_genesis(scenario.genesis_allocations)
     # overlay bootstrap: every other node joins, and rejoins, through node 0
     bootstrap_kp = generate_keypair(node_key_seed(scenario.sim.rng_seed, 0))

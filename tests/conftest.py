@@ -77,6 +77,24 @@ def build_chain(n_blocks, allocations=(), tx_plan=None, difficulty=4):
     return store, blocks
 
 
+def path_to_genesis(store, tip: bytes) -> list:
+    """The stored blocks from genesis to ``tip`` inclusive, in height order,
+    walked back by ``prev_hash``."""
+    path = [store.blocks[tip]]
+    while path[-1].height:
+        path.append(store.blocks[path[-1].prev_hash])
+    return path[::-1]
+
+
+def replayed_state(blocks) -> AccountState:
+    """The state after a genesis-rooted block list, replayed from an empty
+    state: the oracle for any state a node derives."""
+    state = AccountState()
+    for _ in ledger.replay_blocks(list(blocks), state):
+        pass
+    return state
+
+
 @pytest.fixture
 def signature_cache():
     """The process-wide signature cache, empty for this test and after it."""

@@ -1,5 +1,5 @@
+import copy
 import json
-import weakref
 from dataclasses import replace
 
 import pytest
@@ -14,19 +14,21 @@ from chainsim.ledger import (
     ChainError,
     Transaction,
     TxError,
-    apply_block,
     apply_tx,
     check_signature,
     decode_transaction,
     make_genesis,
     canonical_json,
     replay_blocks,
+    rewind_block,
+    settle_block,
     validate_block,
-    verify_chain,
     verify_chain_lines,
 )
 
-from conftest import addr, build_chain, keypair, mine_child, signed_tx
+from conftest import (
+    addr, build_chain, keypair, mine_child, path_to_genesis, replayed_state, signed_tx,
+)
 
 
 # -- encoding ----------------------------------------------------------------
@@ -145,10 +147,13 @@ def test_bad_signature(funded_state):
 def test_apply_empty_block_credits_reward(funded_state):
     genesis = make_genesis([(addr(1), 100)])
     block = mine_child(genesis, miner=addr(9))
-    new = apply_block(funded_state, block)
-    assert new.balance(addr(9)) == 50
-    assert new.balance(addr(1)) == 100
-    assert funded_state.balance(addr(9)) == 0  # input untouched
+    before = copy.deepcopy(funded_state)
+    undo = validate_block(block, genesis, funded_state)
+    assert funded_state.balance(addr(9)) == 50
+    assert funded_state.balance(addr(1)) == 100
+    rewind_block(funded_state, undo)
+    assert funded_state == before  # the undo record takes the block off
+    assert addr(9) not in funded_state.balances
 
 
 def test_apply_block_arithmetic():
@@ -157,11 +162,11 @@ def test_apply_block_arithmetic():
     genesis = make_genesis([(addr(1), 100)])
     tx = signed_tx(1, 2, 60, 10, 0)
     block = mine_child(genesis, txs=[tx], miner=addr(3))
-    new = apply_block(state, block)
-    assert new.balance(addr(1)) == 30
-    assert new.balance(addr(2)) == 60
-    assert new.balance(addr(3)) == 60
-    assert new.next_nonce(addr(1)) == 1
+    settle_block(state, block)
+    assert state.balance(addr(1)) == 30
+    assert state.balance(addr(2)) == 60
+    assert state.balance(addr(3)) == 60
+    assert state.next_nonce(addr(1)) == 1
 
 
 def test_supply_conservation_per_block():
@@ -169,8 +174,9 @@ def test_supply_conservation_per_block():
     genesis = make_genesis([(addr(1), 100)])
     tx = signed_tx(1, 2, 60, 10, 0)
     block = mine_child(genesis, txs=[tx], miner=addr(3))
-    new = apply_block(state, block)
-    assert new.total_supply() == state.total_supply() + consensus.BLOCK_REWARD
+    supply = state.total_supply()
+    settle_block(state, block)
+    assert state.total_supply() == supply + consensus.BLOCK_REWARD
 
 
 def test_apply_block_atomic_on_violation():
@@ -180,9 +186,10 @@ def test_apply_block_atomic_on_violation():
     genesis = make_genesis([(addr(1), 100)])
     block = mine_child(genesis, txs=[good, bad], miner=addr(3))
     with pytest.raises(BlockError) as e:
-        apply_block(state, block)
+        validate_block(block, genesis, state)
     assert e.value.tx_index == 1
-    assert state.balance(addr(1)) == 100  # untouched
+    # tx 0 settled and was rewound: its recipient and the nonce bump are gone
+    assert state == AccountState(balances={addr(1): 100})
 
 
 # -- block validation --------------------------------------------------------
@@ -204,7 +211,7 @@ def test_bad_link_detected():
 
 def test_duplicate_transaction_in_block():
     genesis = make_genesis([(addr(1), 100)])
-    state = apply_block(AccountState(), genesis)
+    state = replayed_state([genesis])
     tx = signed_tx(1, 2, 10, 1, 0)
     block = mine_child(genesis, txs=[tx, tx])
     with pytest.raises(BlockError) as e:
@@ -215,7 +222,7 @@ def test_duplicate_transaction_in_block():
 
 def test_tx_root_mismatch_detected():
     genesis = make_genesis([(addr(1), 100)])
-    state = apply_block(AccountState(), genesis)
+    state = replayed_state([genesis])
     tx = signed_tx(1, 2, 10, 1, 0)
     block = mine_child(genesis, txs=[tx])
     forged = Block(
@@ -246,7 +253,7 @@ def _chain_with_txs():
 
 def test_untampered_chain_verifies():
     store, blocks = _chain_with_txs()
-    state = verify_chain(store, blocks[-1].block_hash)
+    state = verify_chain_lines(ledger.chain_file_lines(blocks))
     assert state.total_supply() == 100 + 10 * consensus.BLOCK_REWARD
 
 
@@ -266,7 +273,7 @@ def test_payload_tamper_fails_at_exact_height():
     )
     path = blocks[:4] + [bad_block] + blocks[5:]
     with pytest.raises(ChainError) as e:
-        list(replay_blocks(path))
+        list(replay_blocks(path, AccountState()))
     assert e.value.height == 4
     assert e.value.code == "bad_tx_root"
 
@@ -287,36 +294,36 @@ def test_repaired_tx_root_breaks_pow_or_link():
     )
     path = blocks[:4] + [repaired] + blocks[5:]
     with pytest.raises(ChainError) as e:
-        list(replay_blocks(path))
+        list(replay_blocks(path, AccountState()))
     # either the old nonce no longer seals the new root, or block 5's link breaks
     assert (e.value.height, e.value.code) in {(4, "bad_pow"), (4, "bad_tx"), (5, "bad_link")}
 
 
 def test_replay_determinism():
     store, blocks = _chain_with_txs()
-    s1 = verify_chain(store, blocks[-1].block_hash)
-    s2 = verify_chain(store, blocks[-1].block_hash)
-    assert s1 == s2
+    lines = ledger.chain_file_lines(blocks)
+    assert verify_chain_lines(lines) == verify_chain_lines(lines)
+    undos = [list(replay_blocks(blocks, AccountState())) for _ in range(2)]
+    assert undos[0] == undos[1]
+    assert len(undos[0]) == len(blocks)
 
 
 def test_verify_holds_one_replay_state_at_a_time(monkeypatch):
     store, blocks = build_chain(50, allocations=[(addr(1), 100)])
     lines = ledger.chain_file_lines(blocks)
-    real = ledger.apply_block
-    for verify in (lambda: verify_chain_lines(lines),
-                   lambda: verify_chain(store, blocks[-1].block_hash)):
-        states, alive = [], []
-
-        def tracked(state, block):
-            new = real(state, block)
-            states.append(weakref.ref(new))
-            alive.append(sum(ref() is not None for ref in states))
-            return new
-
-        monkeypatch.setattr(ledger, "apply_block", tracked)
-        verify()
-        assert len(states) == 51
-        assert max(alive) <= 2  # the parent's state and the new one
+    built, copies, settled = [], [], []
+    real_init, real_copy = AccountState.__init__, AccountState.copy
+    monkeypatch.setattr(AccountState, "__init__", lambda state, *args: (
+        built.append(state) or real_init(state, *args)))
+    monkeypatch.setattr(AccountState, "copy", lambda state: (
+        copies.append(state) or real_copy(state)))
+    real_settle = ledger.settle_block
+    monkeypatch.setattr(ledger, "settle_block", lambda state, block: (
+        settled.append(state) or real_settle(state, block)))
+    state = verify_chain_lines(lines)
+    assert copies == []
+    assert len(built) == 1 and built[0] is state  # every block settles onto one state
+    assert len(settled) == 51 and all(s is state for s in settled)
 
 
 def test_nonce_monotonicity_along_chain():
@@ -447,9 +454,9 @@ def _hashes(blocks) -> list:
 def _move_and_check(store: BlockStore, tip: bytes, move) -> None:
     """Run ``move`` (an insert or a set_canonical) and check that it leaves
     ``tip`` at the head, reports the moved blocks and keeps the index."""
-    old_path = store.path_to_genesis(store.canonical_tip)
+    old_path = path_to_genesis(store, store.canonical_tip)
     displaced, adopted = move()
-    new_path = store.path_to_genesis(tip)
+    new_path = path_to_genesis(store, tip)
     old_set, new_set = set(_hashes(old_path)), set(_hashes(new_path))
     assert _hashes(displaced) == [h for h in _hashes(old_path) if h not in new_set]
     assert _hashes(adopted) == [h for h in _hashes(new_path) if h not in old_set]
@@ -769,17 +776,18 @@ def nonzero(mapping: dict) -> dict:
 @given(tx_lists())
 def test_block_transition_matches_reference_model(case):
     txs, bad = case
-    genesis_state = apply_block(AccountState(), TRANSITION_GENESIS)
-    before = genesis_state.copy()
+    state = replayed_state([TRANSITION_GENESIS])
+    before = copy.deepcopy(state)
     block = mine_child(TRANSITION_GENESIS, txs=txs, miner=addr(9), difficulty=0)
     balances, nonces, _, first = reference_settle(txs)
     if bad:  # every signature is checked before any state
         first = (bad[0], "bad_signature")
     try:
-        state = validate_block(block, TRANSITION_GENESIS, genesis_state)
+        undo = validate_block(block, TRANSITION_GENESIS, state)
     except BlockError as e:
         assert first is not None
         assert (e.code, e.tx_index, e.detail) == ("bad_tx", first[0], f"tx {first[0]}: {first[1]}")
+        assert state == before  # rewound exactly, which keys exist included
     else:
         assert first is None
         balances[addr(9)] = balances.get(addr(9), 0) + consensus.BLOCK_REWARD + sum(
@@ -787,4 +795,5 @@ def test_block_transition_matches_reference_model(case):
         )
         assert nonzero(state.balances) == nonzero(balances)
         assert state.nonces == nonces
-    assert genesis_state == before  # the parent's state is never written
+        rewind_block(state, undo)
+        assert state == before  # the undo record takes the block off exactly

@@ -3,10 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainsim.ledger import AccountState, TxError, apply_block, apply_tx, make_genesis
+from chainsim.ledger import AccountState, TxError, apply_tx, make_genesis
 from chainsim.mempool import Mempool
 
-from conftest import addr, mine_child, signed_tx
+from conftest import addr, mine_child, replayed_state, signed_tx
 
 
 def rich_state(*indices, amount=10_000):
@@ -68,7 +68,7 @@ def test_prune_drops_nonce_conflicts_of_an_adopted_block():
     competing = signed_tx(1, 3, 99, 9, 0)  # same (sender, nonce), different tx
     genesis = make_genesis([(addr(1), 10_000)])
     block = mine_child(genesis, txs=[competing])
-    pool.prune(apply_block(apply_block(AccountState(), genesis), block))
+    pool.prune(replayed_state([genesis, block]))
     assert len(pool) == 0
 
 

@@ -1,3 +1,4 @@
+import copy
 import functools
 import hashlib
 import json
@@ -12,11 +13,13 @@ from chainsim import consensus, ledger, netsim, node as node_mod
 from chainsim.kademlia import Contact
 from chainsim.ledger import AccountState, Block, BlockStore, canonical_json, make_genesis
 from chainsim.netsim import DECODE_CACHE_SIZE, Envelope, SimConfig, Simulator
-from chainsim.scenario import FoldingTracer
 from chainsim.metrics import MetricsFold, parse_trace_lines
 from chainsim.node import SYNC_PAGE_SIZE, SimNode, decode_blocks, encode_blocks, gossip_record
 
-from conftest import addr, audit_routing, mine_child, oversized_tx_body, signed_tx
+from conftest import (
+    addr, audit_routing, mine_child, oversized_tx_body, path_to_genesis, replayed_state,
+    signed_tx,
+)
 
 
 def seed_of(i: int) -> bytes:
@@ -237,20 +240,29 @@ def test_tip_extension_and_block_serving_walk_no_path(monkeypatch):
         a.mine_and_broadcast()
     sim.drain_deliveries()
     assert b.head().block_hash == a.head().block_hash
-    walks = []
-    real = BlockStore.path_to_genesis
-    monkeypatch.setattr(
-        BlockStore, "path_to_genesis", lambda store, tip: walks.append(tip) or real(store, tip)
-    )
+    walked, settled = [], []
+    real_branch, real_settle = BlockStore.branch, ledger.settle_block
+
+    def branch(store, tip):
+        fork, blocks = real_branch(store, tip)
+        walked.extend(blocks)
+        return fork, blocks
+
+    monkeypatch.setattr(BlockStore, "branch", branch)
+    monkeypatch.setattr(ledger, "settle_block", lambda state, blk: (
+        settled.append(blk) or real_settle(state, blk)))
     sent = []
     monkeypatch.setattr(sim, "send", lambda src, dst, kind, body: sent.append((kind, body)))
 
     block = consensus.mine(a.build_template())
     assert b.on_block(block) == "adopted"
     assert b.head().block_hash == block.block_hash
+    # the store's fork search stops at the tip's parent, and only the block settles
+    assert walked == settled == [block]
+    walked.clear()
     # a peer that holds only genesis asks for blocks
     b.handle(Envelope(0, 0, 0, 1, "GET_BLOCKS", GENESIS.block_hash))
-    assert walks == []
+    assert walked == []
     pages = [decode_blocks(body) for kind, body in sent if kind == "BLOCKS"]
     assert [blk.height for blk in pages[0]] == list(range(1, SYNC_PAGE_SIZE + 1))
     assert [blk.block_hash for blk in pages[0]] == b.store.canonical[1 : SYNC_PAGE_SIZE + 1]
@@ -346,16 +358,39 @@ def test_arbitrary_bodies_never_raise_from_handle(message):
     assert row["type"] == "deliver"
 
 
-def test_connecting_a_block_copies_the_state_once(monkeypatch):
-    sim = make_net(1)
-    node = sim.nodes[0]
-    block = mine_child(GENESIS, txs=[signed_tx(1, 2, 10, 1, n) for n in range(5)])
+def count_copies(monkeypatch) -> list:
+    """Record every AccountState.copy call."""
     copies = []
     real = AccountState.copy
-    monkeypatch.setattr(AccountState, "copy", lambda state: copies.append(1) or real(state))
-    assert node.on_block(block) == "adopted"
-    assert len(copies) == 1  # validated and applied in one pass
+    monkeypatch.setattr(AccountState, "copy", lambda state: copies.append(state) or real(state))
+    return copies
+
+
+def test_connecting_a_block_copies_a_state_only_off_the_tip(monkeypatch):
+    sim = make_net(1)
+    node = sim.nodes[0]
+    copies = count_copies(monkeypatch)
+    state = node.canonical_state
+    main = [mine_child(GENESIS, txs=[signed_tx(1, 2, 10, 1, n) for n in range(5)])]
+    main.append(mine_child(main[0], miner=addr(3)))
+    for block in main:
+        assert node.on_block(block) == "adopted"
+    assert copies == []  # each tip extension validated and settled in place
+    assert node.canonical_state is state
     assert node.canonical_state.next_nonce(addr(1)) == 5
+    # a branch off genesis: the first block's parent state is derived, the
+    # next ones' are held, and the third takes the head; one copy each
+    side = [mine_child(GENESIS, txs=[signed_tx(1, 3, 10, 1, 0)], miner=addr(4))]
+    side.append(mine_child(side[0], miner=addr(4)))
+    side.append(mine_child(side[1], miner=addr(4)))
+    for block, status in zip(side, ["side_chain", "side_chain", "adopted"]):
+        copies.clear()
+        assert node.on_block(block) == status
+        assert len(copies) == 1
+    assert node.canonical_state == replayed_state([GENESIS] + side)
+    copies.clear()
+    assert node.on_block(mine_child(side[-1], miner=addr(4))) == "adopted"
+    assert copies == []
 
 
 def test_reloading_a_persisted_chain_applies_each_block_once(monkeypatch):
@@ -365,21 +400,44 @@ def test_reloading_a_persisted_chain_applies_each_block_once(monkeypatch):
         assert node.on_transaction(signed_tx(1, 2, 10, 1, n)) == "relayed"
         node.mine_and_broadcast()
     lines = node.persist_chain_lines()
-    applied = []
-    real = ledger.apply_block
+    settled = []
+    real = ledger.settle_block
     monkeypatch.setattr(
-        ledger, "apply_block", lambda state, block: applied.append(block.block_hash) or real(state, block)
+        ledger, "settle_block", lambda state, block: settled.append(block.block_hash) or real(state, block)
     )
+    copies = count_copies(monkeypatch)
     restored = SimNode(sim, 0, seed_of(0), GENESIS, persisted_lines=lines)
-    mined = node.store.canonical[1:]
-    assert len(mined) == 4
-    # genesis's state is built by the constructor as well; mined blocks once each
-    assert [h for h in applied if h != GENESIS.block_hash] == mined
+    assert len(node.store.canonical) == 5
+    assert settled == node.store.canonical  # genesis and each mined block once, in order
+    assert copies == []
     assert restored.store.canonical == node.store.canonical
     assert restored.undo == node.undo
     for h in node.store.canonical:  # the state reached at each height, rewound from the tip
-        replayed = ledger._last_state(node.store.path_to_genesis(h))
+        replayed = replayed_state(path_to_genesis(node.store, h))
         assert restored.state_at(h) == node.state_at(h) == replayed
+
+
+def test_a_node_reloaded_from_genesis_alone_holds_the_allocations():
+    sim = make_net(1)
+    restored = SimNode(sim, 0, seed_of(0), GENESIS,
+                       persisted_lines=ledger.chain_file_lines([GENESIS]))
+    assert restored.canonical_state == AccountState(balances=dict(GENESIS.allocations))
+    assert restored.undo == {}
+    # so it accepts a block that spends from them
+    assert restored.on_block(mine_child(GENESIS, txs=[signed_tx(1, 2, 10, 1, 0)])) == "adopted"
+
+
+def test_a_block_that_overdrafts_after_settled_txs_leaves_the_node_unchanged():
+    sim = make_net(1)
+    node = sim.nodes[0]
+    assert node.on_block(mine_child(GENESIS, txs=[signed_tx(1, 2, 100, 1, 0)])) == "adopted"
+    before = copy.deepcopy((node.canonical_state, node.undo, node.store.canonical))
+    # tx 1 pays 2 -> 3; tx 2 overdrafts 2 once 0 and 1 have settled
+    txs = [signed_tx(1, 2, 50, 1, 1), signed_tx(2, 3, 100, 1, 0), signed_tx(2, 5, 49, 1, 1)]
+    block = mine_child(node.head(), txs=txs, miner=addr(4))
+    assert node.on_block(block) == "rejected:bad_tx"
+    assert (node.canonical_state, node.undo, node.store.canonical) == before
+    assert block.block_hash not in node.store
 
 
 # -- one state per node, undo records and side states ---------------------------
@@ -388,7 +446,7 @@ class ReplayNode(SimNode):
     """The reference: every state it validates against is replayed from genesis."""
 
     def state_at(self, block_hash):
-        return ledger._last_state(self.store.path_to_genesis(block_hash))
+        return replayed_state(path_to_genesis(self.store, block_hash))
 
     @property
     def canonical_state(self):
@@ -410,9 +468,9 @@ def assert_states_replay(node):
     """The canonical state, and the state derived at every stored block,
     equal a replay from genesis, keys present included."""
     store = node.store
-    assert node.canonical_state == ledger._last_state(store.path_to_genesis(store.canonical_tip))
+    assert node.canonical_state == replayed_state(path_to_genesis(store, store.canonical_tip))
     for h in store.blocks:
-        assert node.state_at(h) == ledger._last_state(store.path_to_genesis(h))
+        assert node.state_at(h) == replayed_state(path_to_genesis(store, h))
     assert len(node.side_states) <= node_mod.SIDE_STATE_CAP
 
 
@@ -647,7 +705,7 @@ def test_malformed_body_row_carries_its_sha256(monkeypatch):
 
 def test_a_malformed_block_announce_folds_alike_live_and_from_the_file():
     sim = make_net(3)
-    sim.tracer = FoldingTracer()
+    sim.tracer = netsim.Tracer()
     sim.nodes[0].mine_and_broadcast()
     sim.drain_deliveries()
     assert deliver(sim, 1, "BLOCK_ANNOUNCE", b"{not json")["reject"] == "malformed"

@@ -8,7 +8,7 @@ from chainsim.ledger import SIGNATURE_CACHE_SIZE, Transaction, TxError, check_si
 from chainsim.mempool import DEFAULT_CAPACITY, Mempool
 
 import conftest
-from conftest import addr, mine_child, signed_tx
+from conftest import addr, mine_child, replayed_state, signed_tx
 from test_node import make_net
 
 
@@ -138,7 +138,7 @@ def test_block_of_a_full_pools_oldest_txs_is_not_verified_again(signature_cache,
     senders = range(1, 101)
     per_sender = DEFAULT_CAPACITY // len(senders)
     genesis = ledger.make_genesis([(addr(i), 2 * per_sender) for i in senders])
-    state = ledger.apply_block(ledger.AccountState(), genesis)
+    state = replayed_state([genesis])
     pool = Mempool()
     txs = [
         Transaction(conftest.keypair(i).public_key, addr(200), 1, 1, nonce)
@@ -156,7 +156,7 @@ def test_block_of_a_full_pools_oldest_txs_is_not_verified_again(signature_cache,
 
 def test_block_admission_reuses_the_mempool_check(signature_cache, verify_calls):
     genesis = ledger.make_genesis([(addr(1), 100)])
-    state = ledger.apply_block(ledger.AccountState(), genesis)
+    state = replayed_state([genesis])
     tx = signed_tx(1, 2, 10, 1, 0)
     Mempool().insert(tx, state)
     ledger.validate_block(mine_child(genesis, txs=[tx]), genesis, state)
