@@ -105,8 +105,25 @@ def canonical_json(obj) -> bytes:
     return "".join(json_chunks(obj, 0)).encode()
 
 
+# Block.encode's fixed layouts: canonical_json of a tx, of a block and of a
+# genesis block's allocations prefix, keys in sorted order. Every byte field
+# is lowercase hex, which JSON never escapes, and every integer field an int,
+# which %d spells as canonical_json does; a Hypothesis property holds them to
+# canonical_json of the reference encoder in the tests.
+_TX_JSON = (
+    '{"amount":%d,"fee":%d,"nonce":%d,"payload":"%s","recipient":"%s",'
+    '"sender_public_key":"%s","signature":"%s"}'
+)
+_BLOCK_JSON = (
+    '{"difficulty_bits":%d,"height":%d,"miner":"%s","pow_nonce":%d,"prev_hash":"%s",'
+    '"timestamp":%d,"transactions":[%s],"tx_root":"%s"}'
+)
+_ALLOCATIONS_JSON = '{"allocations":[%s],'  # then _BLOCK_JSON without its "{"
+_ALLOCATION_JSON = '["%s",%d]'
+
+
 def _check_keys(obj, keys: frozenset) -> None:
-    """The JSON decoders take exactly the fields ``to_json`` writes."""
+    """The JSON decoders take exactly the fields ``Block.encode`` writes."""
     if type(obj) is not dict or obj.keys() != keys:
         raise ValueError(f"expected an object with exactly the fields {sorted(keys)}")
 
@@ -148,6 +165,23 @@ class Transaction:
     payload: bytes = b""
     signature: bytes = bytes(64)
 
+    def __post_init__(self):
+        # Every tx a decoder returns gets ``sender`` and ``tx_hash`` here, as
+        # plain instance attributes that shadow the lazy properties below:
+        # set in ``__init__``, their keys join the key table CPython shares
+        # among a class's instances (see ``Block._canonical``), and a read is
+        # a dict lookup. A directly built tx that breaks a field rule (a key
+        # ``sender`` refuses, an oversized payload or an integer outside its
+        # packed range) keeps both lazy, so building it never raises.
+        if len(self.sender_public_key) != PUBLIC_KEY_SIZE:
+            return
+        try:
+            data = self.encode()
+        except (TxError, struct.error):
+            return
+        object.__setattr__(self, "sender", address_from_public_key(self.sender_public_key))
+        object.__setattr__(self, "tx_hash", hash_bytes(data))
+
     @cached_property
     def sender(self) -> bytes:
         return address_from_public_key(self.sender_public_key)
@@ -178,17 +212,6 @@ class Transaction:
     def hash_hex(self) -> str:
         """``tx_hash`` as hex: the tx's one label in every trace row."""
         return self.tx_hash.hex()
-
-    def to_json(self) -> dict:
-        return {
-            "sender_public_key": self.sender_public_key.hex(),
-            "recipient": self.recipient.hex(),
-            "amount": self.amount,
-            "fee": self.fee,
-            "nonce": self.nonce,
-            "payload": self.payload.hex(),
-            "signature": self.signature.hex(),
-        }
 
     @staticmethod
     def from_json(obj: dict) -> "Transaction":
@@ -294,21 +317,6 @@ class Block:
         """``block_hash`` as hex: the block's one label in every trace row."""
         return self.block_hash.hex()
 
-    def to_json(self) -> dict:
-        obj = {
-            "height": self.height,
-            "prev_hash": self.prev_hash.hex(),
-            "timestamp": self.timestamp,
-            "difficulty_bits": self.difficulty_bits,
-            "pow_nonce": self.pow_nonce,
-            "miner": self.miner.hex(),
-            "tx_root": self.tx_root.hex(),
-            "transactions": [tx.to_json() for tx in self.transactions],
-        }
-        if self.allocations:
-            obj["allocations"] = [[a.hex(), n] for a, n in self.allocations]
-        return obj
-
     @staticmethod
     def from_json(obj: dict) -> "Block":
         _check_keys(obj, _GENESIS_KEYS if "allocations" in obj else _BLOCK_KEYS)
@@ -330,11 +338,27 @@ class Block:
         )
 
     def encode(self) -> bytes:
-        """The canonical JSON bytes, encoded once per block object: every
-        relay, ``BLOCKS`` page and chain-file line of the block reuses them."""
+        """The canonical JSON bytes, encoded once per block object from the
+        fixed layouts: every relay, ``BLOCKS`` page, chain-file line and RPC
+        read of the block reuses them."""
         data = self._canonical
         if data is None:
-            data = canonical_json(self.to_json())
+            text = _BLOCK_JSON % (
+                self.difficulty_bits, self.height, self.miner.hex(), self.pow_nonce,
+                self.prev_hash.hex(), self.timestamp,
+                ",".join([
+                    _TX_JSON % (tx.amount, tx.fee, tx.nonce, tx.payload.hex(),
+                                tx.recipient.hex(), tx.sender_public_key.hex(),
+                                tx.signature.hex())
+                    for tx in self.transactions
+                ]),
+                self.tx_root.hex(),
+            )
+            if self.allocations:
+                text = _ALLOCATIONS_JSON % ",".join(
+                    [_ALLOCATION_JSON % (a.hex(), n) for a, n in self.allocations]
+                ) + text[1:]
+            data = text.encode()
             object.__setattr__(self, "_canonical", data)
         return data
 

@@ -13,6 +13,12 @@ payload_too_large. Every request gets a reply:
 - the server answers a POST without ``Content-Length`` with HTTP 411, one
   that is not a decimal integer with 400 and one over ``MAX_BODY_BYTES``
   with 413, each without reading the body.
+
+Replies are built as bytes. A block read splices its result from the
+block's kept canonical JSON (``Block.encode``, encoded once per block
+object), so serving a block again encodes nothing; every other reply is
+``ledger.canonical_json`` of its object, and a batch joins its members'
+replies. The bytes are those ``canonical_json`` gives for the whole reply.
 """
 
 from __future__ import annotations
@@ -85,11 +91,17 @@ class RpcDispatcher:
             raise RpcError(APP_ERROR_CODES.get(cause, INVALID_PARAMS), cause)
         return tx.tx_hash.hex()
 
-    def _block_result(self, block) -> dict:
-        obj = block.to_json()
-        obj["hash"] = block.block_hash.hex()
-        obj["canonical"] = self.node.store.is_canonical(block.block_hash)
-        return obj
+    def _block_result(self, block) -> bytes:
+        """The block's result object as JSON: its kept bytes (``Block.encode``)
+        with ``canonical`` spliced in before ``difficulty_bits`` and ``hash``
+        before ``height``, their places in sorted key order. Every string in
+        those bytes is hex, so the first match of a quoted key is the key."""
+        data = block.encode()
+        i = data.index(b'"difficulty_bits"')
+        j = data.index(b'"height"', i)
+        canonical = b"true" if self.node.store.is_canonical(block.block_hash) else b"false"
+        return b'%s"canonical":%s,%s"hash":"%s",%s' % (
+            data[:i], canonical, data[i:j], block.block_hash.hex().encode(), data[j:])
 
     def chain_getBlockByHeight(self, params: dict):
         height = params.get("height")
@@ -142,7 +154,7 @@ class RpcDispatcher:
 
     # -- protocol ----------------------------------------------------------
 
-    def _handle_one(self, req) -> dict:
+    def _handle_one(self, req) -> bytes:
         rid = req.get("id") if isinstance(req, dict) else None
         if not _valid_id(rid):  # never echoed, so a deep id never reaches the encoder
             return _error_response(None, INVALID_REQUEST, "invalid request")
@@ -162,25 +174,25 @@ class RpcDispatcher:
             result = method(self, params)
         except RpcError as e:
             return _error_response(rid, e.code, e.message)
-        return {"jsonrpc": "2.0", "id": rid, "result": result}
+        if type(result) is bytes:  # a block's result, already JSON
+            return b'{"id":%s,"jsonrpc":"2.0","result":%s}' % (ledger.canonical_json(rid), result)
+        return ledger.canonical_json({"jsonrpc": "2.0", "id": rid, "result": result})
 
     def handle_payload(self, payload: bytes) -> bytes:
         """One raw JSON-RPC payload in, one out; batches answer positionally."""
         try:
             req = json.loads(payload)
         except (ValueError, UnicodeDecodeError, RecursionError):
-            return ledger.canonical_json(_error_response(None, PARSE_ERROR, "parse error"))
+            return _error_response(None, PARSE_ERROR, "parse error")
         with self._lock:
             if not isinstance(req, list):
-                reply = self._handle_one(req)
-            elif not req:
-                reply = _error_response(None, INVALID_REQUEST, "empty batch")
-            elif len(req) > MAX_BATCH_LENGTH:
-                reply = _error_response(
+                return self._handle_one(req)
+            if not req:
+                return _error_response(None, INVALID_REQUEST, "empty batch")
+            if len(req) > MAX_BATCH_LENGTH:
+                return _error_response(
                     None, INVALID_REQUEST, f"batch over {MAX_BATCH_LENGTH} requests")
-            else:
-                reply = [self._handle_one(r) for r in req]
-            return ledger.canonical_json(reply)
+            return b"[" + b",".join([self._handle_one(r) for r in req]) + b"]"
 
 
 def _valid_id(rid) -> bool:
@@ -189,8 +201,9 @@ def _valid_id(rid) -> bool:
         type(rid) is float and math.isfinite(rid))
 
 
-def _error_response(rid, code: int, message: str) -> dict:
-    return {"jsonrpc": "2.0", "id": rid, "error": {"code": code, "message": message}}
+def _error_response(rid, code: int, message: str) -> bytes:
+    return ledger.canonical_json(
+        {"jsonrpc": "2.0", "id": rid, "error": {"code": code, "message": message}})
 
 
 def serve(node, host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:

@@ -6,7 +6,7 @@ import pytest
 from chainsim import consensus, ledger
 from chainsim.crypto import address_from_public_key, generate_keypair
 from chainsim.kademlia import bucket_index
-from chainsim.ledger import AccountState, BlockStore, make_genesis, make_transaction
+from chainsim.ledger import AccountState, BlockStore, Transaction, make_genesis, make_transaction
 
 
 @functools.cache  # a pure function of i; KeyPair is frozen
@@ -16,6 +16,36 @@ def keypair(i: int):
 
 def addr(i: int) -> bytes:
     return address_from_public_key(keypair(i).public_key)
+
+
+def to_json(value) -> dict:
+    """The reference JSON encoder of a block or transaction: the object whose
+    ``canonical_json`` ``Block.encode`` writes from its fixed layouts, and the
+    object the JSON decoders (``Block.from_json``, ``Transaction.from_json``)
+    take."""
+    if isinstance(value, Transaction):
+        return {
+            "sender_public_key": value.sender_public_key.hex(),
+            "recipient": value.recipient.hex(),
+            "amount": value.amount,
+            "fee": value.fee,
+            "nonce": value.nonce,
+            "payload": value.payload.hex(),
+            "signature": value.signature.hex(),
+        }
+    obj = {
+        "height": value.height,
+        "prev_hash": value.prev_hash.hex(),
+        "timestamp": value.timestamp,
+        "difficulty_bits": value.difficulty_bits,
+        "pow_nonce": value.pow_nonce,
+        "miner": value.miner.hex(),
+        "tx_root": value.tx_root.hex(),
+        "transactions": [to_json(tx) for tx in value.transactions],
+    }
+    if value.allocations:
+        obj["allocations"] = [[a.hex(), n] for a, n in value.allocations]
+    return obj
 
 
 def signed_tx(sender_i: int, recipient_i: int, amount: int, fee: int, nonce: int,

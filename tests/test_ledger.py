@@ -27,7 +27,7 @@ from chainsim.ledger import (
 )
 
 from conftest import (
-    addr, build_chain, keypair, mine_child, path_to_genesis, replayed_state, signed_tx,
+    addr, build_chain, keypair, mine_child, path_to_genesis, replayed_state, signed_tx, to_json,
 )
 
 
@@ -78,7 +78,7 @@ def test_transaction_binary_round_trip(tx):
 
 @given(tx_strategy)
 def test_transaction_json_round_trip(tx):
-    assert Transaction.from_json(tx.to_json()) == tx
+    assert Transaction.from_json(to_json(tx)) == tx
 
 
 def test_oversized_payload_rejected():
@@ -93,6 +93,47 @@ def test_block_json_round_trip():
     block = mine_child(make_genesis([(addr(1), 100)]), txs=[tx])
     assert Block.decode(block.encode()) == block
     assert Block.decode(block.encode()).block_hash == block.block_hash
+
+
+def _bytes_of(width: int):
+    return st.binary(min_size=width, max_size=width)
+
+
+u64_edges = st.integers(0, ledger.U64_MAX) | st.sampled_from([0, 1, ledger.U64_MAX])
+layout_tx_strategy = st.builds(
+    Transaction,
+    sender_public_key=_bytes_of(32),
+    recipient=_bytes_of(20),
+    amount=u64_edges,
+    fee=u64_edges,
+    nonce=u64_edges,
+    # a short payload, or one byte repeated up to the bound
+    payload=st.binary(max_size=16) | st.builds(
+        lambda n, byte: bytes([byte]) * n, st.integers(0, ledger.MAX_PAYLOAD_BYTES),
+        st.integers(0, 255)),
+    signature=_bytes_of(64),
+)
+layout_block_strategy = st.builds(
+    Block,
+    height=u64_edges,
+    prev_hash=_bytes_of(32),
+    timestamp=u64_edges,
+    difficulty_bits=st.integers(0, 0xFF),
+    pow_nonce=u64_edges,
+    miner=_bytes_of(20),
+    tx_root=_bytes_of(32),
+    # 0 to MAX_BLOCK_TXS txs, cycling through up to three drawn ones
+    transactions=st.builds(
+        lambda pool, n: tuple(pool[i % len(pool)] for i in range(n)),
+        st.lists(layout_tx_strategy, min_size=1, max_size=3),
+        st.integers(0, ledger.MAX_BLOCK_TXS)),
+) | st.builds(make_genesis, st.lists(st.tuples(_bytes_of(20), u64_edges), max_size=4), u64_edges)
+
+
+@settings(deadline=None)
+@given(layout_block_strategy)
+def test_block_encode_is_canonical_json_of_the_reference_encoder(block):
+    assert block.encode() == canonical_json(to_json(block))
 
 
 # -- transaction validation ----------------------------------------------------
@@ -393,7 +434,7 @@ def test_genesis_allocation_tamper_detected():
 
     _, blocks = _chain_with_txs()
     lines = ledger.chain_file_lines(blocks)
-    genesis_obj = blocks[0].to_json()
+    genesis_obj = to_json(blocks[0])
     genesis_obj["allocations"][0][1] += 1
     lines[0] = json.dumps(genesis_obj, sort_keys=True, separators=(",", ":")).encode()
     with pytest.raises(ChainError) as e:
@@ -531,7 +572,7 @@ def test_sealed_short_miner_is_rejected():
 def test_decode_rejects_wrong_width_fields(field, width):
     genesis = make_genesis([(addr(1), 100)])
     for block in (mine_child(genesis), genesis):
-        obj = block.to_json()
+        obj = to_json(block)
         obj[field] = bytes(width).hex()
         with pytest.raises(ValueError):
             Block.from_json(obj)
@@ -680,7 +721,7 @@ def fitted(value):
 @given(raw_tx_strategy, st.booleans())
 def test_transaction_json_decode_inverts_encode(tx, fit):
     tx = fitted(tx) if fit else tx
-    obj = json.loads(json.dumps(tx.to_json()))
+    obj = json.loads(json.dumps(to_json(tx)))
     if fitted(tx) == tx:
         decoded = Transaction.from_json(obj)
         assert decoded == tx

@@ -18,7 +18,7 @@ from chainsim.node import SYNC_PAGE_SIZE, SimNode, decode_blocks, encode_blocks,
 
 from conftest import (
     addr, audit_routing, mine_child, oversized_tx_body, path_to_genesis, replayed_state,
-    signed_tx,
+    signed_tx, to_json,
 )
 
 
@@ -271,7 +271,7 @@ def test_tip_extension_and_block_serving_walk_no_path(monkeypatch):
 # -- malformed gossip bodies ---------------------------------------------------
 
 def _block_json(**fields) -> bytes:
-    obj = GENESIS.to_json()
+    obj = to_json(GENESIS)
     obj.update(fields)
     return json.dumps(obj).encode()
 
@@ -318,7 +318,7 @@ json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(
-        st.sampled_from(sorted(GENESIS.to_json())) | st.text(max_size=4), inner, max_size=8
+        st.sampled_from(sorted(to_json(GENESIS))) | st.text(max_size=4), inner, max_size=8
     ),
     max_leaves=20,
 )
@@ -727,9 +727,15 @@ def test_a_deliver_row_with_no_block_label_folds_no_announce():
 
 def test_each_block_object_is_json_encoded_once(monkeypatch):
     sim = make_net(5)
-    encoded = []  # the block of every to_json call, held so that no id is reused
-    real = Block.to_json
-    monkeypatch.setattr(Block, "to_json", lambda block: encoded.append(block) or real(block))
+    encoded = []  # every block encode found with no kept bytes, held so that no id is reused
+    real = Block.encode
+
+    def counted(block):
+        if block._canonical is None:
+            encoded.append(block)
+        return real(block)
+
+    monkeypatch.setattr(Block, "encode", counted)
     delivered, _ = count_decodes(monkeypatch)
     churn(sim)
     kinds = {kind for kind, _ in delivered}
@@ -741,7 +747,7 @@ def test_each_block_object_is_json_encoded_once(monkeypatch):
 def test_a_block_in_a_non_canonical_spelling_relays_and_persists_canonical_bytes(monkeypatch):
     sim = make_net(3)
     block = mine_child(GENESIS)
-    obj = block.to_json()
+    obj = to_json(block)
     body = json.dumps(dict(reversed(list(obj.items()))), indent=1).encode()
     canonical = canonical_json(obj)
     assert body != canonical and Block.decode(body) == block
@@ -760,10 +766,10 @@ def test_a_block_in_a_non_canonical_spelling_relays_and_persists_canonical_bytes
 
 def test_a_block_body_in_the_canonical_spelling_is_the_blocks_kept_encoding():
     block = mine_child(GENESIS, txs=[signed_tx(1, 2, 10, 1, 0)])
-    body = canonical_json(block.to_json())
+    body = canonical_json(to_json(block))
     decoded = ledger.decode_relayed_block(body)
     assert decoded == block and decoded.encode() is body
-    spelled = json.dumps(block.to_json(), indent=1).encode()
+    spelled = json.dumps(to_json(block), indent=1).encode()
     respelled = ledger.decode_relayed_block(spelled)
     assert respelled == block and respelled.encode() == body
 
@@ -790,5 +796,5 @@ def test_a_blocks_page_is_the_canonical_json_list_of_its_blocks(heights):
         parent = mine_child(parent, txs=[signed_tx(1, 2, 10, 1, h)] if h % 2 else [])
         page.append(parent)
     for blocks in (page, page[1:], []):
-        assert encode_blocks(blocks) == canonical_json([b.to_json() for b in blocks])
+        assert encode_blocks(blocks) == canonical_json([to_json(b) for b in blocks])
         assert decode_blocks(encode_blocks(blocks)) == tuple(blocks)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chainsim.kademlia import Contact
-from chainsim.ledger import make_genesis
+from chainsim.ledger import canonical_json, make_genesis
 from chainsim.netsim import SimConfig, Simulator
 from chainsim.node import SimNode
 from chainsim.rpc import (
@@ -19,7 +19,7 @@ from chainsim.rpc import (
     serve,
 )
 
-from conftest import addr, oversized_tx_body, signed_tx
+from conftest import addr, oversized_tx_body, signed_tx, to_json
 
 GENESIS = make_genesis([(addr(1), 10_000)])
 
@@ -334,3 +334,70 @@ def test_arbitrary_bytes_always_get_one_reply(dispatcher, payload):
 @given(value=JSON_VALUES | REQUESTS | st.lists(REQUESTS | JSON_VALUES, max_size=4))
 def test_arbitrary_json_values_always_get_one_reply(dispatcher, value):
     assert_one_reply(dispatcher.handle_payload(json.dumps(value).encode()))
+
+
+@pytest.fixture(scope="module")
+def served():
+    """A node holding genesis (with an allocation), two canonical blocks (one
+    carrying a tx) and a side block, and its dispatcher."""
+    sim, node = make_node()
+    node.on_transaction(signed_tx(1, 2, 25, 2, 0, b"%s\"\\"))
+    canonical = [GENESIS, node.mine_and_broadcast()]
+    side = sim.nodes[1].mine_and_broadcast()  # same height, different miner
+    node.on_block(side)
+    canonical.append(node.mine_and_broadcast())
+    assert canonical[1].transactions and node.head() == canonical[-1]
+    assert not node.store.is_canonical(side.block_hash)
+    return RpcDispatcher(node), canonical, side
+
+
+# ids a reply must echo: strings JSON escapes (quotes, backslashes, non-ASCII)
+# or a % format would read, integers, finite floats and null
+REPLY_IDS = (
+    st.text(st.sampled_from('"\\%sdé€\U0001f600\n') | st.characters(), max_size=8)
+    | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.none()
+)
+# a block read, by canonical height (genesis, a block with a tx, the head, or
+# past the head) or by hash (one of those or the side block); or an error
+BLOCK_READS = st.sampled_from(
+    [("height", h) for h in range(4)] + [("hash", i) for i in range(4)] + ["nope", "v1"])
+
+
+def block_read(served, read, rid) -> tuple:
+    """A request and the reply object a dispatcher should answer it with."""
+    _, canonical, side = served
+    request = {"jsonrpc": "2.0", "id": rid}
+    if read == "nope":
+        request["method"] = "nope"
+        return request, {"jsonrpc": "2.0", "id": rid,
+                         "error": {"code": -32601, "message": "unknown method nope"}}
+    if read == "v1":
+        request.update(jsonrpc="1.0", method="chain_getBlockByHeight", params={"height": 0})
+        return request, {"jsonrpc": "2.0", "id": rid,
+                         "error": {"code": INVALID_REQUEST, "message": "invalid request"}}
+    by, i = read
+    if by == "height":
+        request.update(method="chain_getBlockByHeight", params={"height": i})
+        block = canonical[i] if i < len(canonical) else None
+    else:
+        block = (canonical + [side])[i]
+        request.update(method="chain_getBlockByHash", params={"hash": block.block_hash.hex()})
+    result = None if block is None else dict(
+        to_json(block), hash=block.block_hash.hex(), canonical=block is not side)
+    return request, {"jsonrpc": "2.0", "id": rid, "result": result}
+
+
+@settings(deadline=None)
+@given(reads=st.lists(st.tuples(BLOCK_READS, REPLY_IDS), min_size=1, max_size=4),
+       batched=st.booleans())
+def test_block_read_replies_are_canonical_json_of_the_reference_reply(served, reads, batched):
+    pairs = [block_read(served, read, rid) for read, rid in reads]
+    requests, replies = zip(*pairs)
+    dispatcher = served[0]
+    if batched:
+        assert dispatcher.handle_payload(json.dumps(requests).encode()) == canonical_json(
+            list(replies))
+    else:
+        for request, reply in pairs:
+            assert dispatcher.handle_payload(json.dumps(request).encode()) == canonical_json(
+                reply)
