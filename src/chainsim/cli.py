@@ -152,10 +152,7 @@ def cmd_serve_rpc(args, lines) -> int:
     # the node decodes every line as `verify` does
     genesis = decode_chain_lines(lines[:1])[0]
     sim = Simulator(SimConfig(), 1)  # a lone node: no peers to send to
-    try:
-        node = SimNode(sim, 0, seed, genesis, persisted_lines=lines)
-    except ledger.BlockError as e:  # the genesis block, refused by the node's store
-        raise ChainError(0, e.code) from e
+    node = SimNode(sim, 0, seed, genesis, persisted_lines=lines)
     sim.attach(0, node)
     server = rpc.serve(node, port=args.port)
     try:

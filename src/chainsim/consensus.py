@@ -15,6 +15,11 @@ from hashlib import sha256
 
 BLOCK_REWARD = 50
 _NONCE = struct.Struct(">Q")
+# nonces ``mine`` tries by default before it gives up
+MINE_ATTEMPTS = 1 << 24
+# the highest difficulty a simulation may set: 2^4 expected seals per
+# MINE_ATTEMPTS, so a block almost never exhausts them (see ``mine``)
+MAX_DIFFICULTY_BITS = MINE_ATTEMPTS.bit_length() - 1 - 4
 
 
 def meets_difficulty(block_hash: bytes, difficulty_bits: int) -> bool:
@@ -67,10 +72,16 @@ class MiningExhausted(Exception):
         super().__init__(f"no valid nonce in {attempts} attempts")
 
 
-def mine(template: BlockTemplate, start_nonce: int = 0, max_attempts: int = 1 << 24):
+def mine(template: BlockTemplate, start_nonce: int = 0, max_attempts: int = MINE_ATTEMPTS):
     """Seal ``template`` with the first qualifying nonce in
     [start_nonce, start_nonce + max_attempts); raises MiningExhausted
-    if none qualifies so the caller can resume from a new start."""
+    if none qualifies so the caller can resume from a new start.
+
+    Each nonce qualifies with chance 2^-d, so the default budget runs out
+    with chance (1 - 2^-d)^MINE_ATTEMPTS ~ exp(-2^(24 - d)) per block: about
+    exp(-16) ~ 1e-7 at MAX_DIFFICULTY_BITS (20), squared for each bit below,
+    but 1 - 2^-16 at 40. Simulations refuse a difficulty above 20
+    (``netsim.SimConfig.validate``), as the simulator does not resume."""
     from .ledger import POW_NONCE_OFFSET
 
     d = template.difficulty_bits

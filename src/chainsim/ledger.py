@@ -263,17 +263,14 @@ def make_transaction(
     return replace(tx, signature=sig)
 
 
-def _alloc_encoding(allocations: tuple) -> bytes:
-    return b"".join(addr + struct.pack(">Q", amount) for addr, amount in allocations)
-
-
-def compute_tx_root(transactions: Iterable[Transaction], allocations: tuple = ()) -> bytes:
-    return hash_bytes(_alloc_encoding(allocations) + b"".join(tx.encode() for tx in transactions))
+def compute_tx_root(transactions: Iterable[Transaction]) -> bytes:
+    return hash_bytes(b"".join(tx.encode() for tx in transactions))
 
 
 def genesis_tx_root(allocations: tuple, timestamp: int) -> bytes:
     """Genesis commitment: timestamp plus the allocation list."""
-    return hash_bytes(struct.pack(">Q", timestamp) + _alloc_encoding(allocations))
+    packed = [addr + struct.pack(">Q", amount) for addr, amount in allocations]
+    return hash_bytes(struct.pack(">Q", timestamp) + b"".join(packed))
 
 
 @dataclass(frozen=True)

@@ -40,9 +40,6 @@ class Mempool:
     def __contains__(self, tx_hash: bytes) -> bool:
         return tx_hash in self.entries
 
-    def transactions(self) -> list:
-        return list(self.entries.values())
-
     def insert(self, tx: Transaction, state: AccountState) -> None:
         """Admit ``tx`` or raise TxError with cause duplicate / pool_full /
         bad_signature / bad_nonce / insufficient_funds / payload_too_large."""

@@ -12,12 +12,7 @@ CSV columns: time_ms, metric_name, node, value (node -1 = network-wide).
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, List
-
-
-def parse_trace_lines(lines: Iterable[bytes]) -> List[dict]:
-    return [json.loads(ln) for ln in lines if ln.strip()]
 
 
 class MetricsFold:

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional
 
+from .consensus import MAX_DIFFICULTY_BITS, MINE_ATTEMPTS
 from .ledger import json_chunks
 from .metrics import MetricsFold
 
@@ -66,8 +67,9 @@ class SimConfig:
             raise ValueError("latency_min_ms must be in [0, latency_max_ms]")
         if self.block_interval_target_ms < 1:
             raise ValueError("block_interval_target_ms must be >= 1")
-        if not 0 <= self.difficulty_bits <= 255:
-            raise ValueError("difficulty_bits must be in [0, 255]")
+        if not 0 <= self.difficulty_bits <= MAX_DIFFICULTY_BITS:  # so mining ends
+            raise ValueError(f"difficulty_bits must be in [0, {MAX_DIFFICULTY_BITS}]: mining "
+                             f"gives up on a block after {MINE_ATTEMPTS:,} nonces")
         if not 0.0 <= self.drop_probability < 1.0:
             raise ValueError("drop_probability must be in [0, 1)")
         if any(s < 0 for s in self.hash_rate_shares.values()):
@@ -177,7 +179,6 @@ class Simulator:
         config: SimConfig,
         num_nodes: int,
         tracer: Optional[Tracer] = None,
-        node_factory: Optional[Callable] = None,
     ):
         config.validate()
         self.config = config
@@ -187,12 +188,11 @@ class Simulator:
         self._latency_bits = self._latency_span.bit_length()
         self.num_nodes = num_nodes
         self.tracer = tracer or Tracer()
-        self.node_factory = node_factory  # (sim, index, persisted_lines) -> node
         self.now = 0
         self._queue: list = []
         self._seq = 0
         self.nodes: list = [None] * num_nodes  # None: not attached, or down
-        self.persisted: dict = {}  # node index -> list of chain-file lines
+        self.down: dict = {}  # node index -> its crashed node, untouched until restart
         self._net_rng = [_derive_rng(config.rng_seed, i, "net") for i in range(num_nodes)]
         self._mine_rng = [_derive_rng(config.rng_seed, i, "mine") for i in range(num_nodes)]
         self.messages_sent = 0
@@ -372,29 +372,29 @@ class Simulator:
     # -- churn -------------------------------------------------------------
 
     def crash_node(self, index: int) -> bool:
-        """Take a node offline, persisting its canonical chain. Crashing a
-        node that is already down is a reported no-op (returns False)."""
+        """Take a node offline; it keeps its canonical chain, and nothing
+        reaches it until it restarts. Crashing a node that is already down
+        is a reported no-op (returns False)."""
         self._check_index(index)
         node = self.nodes[index]
         if node is None:
             return False
-        self.persisted[index] = node.persist_chain_lines()
+        self.down[index] = node
         self.nodes[index] = None
         self.tracer.log({"time": self.now, "type": "crash", "node": index})
         return True
 
     def restart_node(self, index: int) -> None:
-        """Bring a down node back: volatile state is gone, the persisted
-        chain file is reloaded, and the node re-joins and re-syncs."""
+        """Bring a crashed node back in place (``SimNode.restart``): its
+        volatile state is gone, its kept canonical blocks are replayed, and
+        it re-joins and re-syncs. A slot with no crashed node is a no-op."""
         self._check_index(index)
-        if self.nodes[index] is not None:
+        node = self.down.pop(index, None)
+        if node is None:
             return
-        if self.node_factory is None:
-            raise RuntimeError("restart requires a node_factory")
-        node = self.node_factory(self, index, self.persisted.get(index))
+        node.restart()
         self.nodes[index] = node
         self.tracer.log({"time": self.now, "type": "restart", "node": index})
         node.rejoin()
         if self.config.hash_rate_shares.get(index, 0) > 0:
             self._schedule_next_mine(index)
-

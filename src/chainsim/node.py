@@ -116,25 +116,43 @@ class SimNode:
         genesis: Block,
         persisted_lines: Optional[list] = None,
     ):
+        """A node whose canonical chain is ``genesis`` alone or, when
+        ``persisted_lines`` is given, the chain file those lines hold; a
+        corrupt file raises ChainError."""
         self.sim = sim
         self.index = index
         self.keypair = generate_keypair(seed)
         self.node_id = node_id_from_public_key(self.keypair.public_key)
         self.address = self.node_id  # same 20-byte derivation
-        self.store = BlockStore(genesis)
-        self._state = AccountState()  # at the canonical tip, once genesis is settled
+        self.blob_store = None  # attached by the scenario runner when used
+        self._bootstrap: Optional[Contact] = None  # rejoin's contact, if any
+        self._boot(ledger.decode_chain_lines(persisted_lines) if persisted_lines else [genesis])
+
+    def _boot(self, chain: list) -> None:
+        """Set every field that does not survive a crash, the chain held
+        included: replay ``chain``, a genesis-rooted block list, onto an
+        empty state, keeping each block's undo record. The replay is the
+        node's own validation of ``chain``; it raises ChainError, at height
+        0 for a bad genesis, before the store is built."""
+        self._state = AccountState()  # at the canonical tip
         self.undo: dict = {}  # stored block hash -> its ledger.block_undo record
+        undos = ledger.replay_blocks(chain, self._state)
+        next(undos)  # settles genesis
+        self.store = BlockStore(chain[0])
+        for block, undo in zip(chain[1:], undos):
+            self.undo[block.block_hash] = undo
+            self.store.insert(block)
         self.side_states: dict = {}  # side-branch block hash -> state after it, oldest first
         self.mempool = Mempool()
         self.routing = RoutingTable(self.node_id)
         self.orphan_pool: dict = {}  # block hash -> Block, oldest first
         self.seen: set = set()  # hashes of relayed transactions
         self._sync_rotation = 0
-        self.blob_store = None  # attached by the scenario runner when used
-        if persisted_lines:
-            self._load_persisted(persisted_lines)
-        else:
-            ledger.settle_block(self._state, genesis)
+
+    def restart(self) -> None:
+        """Come back from a crash holding only the canonical chain: every
+        other field starts again as ``_boot`` sets it."""
+        self._boot(self.store.canonical_chain())
 
     # -- identity ------------------------------------------------------------
 
@@ -162,19 +180,6 @@ class SimNode:
         for block in reversed(branch):
             ledger.settle_block(state, block)
         return state
-
-    def _load_persisted(self, lines: list) -> None:
-        """Replay a chain file onto the empty canonical state, keeping each
-        block's undo record; a corrupt file raises ChainError."""
-        blocks = ledger.decode_chain_lines(lines)
-        undos = ledger.replay_blocks(blocks, self._state)
-        next(undos)  # settles genesis, even in a file that holds nothing else
-        for block, undo in zip(blocks[1:], undos):
-            self.undo[block.block_hash] = undo
-            self.store.insert(block)
-
-    def persist_chain_lines(self) -> list:
-        return ledger.chain_file_lines(self.store.canonical_chain())
 
     # -- overlay -------------------------------------------------------------
 
@@ -227,9 +232,8 @@ class SimNode:
 
     def rejoin(self) -> None:
         """After restart: bootstrap back into the overlay and re-sync."""
-        bootstrap = getattr(self, "_bootstrap", None)
-        if bootstrap is not None:
-            self.join(bootstrap)
+        if self._bootstrap is not None:
+            self.join(self._bootstrap)
         self.periodic_sync()
 
     def set_bootstrap(self, contact: Contact) -> None:

@@ -284,26 +284,16 @@ def run_scenario(
     bootstrap_kp = generate_keypair(node_key_seed(scenario.sim.rng_seed, 0))
     bootstrap = Contact(address_from_public_key(bootstrap_kp.public_key), 0)
 
-    def node_factory(sim, index, persisted_lines):
-        node = SimNode(
-            sim,
-            index,
-            node_key_seed(scenario.sim.rng_seed, index),
-            genesis,
-            persisted_lines=persisted_lines,
-        )
-        if index != 0:
+    sim = Simulator(scenario.sim, scenario.num_nodes, tracer)
+    for i in range(scenario.num_nodes):
+        node = SimNode(sim, i, node_key_seed(scenario.sim.rng_seed, i), genesis)
+        if i != 0:
             node.set_bootstrap(bootstrap)
         if blob_root is not None:
-            node.blob_store = BlobStore(blob_root / f"node_{index}")
-        return node
-
-    sim = Simulator(scenario.sim, scenario.num_nodes, tracer, node_factory)
-    nodes = [node_factory(sim, i, None) for i in range(scenario.num_nodes)]
-    for i, node in enumerate(nodes):
+            node.blob_store = BlobStore(blob_root / f"node_{i}")
         sim.attach(i, node)
 
-    for node in nodes[1:]:  # in index order
+    for node in sim.nodes[1:]:  # in index order
         node.join(bootstrap)
 
     # workload: nonces run per sender in listed order; blobs go off-chain

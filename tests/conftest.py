@@ -1,4 +1,5 @@
 import functools
+import json
 import struct
 
 import pytest
@@ -105,6 +106,16 @@ def build_chain(n_blocks, allocations=(), tx_plan=None, difficulty=4):
         store.insert(block)
         blocks.append(block)
     return store, blocks
+
+
+def parse_trace_lines(lines) -> list:
+    """The rows of a trace's lines, blank lines skipped."""
+    return [json.loads(ln) for ln in lines if ln.strip()]
+
+
+def pool_transactions(pool) -> list:
+    """A mempool's transactions in the order they were admitted."""
+    return list(pool.entries.values())
 
 
 def path_to_genesis(store, tip: bytes) -> list:

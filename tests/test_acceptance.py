@@ -18,12 +18,14 @@ from chainsim.crypto import hash_bytes
 from chainsim.kademlia import Contact, RoutingTable, iterative_lookup, xor_distance
 from chainsim.ledger import ChainError, make_genesis, verify_chain_lines
 from chainsim.mempool import Mempool
-from chainsim.metrics import compute_metrics, metrics_csv, parse_trace_lines
+from chainsim.metrics import compute_metrics, metrics_csv
 from chainsim.netsim import SimConfig, Simulator
 from chainsim.node import SimNode
 from chainsim.scenario import load_scenario_file, run_scenario
 
-from conftest import addr, build_chain, count_attempts, signed_tx
+from conftest import (
+    addr, build_chain, count_attempts, parse_trace_lines, pool_transactions, signed_tx,
+)
 from test_mempool import oracle_select, rich_state
 
 
@@ -219,7 +221,7 @@ def test_criterion_07_mempool_oracle_equivalence():
             next_nonce[s] += 1
         max_n = rng.choice([1, 3, 10, 50, 100])
         got = pool.select_for_block(max_n)
-        want = oracle_select(pool.transactions(), pool.arrival, max_n)
+        want = oracle_select(pool_transactions(pool), pool.arrival, max_n)
         assert [t.tx_hash for t in got] == [t.tx_hash for t in want], f"trial {trial}"
     print("\nPASS criterion 7: 1000/1000 random pools matched the "
           "brute-force selection oracle")
@@ -233,7 +235,7 @@ def test_criterion_08_byte_identical_determinism():
         for _ in range(2):
             _, result = run_bundled(name)
             chain_lines = {
-                i: n.persist_chain_lines()
+                i: ledger.chain_file_lines(n.store.canonical_chain())
                 for i, n in enumerate(result.nodes) if n is not None
             }
             runs.append({

@@ -10,7 +10,7 @@ import chainsim
 from chainsim import ledger
 from chainsim.cli import main
 
-from conftest import addr, build_chain, signed_tx
+from conftest import addr, build_chain, parse_trace_lines, signed_tx
 
 
 def run_cli(*argv):
@@ -182,6 +182,27 @@ def test_run_bad_scenario_entry_is_a_config_error(tmp_path, capsys, name, path, 
     assert not (tmp_path / "out").exists()
 
 
+def test_run_unsealable_difficulty_is_a_config_error(tmp_path, capsys):
+    """A difficulty whose blocks would exhaust ``consensus.mine``'s nonce
+    budget is refused at load, before anything runs."""
+    from chainsim import consensus
+    from chainsim.cli import bundled_scenario_path
+
+    obj = json.loads(bundled_scenario_path("tamper_detect").read_text())
+    for bits, code in ((consensus.MAX_DIFFICULTY_BITS, 0), (consensus.MAX_DIFFICULTY_BITS + 1, 2),
+                       (40, 2)):
+        obj["sim"]["difficulty_bits"] = bits
+        obj["duration_ms"] = 0  # a bound-difficulty run ends at once, as it mines nothing
+        spath = tmp_path / f"d{bits}.json"
+        spath.write_text(json.dumps(obj))
+        out = tmp_path / f"out{bits}"
+        assert run_cli("run", str(spath), "--out", str(out), "--quiet") == code, bits
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("config error: ") and "difficulty_bits" in err
+            assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", [1 << 63, -(1 << 63) - 1])
 def test_run_seed_override_out_of_range_is_a_config_error(tmp_path, capsys, seed):
     out = tmp_path / "out"
@@ -220,7 +241,7 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
 
 
 def test_run_metrics_recompute_from_the_trace_file_alone(tmp_path):
-    from chainsim.metrics import compute_metrics, metrics_csv, parse_trace_lines
+    from chainsim.metrics import compute_metrics, metrics_csv
 
     assert run_cli("run", "partition_heal", "--out", str(tmp_path), "--quiet") == 0
     lines = (tmp_path / "trace.jsonl").read_bytes().splitlines()

@@ -738,7 +738,8 @@ def test_block_decode_inverts_encode(block, fit):
         decoded = Block.decode(block.encode())
         assert decoded == block
         assert len(decoded.header_bytes()) == 109  # each header field packs at its width
-        ledger.compute_tx_root(decoded.transactions, decoded.allocations)  # and the body
+        ledger.compute_tx_root(decoded.transactions)  # and the body
+        ledger.genesis_tx_root(decoded.allocations, decoded.timestamp)
     else:
         with pytest.raises(REFUSED):
             Block.decode(block.encode())

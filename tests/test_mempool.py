@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from chainsim.ledger import AccountState, TxError, apply_tx, make_genesis
 from chainsim.mempool import Mempool
 
-from conftest import addr, mine_child, replayed_state, signed_tx
+from conftest import addr, mine_child, pool_transactions, replayed_state, signed_tx
 
 
 def rich_state(*indices, amount=10_000):
@@ -57,7 +57,7 @@ def test_eviction_only_for_strictly_higher_fee():
     higher = signed_tx(5, 9, 1, 3, 0)
     pool.insert(higher, state)
     assert len(pool) == 3
-    fees = sorted(tx.fee for tx in pool.transactions())
+    fees = sorted(tx.fee for tx in pool_transactions(pool))
     assert fees == [3, 4, 5]  # fee-2 entry was evicted
 
 
@@ -78,11 +78,11 @@ def test_prune_keeps_valid_chain_drops_stale():
         pool.insert(signed_tx(1, 2, 10, 3, n), state)
     after = AccountState(balances={addr(1): 50}, nonces={addr(1): 1})
     pool.prune(after)
-    nonces = sorted(tx.nonce for tx in pool.transactions())
+    nonces = sorted(tx.nonce for tx in pool_transactions(pool))
     assert nonces == [1, 2]
     broke = AccountState(balances={addr(1): 13}, nonces={addr(1): 1})
     pool.prune(broke)  # only the nonce-1 tx (cost 13) still fits
-    assert sorted(tx.nonce for tx in pool.transactions()) == [1]
+    assert sorted(tx.nonce for tx in pool_transactions(pool)) == [1]
 
 
 def test_reinstate_revalidates():
@@ -178,7 +178,7 @@ def test_selection_matches_oracle_over_random_pools():
             pool.insert(tx, state)
         max_n = rng.choice([1, 5, 25, 100])
         got = pool.select_for_block(max_n)
-        want = oracle_select(pool.transactions(), pool.arrival, max_n)
+        want = oracle_select(pool_transactions(pool), pool.arrival, max_n)
         assert [t.tx_hash for t in got] == [t.tx_hash for t in want], f"trial {trial}"
 
 
@@ -288,7 +288,7 @@ def draw_block(data, pool, state, step):
 
 def assert_queues_continue(pool, state):
     queues = {}
-    for tx in pool.transactions():
+    for tx in pool_transactions(pool):
         queues.setdefault(tx.sender, []).append(tx)
     for sender, queue in queues.items():
         queue.sort(key=lambda t: t.nonce)
@@ -330,7 +330,7 @@ def test_queues_continue_the_state_and_admission_matches_the_reference(data):
             model.prune(state)
             for tx in sorted(txs, key=lambda t: (t.sender, t.nonce)):
                 model.insert(tx, state)
-        assert {t.tx_hash for t in pool.transactions()} == {t.tx_hash for t in model.pending}
+        assert {t.tx_hash for t in pool_transactions(pool)} == {t.tx_hash for t in model.pending}
         assert_queues_continue(pool, state)
         assert pool.committed == {
             sender: sum(t.amount + t.fee for t in queue) for sender, queue in pool.queues.items()

@@ -2,8 +2,10 @@ import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
-from chainsim.metrics import compute_metrics, metrics_csv, parse_trace_lines
+from chainsim.metrics import compute_metrics, metrics_csv
 from chainsim.netsim import Tracer
+
+from conftest import parse_trace_lines
 
 
 def sample_rows():

@@ -16,6 +16,7 @@ class Recorder:
         self.received = []
         self.queries = []
         self.synced = 0
+        self.restarts = 0
 
     def handle(self, env):
         self.received.append(env)
@@ -28,8 +29,8 @@ class Recorder:
     def periodic_sync(self):
         self.synced += 1
 
-    def persist_chain_lines(self):
-        return [b"{}"]
+    def restart(self):
+        self.restarts += 1
 
     def rejoin(self):
         pass
@@ -109,22 +110,31 @@ def test_query_is_synchronous_and_respects_partitions():
 
 
 def test_crash_silences_node_and_restart_revives():
-    revived = []
-
-    def factory(sim, index, persisted):
-        revived.append((index, persisted))
-        return Recorder()
-
-    sim = Simulator(SimConfig(), 2, node_factory=factory)
-    sim.attach(0, Recorder())
-    sim.attach(1, Recorder())
+    sim = make_sim(2)
+    crashed = sim.nodes[1]
     assert sim.crash_node(1)
     assert not sim.crash_node(1)  # double crash reported as no-op
     assert not sim.send(0, 1, "PING", b"")
     assert sim.query(0, 1, "PING", b"") is None
+    assert crashed.restarts == 0  # untouched while down
     sim.restart_node(1)
-    assert revived == [(1, [b"{}"])]
+    assert sim.nodes[1] is crashed and crashed.restarts == 1  # back in place
     assert sim.send(0, 1, "PING", b"")
+
+
+def test_restart_of_a_slot_with_no_crashed_node_is_a_no_op():
+    sim = Simulator(SimConfig(), 3)
+    sim.attach(0, Recorder())
+    live = sim.nodes[0]
+    sim.restart_node(0)  # never crashed
+    sim.restart_node(2)  # never attached
+    assert sim.nodes == [live, None, None] and live.restarts == 0
+    assert sim.tracer.lines() == []
+    assert sim.crash_node(0)
+    sim.restart_node(0)
+    sim.restart_node(0)  # already back
+    assert sim.nodes[0] is live and live.restarts == 1
+    assert [json.loads(line)["type"] for line in sim.tracer.lines()] == ["crash", "restart"]
 
 
 def test_in_flight_messages_to_crashed_node_vanish():

@@ -13,12 +13,12 @@ from chainsim import consensus, ledger, netsim, node as node_mod
 from chainsim.kademlia import Contact
 from chainsim.ledger import AccountState, Block, BlockStore, canonical_json, make_genesis
 from chainsim.netsim import DECODE_CACHE_SIZE, Envelope, SimConfig, Simulator
-from chainsim.metrics import MetricsFold, parse_trace_lines
+from chainsim.metrics import MetricsFold
 from chainsim.node import SYNC_PAGE_SIZE, SimNode, decode_blocks, encode_blocks, gossip_record
 
 from conftest import (
-    addr, audit_routing, mine_child, oversized_tx_body, path_to_genesis, replayed_state,
-    signed_tx, to_json,
+    addr, audit_routing, mine_child, oversized_tx_body, parse_trace_lines, path_to_genesis,
+    replayed_state, signed_tx, to_json,
 )
 
 
@@ -33,14 +33,7 @@ def make_net(n, difficulty=4, **cfg):
     cfg.setdefault("latency_max_ms", 10)
     cfg.setdefault("sync_interval_ms", 0)
     config = SimConfig(difficulty_bits=difficulty, **cfg)
-
-    def factory(sim, index, persisted):
-        node = SimNode(sim, index, seed_of(index), GENESIS, persisted_lines=persisted)
-        if index != 0:
-            node.set_bootstrap(Contact(sim.nodes[0].node_id, 0))
-        return node
-
-    sim = Simulator(config, n, node_factory=factory)
+    sim = Simulator(config, n)
     for i in range(n):
         sim.attach(i, SimNode(sim, i, seed_of(i), GENESIS))
     boot = Contact(sim.nodes[0].node_id, 0)
@@ -210,6 +203,77 @@ def test_crash_persists_and_restart_recovers():
     restarted = sim.nodes[2]
     assert restarted.head().height == 8
     assert restarted.head().block_hash == a.head().block_hash
+
+
+def crash_with_volatile_state(sim):
+    """Give node 2 of a three-node net something in every field that a
+    crash wipes, crash it, and return it with the chain it held."""
+    a, node = sim.nodes[0], sim.nodes[2]
+    a.on_transaction(signed_tx(1, 2, 10, 1, 0))
+    sim.drain_deliveries()
+    for _ in range(3):
+        a.mine_and_broadcast()
+        sim.drain_deliveries()
+    tip = node.head()
+    assert node.on_block(mine_child(node.store.blocks[tip.prev_hash], miner=addr(4))) == "side_chain"
+    assert node.on_block(mine_child(mine_child(tip), miner=addr(5))) == "orphaned"
+    assert node.on_transaction(signed_tx(1, 2, 10, 1, 1)) == "relayed"
+    node.periodic_sync()
+    assert node.side_states and node.orphan_pool and len(node.mempool) and node.seen
+    assert node.undo and node._sync_rotation and node.routing.contacts()
+    chain = node.store.canonical_chain()
+    assert sim.crash_node(2)
+    a.mine_and_broadcast()  # the net moves on while node 2 is down
+    sim.drain_deliveries()
+    return node, chain
+
+
+def node_fields(node) -> dict:
+    """Everything a node holds that a restart may set, by name."""
+    return {
+        "names": set(vars(node)),
+        "canonical": list(node.store.canonical),
+        "stored": set(node.store.blocks),
+        "tx_heights": dict(node.store.tx_heights),
+        "state": node.canonical_state,
+        "undo": node.undo,
+        "side_states": node.side_states,
+        "mempool": dict(node.mempool.entries),
+        "contacts": node.routing.contacts(),
+        "orphan_pool": node.orphan_pool,
+        "seen": node.seen,
+        "sync_rotation": node._sync_rotation,
+        "bootstrap": node._bootstrap,
+    }
+
+
+def test_a_restarted_node_equals_one_built_fresh_from_the_chain_it_held(monkeypatch):
+    sim = make_net(3)
+    node, chain = crash_with_volatile_state(sim)
+    restarted = []  # the node's fields as restart left them, before it rejoins
+    monkeypatch.setattr(SimNode, "rejoin", lambda n: restarted.append(node_fields(n)))
+    sim.restart_node(2)
+    assert sim.nodes[2] is node
+    fresh = SimNode(sim, 2, seed_of(2), GENESIS,
+                    persisted_lines=ledger.chain_file_lines(chain))
+    fresh.set_bootstrap(node._bootstrap)
+    assert restarted == [node_fields(fresh)]
+    assert restarted[0]["canonical"] == [b.block_hash for b in chain]
+
+
+def test_a_restarted_node_keeps_its_block_objects_and_decodes_nothing(monkeypatch):
+    sim = make_net(3)
+    node, chain = crash_with_volatile_state(sim)
+    refuse = lambda *a: pytest.fail("a restart decoded a block")
+    monkeypatch.setattr(Block, "decode", staticmethod(refuse))
+    monkeypatch.setattr(Block, "from_json", staticmethod(refuse))
+    sim.restart_node(2)
+    assert [node.store.blocks[h] for h in node.store.canonical] == chain
+    assert all(node.store.blocks[b.block_hash] is b for b in chain)
+    assert len(node.store.blocks) == len(chain)
+    monkeypatch.undo()
+    sim.drain_deliveries()  # and it catches up with the block it missed
+    assert node.head() == sim.nodes[0].head()
 
 
 def test_mempool_filtering_keeps_templates_valid_after_reorg():
@@ -399,7 +463,7 @@ def test_reloading_a_persisted_chain_applies_each_block_once(monkeypatch):
     for n in range(4):
         assert node.on_transaction(signed_tx(1, 2, 10, 1, n)) == "relayed"
         node.mine_and_broadcast()
-    lines = node.persist_chain_lines()
+    lines = ledger.chain_file_lines(node.store.canonical_chain())
     settled = []
     real = ledger.settle_block
     monkeypatch.setattr(
@@ -562,7 +626,7 @@ def count_decodes(monkeypatch):
 
 def churn(sim):
     """Gossip txs, mine with node 4 down, then restart it: it replays its
-    persisted chain and re-syncs with GET_BLOCKS and a BLOCKS page."""
+    kept canonical blocks and re-syncs with GET_BLOCKS and a BLOCKS page."""
     for n in range(3):
         sim.nodes[n].on_transaction(signed_tx(1, 2, 10, 1, n))
     sim.drain_deliveries()
@@ -739,8 +803,8 @@ def test_each_block_object_is_json_encoded_once(monkeypatch):
     delivered, _ = count_decodes(monkeypatch)
     churn(sim)
     kinds = {kind for kind, _ in delivered}
-    assert {"BLOCK_ANNOUNCE", "BLOCKS"} <= kinds and 4 in sim.persisted
-    assert len(sim.nodes[4].persist_chain_lines()) == 4
+    assert {"BLOCK_ANNOUNCE", "BLOCKS"} <= kinds
+    assert len(ledger.chain_file_lines(sim.nodes[4].store.canonical_chain())) == 4
     assert encoded and len({id(block) for block in encoded}) == len(encoded)
 
 
@@ -758,10 +822,11 @@ def test_a_block_in_a_non_canonical_spelling_relays_and_persists_canonical_bytes
     deliver(sim, 1, "BLOCK_ANNOUNCE", body)
     relayed = [b for kind, b in sent if kind == "BLOCK_ANNOUNCE"]
     assert relayed and set(relayed) == {canonical}
-    assert sim.nodes[1].persist_chain_lines()[-1] == canonical
+    assert ledger.chain_file_lines(sim.nodes[1].store.canonical_chain())[-1] == canonical
     sim.drain_deliveries()
     assert sim.nodes[2].head() == block
-    assert sim.nodes[2].persist_chain_lines() == [GENESIS.encode(), canonical]
+    assert ledger.chain_file_lines(sim.nodes[2].store.canonical_chain()) == [
+        GENESIS.encode(), canonical]
 
 
 def test_a_block_body_in_the_canonical_spelling_is_the_blocks_kept_encoding():
