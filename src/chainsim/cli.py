@@ -149,10 +149,9 @@ def cmd_serve_rpc(args, lines) -> int:
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    # the node decodes every line as `verify` does
-    genesis = decode_chain_lines(lines[:1])[0]
     sim = Simulator(SimConfig(), 1)  # a lone node: no peers to send to
-    node = SimNode(sim, 0, seed, genesis, persisted_lines=lines)
+    # the node decodes every line, genesis included, as `verify` does
+    node = SimNode(sim, 0, seed, None, persisted_lines=lines)
     sim.attach(0, node)
     server = rpc.serve(node, port=args.port)
     try:

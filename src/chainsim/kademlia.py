@@ -103,15 +103,13 @@ def iterative_lookup(
     table: RoutingTable,
     target: bytes,
     query: Callable[[Contact, bytes], Optional[List[Contact]]],
-    k: int = K,
-    alpha: int = ALPHA,
 ):
     """Classic Kademlia node lookup.
 
     Maintains a shortlist seeded from the local table; each round queries
-    the ``alpha`` closest unqueried candidates, merges their answers, and
-    stops once the k closest known contacts have all been queried and no
-    closer one appears. Returns (k closest live contacts, round count).
+    the ALPHA closest unqueried candidates, merges their answers, and
+    stops once the K closest known contacts have all been queried and no
+    closer one appears. Returns (K closest live contacts, round count).
     Raises LookupFailed when nothing in the table ever responds.
     """
     # seed with everything we know: non-responders are dropped from the
@@ -123,19 +121,12 @@ def iterative_lookup(
     responded: set = set()
     rounds = 0
     while True:
-        candidates = sorted(
-            (c for nid, c in shortlist.items() if nid not in queried),
-            key=lambda c: xor_distance(c.node_id, target),
-        )
-        # stop when the k closest known contacts have all been queried
-        best_known = sorted(
-            shortlist.values(), key=lambda c: xor_distance(c.node_id, target)
-        )[:k]
-        if all(c.node_id in queried for c in best_known):
+        # distinct ids lie at distinct distances, so the order has no ties
+        ranked = sorted(shortlist.values(), key=lambda c: xor_distance(c.node_id, target))
+        # stop when the K closest known contacts have all been queried
+        if all(c.node_id in queried for c in ranked[:K]):
             break
-        batch = candidates[:alpha]
-        if not batch:
-            break
+        batch = [c for c in ranked if c.node_id not in queried][:ALPHA]
         rounds += 1
         for contact in batch:
             queried.add(contact.node_id)
@@ -152,4 +143,4 @@ def iterative_lookup(
         raise LookupFailed("no peer responded")
     live = [c for c in shortlist.values() if c.node_id in responded]
     live.sort(key=lambda c: xor_distance(c.node_id, target))
-    return live[:k], rounds
+    return live[:K], rounds

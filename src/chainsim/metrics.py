@@ -12,7 +12,13 @@ CSV columns: time_ms, metric_name, node, value (node -1 = network-wide).
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Optional
+
+
+def announced_block(row: dict) -> Optional[str]:
+    """The label a deliver row gives the fold: a ``BLOCK_ANNOUNCE`` row's
+    ``block``, or None for any other row or a row that carries none."""
+    return row.get("block") if row.get("kind") == "BLOCK_ANNOUNCE" else None
 
 
 class MetricsFold:
@@ -39,8 +45,7 @@ class MetricsFold:
         time_ms = row["time"]
         kind = row.get("type")
         if kind == "deliver":
-            announce = row.get("kind") == "BLOCK_ANNOUNCE"
-            self.deliver(time_ms, row.get("block") if announce else None)
+            self.deliver(time_ms, announced_block(row))
             return
         if self.end_time is None or time_ms > self.end_time:
             self.end_time = time_ms

@@ -10,8 +10,8 @@ mining delays) comes from per-node RNG streams derived from (seed, node
 index, purpose), so replaying a scenario with the same seed reproduces the
 exact event trace. The ``Tracer`` streams that trace: each row is folded
 into the run's metrics, then encoded and written to its sink as it is
-logged, a deliver row by filling its body's record line (``Delivery``) and
-any other row by ``ledger.canonical_json``'s encoder.
+logged, in ``ledger.canonical_json``: a deliver row by filling its body's
+record line (``Delivery``), which that encoder wrote once per body.
 
 ``send`` and the delivery path run once per message, so they are written
 for few interpreter calls: the latency draw inlines ``Random.randint``'s
@@ -35,15 +35,20 @@ import heapq
 import io
 import random
 import struct
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional
 
 from .consensus import MAX_DIFFICULTY_BITS, MINE_ATTEMPTS
-from .ledger import json_chunks
-from .metrics import MetricsFold
+from .ledger import canonical_json
+from .metrics import MetricsFold, announced_block
 
+
+# the longest mean mining delay a miner may have: expovariate(1 / mean) draws
+# -log(1 - random()) * mean, at most 53 ln 2 (< 64) times mean since random()
+# <= 1 - 2**-53, so every delay stays a finite float (see _mine_delay)
+MAX_MINE_MEAN_MS = sys.float_info.max / 64
 
 # distinct gossip bodies held in Simulator.records (see node.gossip_record);
 # perfbench chain_growth (seed 1) decodes 1,737
@@ -65,8 +70,9 @@ class SimConfig:
     def validate(self) -> None:
         if not 0 <= self.latency_min_ms <= self.latency_max_ms:
             raise ValueError("latency_min_ms must be in [0, latency_max_ms]")
-        if self.block_interval_target_ms < 1:
-            raise ValueError("block_interval_target_ms must be >= 1")
+        # a miner's mean delay is at least the interval (see mine_mean_ms)
+        if not 1 <= self.block_interval_target_ms <= MAX_MINE_MEAN_MS:
+            raise ValueError(f"block_interval_target_ms must be in [1, {MAX_MINE_MEAN_MS:.3g}]")
         if not 0 <= self.difficulty_bits <= MAX_DIFFICULTY_BITS:  # so mining ends
             raise ValueError(f"difficulty_bits must be in [0, {MAX_DIFFICULTY_BITS}]: mining "
                              f"gives up on a block after {MINE_ATTEMPTS:,} nonces")
@@ -74,11 +80,19 @@ class SimConfig:
             raise ValueError("drop_probability must be in [0, 1)")
         if any(s < 0 for s in self.hash_rate_shares.values()):
             raise ValueError("hash rate shares must be non-negative")
+        if not all(self.mine_mean_ms(s) <= MAX_MINE_MEAN_MS
+                   for s in self.hash_rate_shares.values() if s > 0):
+            raise ValueError(f"a miner's mean mining delay (block_interval_target_ms * total "
+                             f"share / its share) must be at most {MAX_MINE_MEAN_MS:.3g} ms")
         for start, end, side_a, side_b in self.partition_schedule:
             if start > end:
                 raise ValueError("partition window start > end")
             if set(side_a) & set(side_b):
                 raise ValueError("partition sides overlap")
+
+    def mine_mean_ms(self, share: float) -> float:
+        """The mean mining delay of a miner holding ``share`` of the hash rate."""
+        return self.block_interval_target_ms * (sum(self.hash_rate_shares.values()) / share)
 
 
 class Envelope(NamedTuple):
@@ -93,23 +107,12 @@ class Envelope(NamedTuple):
     body: bytes
 
 
-# a deliver row as ledger.canonical_json writes it, keys in sorted order, by
-# its label: none, or the one a record may carry. A record fills the body's
-# fields once; "%%d" stays for from, time and to.
-_DELIVER = {
-    "": '{"body_hash":"%s","from":%%d,"kind":%s,"time":%%d,"to":%%d,"type":"deliver"}\n',
-    "block": '{"block":"%s","body_hash":"%s","from":%%d,"kind":%s,"time":%%d,"to":%%d,'
-             '"type":"deliver"}\n',
-    "reject": '{"body_hash":"%s","from":%%d,"kind":%s,"reject":%s,"time":%%d,"to":%%d,'
-              '"type":"deliver"}\n',
-    "tx": '{"body_hash":"%s","from":%%d,"kind":%s,"time":%%d,"to":%%d,"tx":"%s",'
-          '"type":"deliver"}\n',
-}
-
-
-def _json_string(text: str) -> str:
-    """``text`` as a JSON string literal, its ``%`` doubled for a format."""
-    return encode_basestring_ascii(text).replace("%", "%%")
+# a deliver row's per-delivery fields: the placeholder each holds as
+# delivery() encodes the row, key-anchored, and the slot its record line
+# leaves in its place. An encoded string holds no unescaped quote, so each
+# placeholder matches only at its key.
+_SLOTS = ((b'"from":-1,', b'"from":%d,'), (b'"time":-2,', b'"time":%d,'),
+          (b'"to":-3,', b'"to":%d,'))
 
 
 class Delivery(NamedTuple):
@@ -123,21 +126,17 @@ class Delivery(NamedTuple):
 
 def delivery(kind: str, body: bytes, msg=None, label: str = "", text: str = "") -> Delivery:
     """The record of ``body`` sent as ``kind``, decoded to ``msg``. Its row
-    carries ``body``'s SHA-256 and, unless ``label`` is empty, one label:
-    ``tx`` or ``block`` with a lowercase hex ``text``, or ``reject`` with
-    any ``text``."""
-    body_hash, kind_json = hashlib.sha256(body).hexdigest(), _json_string(kind)
-    if label == "block":
-        fields = (text, body_hash, kind_json)
-    elif label == "tx":
-        fields = (body_hash, kind_json, text)
-    elif label == "reject":
-        fields = (body_hash, kind_json, _json_string(text))
-    else:
-        fields = (body_hash, kind_json)
-    # the label MetricsFold.add reads from the row
-    block = text if label == "block" and kind == "BLOCK_ANNOUNCE" else None
-    return Delivery(msg, (_DELIVER[label] % fields).encode(), block)
+    carries ``body``'s SHA-256 and, unless ``label`` is empty, ``label``:
+    ``text``. The row is encoded once, by ``ledger.canonical_json``, with
+    ``%`` doubled and a ``%d`` slot for each of from, time and to."""
+    row = {"time": -2, "type": "deliver", "from": -1, "to": -3, "kind": kind,
+           "body_hash": hashlib.sha256(body).hexdigest()}
+    if label:
+        row[label] = text
+    line = canonical_json(row).replace(b"%", b"%%")
+    for placeholder, slot in _SLOTS:
+        line = line.replace(placeholder, slot)
+    return Delivery(msg, line + b"\n", announced_block(row))
 
 
 class Tracer:
@@ -153,7 +152,7 @@ class Tracer:
     def log(self, row: dict) -> None:
         """Fold and write ``row``, which must be complete: it is encoded now."""
         self.fold.add(row)
-        self.sink.write(("".join(json_chunks(row, 0)) + "\n").encode())
+        self.sink.write(canonical_json(row) + b"\n")
 
     def deliver(self, time_ms: int, line: bytes, block: Optional[str]) -> None:
         """Fold and write a deliver row at ``time_ms``, already encoded as
@@ -328,8 +327,7 @@ class Simulator:
         share = self.config.hash_rate_shares.get(node_idx, 0)
         if share <= 0:
             raise ValueError(f"node {node_idx} has zero hash rate share")
-        total = sum(self.config.hash_rate_shares.values())
-        mean = self.config.block_interval_target_ms * (total / share)
+        mean = self.config.mine_mean_ms(share)
         return max(1, round(self._mine_rng[node_idx].expovariate(1.0 / mean)))
 
     def _schedule_next_mine(self, node_idx: int) -> None:

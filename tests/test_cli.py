@@ -102,6 +102,11 @@ BAD_SCENARIO_VALUES = {
     "share_as_inf_string": ("miners", "0", "inf"),
     "share_as_nan_string": ("miners", "0", "nan"),
     "share_infinite": ("miners", "0", float("inf")),
+    # beside node 0's share 1.0, a miner whose mean mining delay overflows a float
+    "share_smallest_subnormal": ("miners", "1", 5e-324),
+    "share_subnormal": ("miners", "1", 1e-310),
+    "share_dwarfing_node_0": ("miners", "1", 1e308),
+    "block_interval_beyond_float": ("sim", "block_interval_target_ms", 10 ** 400),
     "num_nodes_as_string": (None, "num_nodes", "3"),
     "fractional_duration": (None, "duration_ms", 14000.5),
     "boolean_seed": (None, "seed", True),

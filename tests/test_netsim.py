@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chainsim.ledger import canonical_json
-from chainsim.netsim import Envelope, SimConfig, Simulator, Tracer, delivery
+from chainsim.netsim import MAX_MINE_MEAN_MS, Envelope, SimConfig, Simulator, Tracer, delivery
 
 
 class Recorder:
@@ -56,6 +56,15 @@ def test_config_validation():
         SimConfig(block_interval_target_ms=0).validate()
     with pytest.raises(ValueError):
         SimConfig(difficulty_bits=256).validate()
+
+
+def test_longest_mining_delay_at_the_mean_bound_is_finite():
+    at_bound = int(MAX_MINE_MEAN_MS)  # the bound's float, exactly
+    sim = Simulator(SimConfig(block_interval_target_ms=at_bound, hash_rate_shares={0: 1.0}), 1)
+    sim._mine_rng[0].random = lambda: 1 - 2 ** -53  # expovariate's longest draw
+    assert sim._mine_delay(0) > at_bound
+    with pytest.raises(ValueError):
+        SimConfig(block_interval_target_ms=at_bound + 1, hash_rate_shares={0: 1.0}).validate()
 
 
 def test_delivery_order_and_latency_bounds():
@@ -210,12 +219,15 @@ def test_tracer_lines_match_per_row_json_dumps(rows):
 
 HEX32 = st.binary(min_size=32, max_size=32).map(bytes.hex)
 WIDE_INTS = st.integers(-(1 << 63), 1 << 63)
-KINDS = st.sampled_from(["TX_ANNOUNCE", "BLOCK_ANNOUNCE", "GET_BLOCKS", "BLOCKS"]) | st.text()
+# strings that look like a deliver row's from, time and to slots, or a format
+LOOK_ALIKES = st.sampled_from(['"from":-1,', 'x"time":-2,', '"to":-3,', '%d', '%'])
+KINDS = (st.sampled_from(["TX_ANNOUNCE", "BLOCK_ANNOUNCE", "GET_BLOCKS", "BLOCKS"])
+         | LOOK_ALIKES | st.text())
 # no label, or the one label a record may carry
 LABELS = (
     st.just(("", ""))
     | st.tuples(st.sampled_from(["tx", "block"]), HEX32)
-    | st.tuples(st.just("reject"), st.just("malformed") | st.text())
+    | st.tuples(st.just("reject"), st.just("malformed") | LOOK_ALIKES | st.text())
 )
 
 

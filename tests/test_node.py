@@ -616,11 +616,12 @@ def test_a_branch_past_the_side_state_bound_is_rewound_with_the_same_statuses(mo
 def count_decodes(monkeypatch):
     """Record every delivered (kind, body) and every strict decode that ran."""
     delivered, decodes = [], []
-    real_handle, real_decode = SimNode.handle, node_mod._decode
+    real_handle, real_record = SimNode.handle, node_mod._record
     monkeypatch.setattr(SimNode, "handle", lambda node, env: (
         delivered.append((env.kind, env.body)) or real_handle(node, env)))
-    monkeypatch.setattr(node_mod, "_decode", lambda kind, body: (
-        decodes.append((kind, body)) or real_decode(kind, body)))
+    # a record is made once per strict decode
+    monkeypatch.setattr(node_mod, "_record", lambda kind, body: (
+        decodes.append((kind, body)) or real_record(kind, body)))
     return delivered, decodes
 
 
