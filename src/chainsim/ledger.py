@@ -291,6 +291,13 @@ class Block:
     _canonical: Optional[bytes] = field(
         default_factory=type(None), init=False, repr=False, compare=False
     )
+    # validate_block's verdict on the checks that need no state, kept once
+    # made against a parent this block links to (see validate_block): () for
+    # a pass, else the BlockError's (code, detail, tx_index). Set in
+    # __init__ for the same reason as _canonical.
+    _verdict: Optional[tuple] = field(
+        default_factory=type(None), init=False, repr=False, compare=False
+    )
 
     def header_bytes(self) -> bytes:
         return b"".join(
@@ -535,19 +542,9 @@ def validate_genesis(block: Block) -> None:
         raise BlockError("bad_tx_root", "genesis commitment mismatch")
 
 
-def validate_block(block: Block, parent: Block, state: AccountState) -> tuple:
-    """Full validation of ``block`` against its parent and ``state``, the
-    state after the parent: settles ``block`` onto ``state`` in place and
-    returns its ``block_undo`` record.
-
-    The checks that need no state come first (link, root, PoW, duplicate
-    transactions and every signature), then ``settle_block`` is the state
-    check, so a block is validated and settled in one pass, as Bitcoin
-    Core's ``ConnectBlock`` connects a block in place and keeps its undo
-    data. On a BlockError the undo record rewinds ``state`` to exactly what
-    it was, keys present included, so no caller copies a state to stay
-    atomic. Field widths and ranges are the decoders': a decoded block can
-    always be encoded."""
+def _check_block(block: Block, parent: Block) -> None:
+    """The checks of ``validate_block`` that need no state, in its order;
+    raises BlockError at the first that fails."""
     if block.height != parent.height + 1:
         raise BlockError("bad_height", f"{block.height} != {parent.height + 1}")
     if block.prev_hash != parent.block_hash:
@@ -571,6 +568,40 @@ def validate_block(block: Block, parent: Block, state: AccountState) -> tuple:
             check_signature(tx)
         except TxError as e:
             raise BlockError("bad_tx", f"tx {i}: {e.code}", tx_index=i) from e
+
+
+def validate_block(block: Block, parent: Block, state: AccountState) -> tuple:
+    """Full validation of ``block`` against its parent and ``state``, the
+    state after the parent: settles ``block`` onto ``state`` in place and
+    returns its ``block_undo`` record.
+
+    The checks that need no state come first (height, link, timestamp,
+    root, PoW, duplicate transactions and every signature), then
+    ``settle_block`` is the state check, so a block is validated and
+    settled in one pass, as Bitcoin Core's ``ConnectBlock`` connects a block
+    in place and keeps its undo data. On a BlockError the undo record
+    rewinds ``state`` to exactly what it was, keys present included, so no
+    caller copies a state to stay atomic. Field widths and ranges are the
+    decoders': a decoded block can always be encoded.
+
+    The stateless checks are a pure function of the block and its parent,
+    and a parent the block links to is fixed by its hash, so their verdict
+    is kept on the block object (``_verdict``) the first time it is made
+    against such a parent: every later node, restart replay and closing
+    replay that validates the same object only settles it. A call whose
+    parent the block does not link to runs every check, and keeps nothing."""
+    linked = block.prev_hash == parent.block_hash
+    verdict = block._verdict if linked else None
+    if verdict is None:
+        try:
+            _check_block(block, parent)
+            verdict = ()
+        except BlockError as e:
+            verdict = (e.code, e.detail, e.tx_index)
+        if linked:
+            object.__setattr__(block, "_verdict", verdict)
+    if verdict:
+        raise BlockError(*verdict)
     undo = block_undo(state, block)
     try:
         settle_block(state, block)

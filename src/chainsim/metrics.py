@@ -35,7 +35,8 @@ class MetricsFold:
     def deliver(self, time_ms: int, block=None) -> None:
         """Fold a deliver row: its time, and ``block``, the block label of a
         ``BLOCK_ANNOUNCE`` row (None for any other row, or for a body that
-        carries no label)."""
+        carries no label). ``netsim.Tracer.deliver`` folds a live deliver
+        row the same way, in place; the two must change together."""
         if self.end_time is None or time_ms > self.end_time:
             self.end_time = time_ms
         if block is not None:

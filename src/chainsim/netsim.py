@@ -96,8 +96,10 @@ class SimConfig:
 
 
 class Envelope(NamedTuple):
-    """One message in flight: immutable, and built positionally on every
-    send, so a named tuple (cheaper to build than a frozen dataclass)."""
+    """One message in flight: immutable, and built on every send, so a named
+    tuple (cheaper to build than a frozen dataclass). ``send`` builds it
+    with ``tuple.__new__``, which skips the Python-level ``__new__`` that
+    ``Envelope(...)`` runs; the result is the same tuple."""
 
     send_time: int
     deliver_time: int
@@ -105,6 +107,9 @@ class Envelope(NamedTuple):
     dst: int
     kind: str
     body: bytes
+
+
+_tuple_new = tuple.__new__
 
 
 # a deliver row's per-delivery fields: the placeholder each holds as
@@ -157,8 +162,15 @@ class Tracer:
     def deliver(self, time_ms: int, line: bytes, block: Optional[str]) -> None:
         """Fold and write a deliver row at ``time_ms``, already encoded as
         ``line`` (a filled ``Delivery.line``); ``block`` is its record's block
-        label, the one field of the row the fold reads besides the time."""
-        self.fold.deliver(time_ms, block)
+        label, the one field of the row the fold reads besides the time. It
+        runs once per delivery, so it folds the row as
+        ``MetricsFold.deliver`` does, in place, without that call."""
+        fold = self.fold
+        if fold.end_time is None or time_ms > fold.end_time:
+            fold.end_time = time_ms
+        if block is not None:
+            last = fold.last_announce
+            last[block] = max(last.get(block, 0), time_ms)
         self.sink.write(line)
 
     def lines(self) -> list:
@@ -196,6 +208,12 @@ class Simulator:
         self._mine_rng = [_derive_rng(config.rng_seed, i, "mine") for i in range(num_nodes)]
         self.messages_sent = 0
         self.messages_delivered = 0
+        # the partition cut: the (src, dst) pairs it cuts, the span of time
+        # [_cut_from, _cut_until) it holds for, and the schedule it was made
+        # from; the empty span makes the first check compute it
+        self._cut: set = set()
+        self._cut_from = self._cut_until = 0
+        self._cut_schedule = None
         # (kind, body) -> its Delivery record, oldest first: every node that
         # receives a body shares the one record, and the message, built from it
         self.records: OrderedDict = OrderedDict()
@@ -224,11 +242,33 @@ class Simulator:
     # -- transport ---------------------------------------------------------
 
     def _partitioned(self, a: int, b: int) -> bool:
-        for start, end, side_a, side_b in self.config.partition_schedule:
-            if start <= self.now < end:
-                if (a in side_a and b in side_b) or (a in side_b and b in side_a):
-                    return True
-        return False
+        """Whether a window of the partition schedule holding ``now`` puts
+        ``a`` and ``b`` on opposite sides. The cut changes only at a
+        window's start or end, so it is kept with the span of time it holds
+        for and made again only when ``now`` leaves that span, or when
+        ``config.partition_schedule`` is replaced (edit it by assigning a
+        new list, not in place)."""
+        now, schedule = self.now, self.config.partition_schedule
+        if not self._cut_from <= now < self._cut_until or schedule is not self._cut_schedule:
+            self._recut(now, schedule)
+        return (a, b) in self._cut
+
+    def _recut(self, now: int, schedule: list) -> None:
+        """Make the cut at ``now``, and its span: from the latest window
+        boundary at or before ``now`` to the earliest after it."""
+        cut = set()
+        since, until = float("-inf"), float("inf")
+        for start, end, side_a, side_b in schedule:
+            if start <= now < end:
+                cut.update((x, y) for x in side_a for y in side_b)
+                cut.update((y, x) for x in side_a for y in side_b)
+            for boundary in (start, end):
+                if boundary <= now:
+                    since = max(since, boundary)
+                else:
+                    until = min(until, boundary)
+        self._cut, self._cut_from, self._cut_until = cut, since, until
+        self._cut_schedule = schedule
 
     def send(self, src: int, dst: int, kind: str, body: bytes) -> bool:
         """Schedule one message; returns False when dropped (lossy link,
@@ -255,7 +295,7 @@ class Simulator:
             return False
         now = self.now
         deliver_time = now + config.latency_min_ms + offset
-        env = Envelope(now, deliver_time, src, dst, kind, body)
+        env = _tuple_new(Envelope, (now, deliver_time, src, dst, kind, body))
         heapq.heappush(self._queue, (deliver_time, self._seq, self._deliver, (env,)))
         self._seq += 1
         return True

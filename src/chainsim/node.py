@@ -258,7 +258,8 @@ class SimNode:
                 return record
         msg, origin = record.msg, env.src
         if kind == "TX_ANNOUNCE":
-            self.on_transaction(msg, origin, env.body)
+            if msg.tx_hash not in self.seen:  # on_transaction's first check, without its call
+                self.on_transaction(msg, origin, env.body)
         elif kind == "BLOCK_ANNOUNCE":
             self.on_block(msg, origin)
         elif kind == "GET_BLOCKS":

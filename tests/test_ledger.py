@@ -285,6 +285,160 @@ def test_timestamp_must_not_decrease():
     assert e.value.code == "bad_timestamp"
 
 
+# -- the order of the checks, and the verdict kept on a block object ---------------
+
+def validation_outcome(block, parent, state):
+    """``validate_block``'s outcome on a copy of ``state``: ("ok", undo
+    record, the state after) or the BlockError's (code, detail, tx_index)."""
+    state = state.copy()
+    try:
+        undo = validate_block(block, parent, state)
+    except BlockError as e:
+        return e.code, e.detail, e.tx_index
+    return "ok", undo, state
+
+
+def fresh_copy(block):
+    """The block as a peer decodes it: a new object, with no verdict kept."""
+    copy_ = Block.decode(block.encode())
+    assert copy_ == block and copy_._verdict is None
+    return copy_
+
+
+def _resealed(block, **changes):
+    """``block`` with ``changes``, at the first pow_nonce whose hash does
+    (or, with ``failing_pow``, does not) meet its difficulty."""
+    failing = changes.pop("failing_pow", False)
+    for nonce in range(1 << 16):
+        candidate = replace(block, pow_nonce=nonce, **changes)
+        if consensus.meets_difficulty(candidate.block_hash, candidate.difficulty_bits) != failing:
+            return candidate
+    raise AssertionError("no nonce found")
+
+
+def _two_faults(case):
+    """A child of a funded genesis that is wrong in the two ways ``case``
+    names, with the parent it is checked against."""
+    genesis = make_genesis([(addr(1), 100)], timestamp=50)
+    good, bad = signed_tx(1, 2, 10, 1, 0), replace(signed_tx(1, 2, 10, 1, 1), amount=11)
+    child = mine_child(genesis, txs=[good], difficulty=8)
+    if case == "height_and_link":
+        return _resealed(child, height=2, prev_hash=bytes(32)), genesis
+    if case == "link_and_timestamp":
+        return _resealed(child, prev_hash=bytes(32), timestamp=49), genesis
+    if case == "tx_root_and_pow":
+        return _resealed(child, tx_root=bytes(32), failing_pow=True), genesis
+    txs = {"duplicate_then_signature": (good, good, bad),
+           "signature_then_duplicate": (good, bad, good)}[case]
+    return _resealed(child, transactions=txs, tx_root=ledger.compute_tx_root(txs)), genesis
+
+
+# each block's two faults, and the first one the check order reports
+ORDER_CASES = {
+    "height_and_link": ("bad_height", "2 != 1", None),
+    "link_and_timestamp": ("bad_link", "", None),
+    "tx_root_and_pow": ("bad_tx_root", "", None),
+    "duplicate_then_signature": ("bad_tx", "duplicate tx at 1", 1),
+    "signature_then_duplicate": ("bad_tx", "tx 1: bad_signature", 1),
+}
+
+
+@pytest.mark.parametrize("case", ORDER_CASES)
+def test_a_block_wrong_in_two_ways_reports_the_first_check(case):
+    block, parent = _two_faults(case)
+    if case == "tx_root_and_pow":  # both really fail
+        assert block.tx_root != ledger.compute_tx_root(block.transactions)
+        assert not consensus.meets_difficulty(block.block_hash, block.difficulty_bits)
+    state = replayed_state([parent])
+    for _ in range(2):  # and the same again from the verdict the first call kept
+        assert validation_outcome(block, parent, state) == ORDER_CASES[case]
+    assert validation_outcome(fresh_copy(block), parent, state) == ORDER_CASES[case]
+
+
+def test_a_verdict_is_kept_only_against_a_parent_the_block_links_to(monkeypatch):
+    genesis = make_genesis([(addr(1), 100)])
+    block = mine_child(genesis, txs=[signed_tx(1, 2, 10, 1, 0)])
+    checked = []
+    real = ledger._check_block
+    monkeypatch.setattr(ledger, "_check_block", lambda b, p: checked.append(b) or real(b, p))
+    other = make_genesis([(addr(1), 5)])
+    for _ in range(2):  # unlinked: every check runs each time, and nothing is kept
+        assert validation_outcome(block, other, replayed_state([other]))[0] == "bad_link"
+    assert len(checked) == 2 and block._verdict is None
+    for _ in range(3):
+        assert validation_outcome(block, genesis, replayed_state([genesis]))[0] == "ok"
+    assert len(checked) == 3 and block._verdict == ()
+
+
+def _funded_child():
+    genesis = make_genesis([(addr(1), 100), (addr(2), 100)], timestamp=10)
+    parent = mine_child(genesis, txs=[signed_tx(1, 2, 10, 1, 0)], timestamp=20)
+    return genesis, parent
+
+
+@st.composite
+def mutated_children(draw):
+    """A valid child of ``_funded_child``'s parent, or that child with one
+    field changed: (block, genesis, parent)."""
+    genesis, parent = _funded_child()
+    txs, nonces = [], {1: 1, 2: 0}
+    for sender in draw(st.lists(st.sampled_from((1, 2)), max_size=3)):
+        txs.append(signed_tx(sender, 3, draw(st.integers(0, 20)), 1, nonces[sender]))
+        nonces[sender] += 1
+    block = mine_child(parent, txs, timestamp=parent.timestamp + draw(st.integers(0, 9)))
+    field_ = draw(st.sampled_from((None, "height", "prev_hash", "timestamp", "pow_nonce",
+                                   "tx_root", "allocations", "duplicate", "signature",
+                                   "too_many")))
+    if field_ in ("duplicate", "signature") and not txs:
+        field_ = None
+    if field_ == "height":
+        block = replace(block, height=draw(st.sampled_from((0, 1, 3, 2**40))))
+    elif field_ == "prev_hash":
+        block = replace(block, prev_hash=draw(st.binary(min_size=32, max_size=32)))
+    elif field_ == "timestamp":
+        block = replace(block, timestamp=draw(st.integers(0, parent.timestamp - 1)))
+    elif field_ == "pow_nonce":
+        block = replace(block, pow_nonce=draw(st.integers(0, ledger.U64_MAX)))
+    elif field_ == "tx_root":
+        block = replace(block, tx_root=draw(st.binary(min_size=32, max_size=32)))
+    elif field_ == "allocations":
+        block = replace(block, allocations=((addr(4), draw(st.integers(0, 9))),))
+    elif field_ == "too_many":
+        block = replace(block, transactions=tuple(txs or [signed_tx(1, 3, 1, 1, 1)])[:1]
+                        * (ledger.MAX_BLOCK_TXS + 1))
+    elif field_ == "duplicate":
+        block = replace(block, transactions=(*txs, txs[draw(st.integers(0, len(txs) - 1))]))
+    elif field_ == "signature":
+        i = draw(st.integers(0, len(txs) - 1))
+        tx = txs[i]
+        txs[i] = replace(tx, signature=bytes([tx.signature[0] ^ 1]) + tx.signature[1:])
+        block = replace(block, transactions=tuple(txs))
+    if field_ in ("duplicate", "signature", "too_many") and draw(st.booleans()):
+        block = replace(block, tx_root=ledger.compute_tx_root(block.transactions))
+    return block, genesis, parent
+
+
+@settings(max_examples=80, deadline=None)
+@given(mutated_children(), st.data())
+def test_a_kept_verdict_equals_a_fresh_validation(case, data):
+    """Validating one block object again (on a different state, and against
+    a wrong parent) raises, or settles, as a freshly decoded copy does."""
+    block, genesis, parent = case
+    state = replayed_state([genesis, parent])
+    shifted = state.copy()  # the same parent, but one sender's nonce is off
+    sender = data.draw(st.sampled_from((addr(1), addr(2))))
+    shifted.nonces[sender] = shifted.nonces.get(sender, 0) + data.draw(st.sampled_from((-1, 1)))
+    checks = [(parent, state), (parent, state), (parent, shifted), (genesis, state),
+              (parent, state)]
+    for against, on in data.draw(st.permutations(checks)):
+        assert validation_outcome(block, against, on) == validation_outcome(
+            fresh_copy(block), against, on)
+    if block._verdict == () and any(tx.sender == sender for tx in block.transactions):
+        first = next(i for i, tx in enumerate(block.transactions) if tx.sender == sender)
+        code, detail, index = validation_outcome(block, parent, shifted)
+        assert (code, index) == ("bad_tx", first) and detail.endswith("bad_nonce")
+
+
 # -- chain verification -------------------------------------------------------
 
 def _chain_with_txs():

@@ -118,6 +118,56 @@ def test_query_is_synchronous_and_respects_partitions():
     assert sim.nodes[2].queries == [("PING", b"x", 0)]
 
 
+def window_scan(schedule, now, a, b) -> bool:
+    """Whether ``a`` and ``b`` are cut at ``now``, found by scanning every
+    window: the partition check before the cut was kept per span."""
+    for start, end, side_a, side_b in schedule:
+        if start <= now < end:
+            if (a in side_a and b in side_b) or (a in side_b and b in side_a):
+                return True
+    return False
+
+
+CUT_NODES = 5
+
+
+@st.composite
+def partition_windows(draw):
+    """One window on a short time axis, so windows overlap and share
+    boundaries often; its sides are disjoint, as SimConfig.validate asks."""
+    start = draw(st.integers(0, 12))
+    end = draw(st.integers(start, 14))
+    side_a = draw(st.sets(st.integers(0, CUT_NODES - 1), max_size=3))
+    side_b = draw(st.sets(st.sampled_from([i for i in range(CUT_NODES) if i not in side_a]),
+                          max_size=3))
+    return start, end, side_a, side_b
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(partition_windows(), max_size=4), st.lists(partition_windows(), max_size=3),
+       st.lists(st.integers(0, 16), max_size=8), st.data())
+def test_the_kept_partition_cut_matches_a_scan_of_every_window(first, second, extra, data):
+    """At every window's start and end, the time before each, and drawn
+    times, in order, send's and query's cut is the window scan's, also after
+    the schedule is replaced midway."""
+    sim = make_sim(CUT_NODES, partition_schedule=first)
+    times = set(extra)
+    for start, end, _, _ in first + second:
+        times |= {start, end, max(start - 1, 0), max(end - 1, 0)}
+    times = sorted(times)
+    swap = data.draw(st.integers(0, len(times)))
+    for i, now in enumerate(times):
+        if i == swap:
+            sim.config.partition_schedule = second
+        schedule = sim.config.partition_schedule
+        sim.now = now
+        for a in range(CUT_NODES):
+            for b in range(CUT_NODES):
+                assert sim._partitioned(a, b) == window_scan(schedule, now, a, b)
+        a, b = data.draw(st.integers(0, CUT_NODES - 1)), data.draw(st.integers(0, CUT_NODES - 1))
+        assert (sim.query(a, b, "PING", b"") is None) == window_scan(schedule, now, a, b)
+
+
 def test_crash_silences_node_and_restart_revives():
     sim = make_sim(2)
     crashed = sim.nodes[1]
@@ -286,6 +336,16 @@ def test_envelope_builds_positionally_and_is_immutable():
     with pytest.raises(AttributeError):
         env.kind = "BLOCKS"
     assert env.kind == "TX_ANNOUNCE"
+
+
+def test_send_builds_the_envelope_the_named_tuple_builds():
+    sim = make_sim(2, latency_min_ms=7, latency_max_ms=7)
+    sim.now = 3
+    assert sim.send(0, 1, "TX_ANNOUNCE", b"body")
+    sim.drain_deliveries()
+    [env] = sim.nodes[1].received
+    assert type(env) is Envelope and env == Envelope(3, 10, 0, 1, "TX_ANNOUNCE", b"body")
+    assert (env.kind, env.body, env.deliver_time) == ("TX_ANNOUNCE", b"body", 10)
 
 
 @pytest.mark.parametrize("src,dst", [(-1, 0), (0, -1), (3, 0), (0, 3)])

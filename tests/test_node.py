@@ -276,6 +276,22 @@ def test_a_restarted_node_keeps_its_block_objects_and_decodes_nothing(monkeypatc
     assert node.head() == sim.nodes[0].head()
 
 
+def test_a_restart_replay_and_the_closing_replay_only_settle(monkeypatch):
+    """A restarted node replays block objects every node has validated, so
+    their kept verdicts stand: no stateless check runs again, and neither
+    does one for a replay of a live node's chain, as ``chainsim run`` makes
+    at its end."""
+    sim = make_net(3)
+    node, chain = crash_with_volatile_state(sim)
+    checked = []
+    real = ledger._check_block
+    monkeypatch.setattr(ledger, "_check_block", lambda b, p: checked.append(b) or real(b, p))
+    sim.restart_node(2)
+    assert node.head() == chain[-1] and len(chain) > 3
+    assert replayed_state(sim.nodes[0].store.canonical_chain()) == sim.nodes[0].canonical_state
+    assert checked == []
+
+
 def test_mempool_filtering_keeps_templates_valid_after_reorg():
     sim = make_net(2)
     a, b = sim.nodes

@@ -156,12 +156,56 @@ def test_calls_per_delivery_stay_bounded():
     """Python calls (cProfile's count) per delivered message on
     convergence_20: 48.0 before the per-message path was trimmed, 32.9
     after; 32.6 before one record per gossip body carried its decoded
-    message and preformatted deliver line, 25.4 after. The count is
-    deterministic, so a regrown path shows here."""
+    message and preformatted deliver line, 25.4 after; 24.3 before each
+    block object kept its stateless verdict and three frames left the
+    per-delivery path, 20.5 after. The count is deterministic, so a
+    regrown path shows here."""
     scenario = load_scenario_file(bundled_scenario_path("convergence_20"))
     profile = cProfile.Profile()
     profile.enable()
     result = run_scenario(scenario, io.BytesIO())
     profile.disable()
     calls = pstats.Stats(profile).total_calls
-    assert calls / result.sim.messages_delivered <= 28
+    assert calls / result.sim.messages_delivered <= 22
+
+
+def test_convergence_20_checks_each_block_once_and_skips_duplicate_gossip(monkeypatch):
+    """On convergence_20: the stateless block checks, and with them
+    ``compute_tx_root``, run once per distinct block object validated (each
+    mined template hashes its root once more); the live tracer folds every
+    deliver row without ``MetricsFold.deliver``, yet its metrics are the
+    trace file's; and ``on_transaction`` runs only for a tx its node has not
+    relayed, not for every TX_ANNOUNCE."""
+    from chainsim import metrics, node
+    from chainsim.metrics import compute_metrics
+
+    validated = {}  # id -> block, each held so that no id is reused
+    calls, roots, templates, fresh_txs = [], [], [], []
+    real_validate, real_root = ledger.validate_block, ledger.compute_tx_root
+    real_template, real_on_tx = node.SimNode.build_template, node.SimNode.on_transaction
+
+    def validate(block, parent, state):
+        validated[id(block)] = block
+        calls.append(1)
+        return real_validate(block, parent, state)
+
+    def on_tx(self, tx, *args, **kwargs):
+        fresh_txs.append(tx.tx_hash not in self.seen)
+        return real_on_tx(self, tx, *args, **kwargs)
+
+    monkeypatch.setattr(ledger, "validate_block", validate)
+    monkeypatch.setattr(ledger, "compute_tx_root", lambda txs: roots.append(1) or real_root(txs))
+    monkeypatch.setattr(node.SimNode, "build_template",
+                        lambda self: templates.append(1) or real_template(self))
+    monkeypatch.setattr(node.SimNode, "on_transaction", on_tx)
+    monkeypatch.setattr(metrics.MetricsFold, "deliver",
+                        lambda *a: pytest.fail("the live tracer called MetricsFold.deliver"))
+    result = run_scenario(load_scenario_file(bundled_scenario_path("convergence_20")),
+                          io.BytesIO())
+    assert len(roots) == len(validated) + len(templates)
+    assert 5 * len(validated) < len(calls)  # most validations reuse a kept verdict
+    monkeypatch.undo()
+    rows = [json.loads(line) for line in result.tracer.lines()]
+    announces = sum(r["type"] == "deliver" and r["kind"] == "TX_ANNOUNCE" for r in rows)
+    assert all(fresh_txs) and 0 < len(fresh_txs) < announces // 4
+    assert result.tracer.fold.metrics() == compute_metrics(rows)
