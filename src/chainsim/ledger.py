@@ -25,8 +25,8 @@ from __future__ import annotations
 import json
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 from .consensus import block_reward, meets_difficulty
@@ -44,6 +44,9 @@ MAX_BLOCK_TXS = 100
 # a full mempool (mempool.DEFAULT_CAPACITY) plus one block: a tx verified on
 # admission is still held when a block carries it
 SIGNATURE_CACHE_SIZE = 10_000 + MAX_BLOCK_TXS
+# the keys and addresses whose one copy every transaction shares (``_shared``):
+# a run has a few dozen accounts, each a key and an address
+SHARED_ACCOUNT_BYTES = 1024
 ZERO_HASH = bytes(32)
 ZERO_ADDRESS = bytes(20)
 U64_MAX = (1 << 64) - 1
@@ -155,7 +158,26 @@ def _list(value) -> list:
     return value
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=SHARED_ACCOUNT_BYTES)
+def _shared(data: bytes) -> tuple:
+    """``(data, address)``: the one kept copy of a key's or an address's
+    bytes, and for a key the one copy of its address (derived on a miss;
+    None for an address)."""
+    if len(data) != PUBLIC_KEY_SIZE:
+        return data, None
+    return data, _shared(address_from_public_key(data))[0]
+
+
+def _signing_bytes(sender_public_key, recipient, amount, fee, nonce, payload) -> bytes:
+    if len(payload) > MAX_PAYLOAD_BYTES:
+        raise TxError("payload_too_large", f"{len(payload)} > {MAX_PAYLOAD_BYTES}")
+    return b"".join(
+        [sender_public_key, recipient, struct.pack(">QQQH", amount, fee, nonce, len(payload)),
+         payload]
+    )
+
+
+@dataclass(frozen=True, slots=True)
 class Transaction:
     sender_public_key: bytes
     recipient: bytes
@@ -164,51 +186,52 @@ class Transaction:
     nonce: int
     payload: bytes = b""
     signature: bytes = bytes(64)
+    sender: bytes = field(init=False, compare=False, repr=False)
+    tx_hash: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        # Every tx a decoder returns gets ``sender`` and ``tx_hash`` here, as
-        # plain instance attributes that shadow the lazy properties below:
-        # set in ``__init__``, their keys join the key table CPython shares
-        # among a class's instances (see ``Block._canonical``), and a read is
-        # a dict lookup. A directly built tx that breaks a field rule (a key
-        # ``sender`` refuses, an oversized payload or an integer outside its
-        # packed range) keeps both lazy, so building it never raises.
-        if len(self.sender_public_key) != PUBLIC_KEY_SIZE:
+        # Every tx a decoder returns gets ``sender`` and ``tx_hash`` here, and
+        # its key, recipient and sender address are the ``_shared`` copies, so
+        # the txs of one account hold one copy of each. A directly built tx
+        # that breaks a field rule (a key ``sender`` refuses, an oversized
+        # payload or an integer outside its packed range), or whose key is
+        # not ``bytes``, leaves what it cannot fill for ``__getattr__``, so
+        # building it never raises.
+        pk, recipient = self.sender_public_key, self.recipient
+        if len(pk) != PUBLIC_KEY_SIZE:
             return
         try:
             data = self.encode()
         except (TxError, struct.error):
             return
-        object.__setattr__(self, "sender", address_from_public_key(self.sender_public_key))
+        if type(pk) is bytes:
+            pk, sender = _shared(pk)
+            object.__setattr__(self, "sender_public_key", pk)
+            object.__setattr__(self, "sender", sender)
+        if type(recipient) is bytes:
+            object.__setattr__(self, "recipient", _shared(recipient)[0])
         object.__setattr__(self, "tx_hash", hash_bytes(data))
 
-    @cached_property
-    def sender(self) -> bytes:
-        return address_from_public_key(self.sender_public_key)
+    def __getattr__(self, name: str):
+        """``sender`` or ``tx_hash`` of a tx ``__post_init__`` left unset;
+        each raises as the field rule it needs does, and is kept once made."""
+        if name == "sender":
+            value = address_from_public_key(self.sender_public_key)
+        elif name == "tx_hash":
+            value = hash_bytes(self.encode())
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
 
     def signing_bytes(self) -> bytes:
-        if len(self.payload) > MAX_PAYLOAD_BYTES:
-            raise TxError("payload_too_large", f"{len(self.payload)} > {MAX_PAYLOAD_BYTES}")
-        return b"".join(
-            [
-                self.sender_public_key,
-                self.recipient,
-                struct.pack(">Q", self.amount),
-                struct.pack(">Q", self.fee),
-                struct.pack(">Q", self.nonce),
-                struct.pack(">H", len(self.payload)),
-                self.payload,
-            ]
-        )
+        return _signing_bytes(self.sender_public_key, self.recipient, self.amount, self.fee,
+                              self.nonce, self.payload)
 
     def encode(self) -> bytes:
         return self.signing_bytes() + self.signature
 
-    @cached_property
-    def tx_hash(self) -> bytes:
-        return hash_bytes(self.encode())
-
-    @cached_property
+    @property
     def hash_hex(self) -> str:
         """``tx_hash`` as hex: the tx's one label in every trace row."""
         return self.tx_hash.hex()
@@ -258,9 +281,9 @@ def make_transaction(
     payload: bytes = b"",
 ) -> Transaction:
     """Build and sign a transaction in one step."""
-    tx = Transaction(public_key, recipient, amount, fee, nonce, payload)
-    sig = sign(private_key, tx.signing_bytes())
-    return replace(tx, signature=sig)
+    message = _signing_bytes(public_key, recipient, amount, fee, nonce, payload)
+    return Transaction(public_key, recipient, amount, fee, nonce, payload,
+                       sign(private_key, message))
 
 
 def compute_tx_root(transactions: Iterable[Transaction]) -> bytes:

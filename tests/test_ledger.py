@@ -1,11 +1,13 @@
 import copy
+import hashlib
 import json
+import struct
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainsim import consensus, ledger, node
+from chainsim import consensus, crypto, ledger, node
 from chainsim.ledger import (
     AccountState,
     Block,
@@ -134,6 +136,140 @@ layout_block_strategy = st.builds(
 @given(layout_block_strategy)
 def test_block_encode_is_canonical_json_of_the_reference_encoder(block):
     assert block.encode() == canonical_json(to_json(block))
+
+
+# -- compact transactions --------------------------------------------------------
+
+def reference_encoding(pk, recipient, amount, fee, nonce, payload, signature) -> bytes:
+    """``Transaction.encode``'s layout, spelled out field by field."""
+    return b"".join([pk, recipient, struct.pack(">Q", amount), struct.pack(">Q", fee),
+                     struct.pack(">Q", nonce), struct.pack(">H", len(payload)), payload,
+                     signature])
+
+
+def fresh(data: bytes) -> bytes:
+    """An equal bytes object that is not ``data``, as a decoder would make."""
+    return bytes(bytearray(data))
+
+
+ACCOUNTS = (1, 2, 3)  # a small pool of keys and recipients
+
+
+@settings(deadline=None)
+@given(st.sampled_from(ACCOUNTS), st.sampled_from(ACCOUNTS), u64_edges, u64_edges, u64_edges,
+       st.binary(max_size=32), st.sampled_from(ACCOUNTS))
+def test_every_way_to_build_a_transaction_agrees_and_shares_account_bytes(
+        sender_i, recipient_i, amount, fee, nonce, payload, other_i):
+    kp = keypair(sender_i)
+    pk, recipient = kp.public_key, addr(recipient_i)
+    signing = reference_encoding(pk, recipient, amount, fee, nonce, payload, b"")
+    signature = crypto.sign(kp.private_key, signing)  # RFC 8032: deterministic
+    made = ledger.make_transaction(kp.private_key, fresh(pk), fresh(recipient), amount, fee,
+                                   nonce, payload)
+    built = Transaction(fresh(pk), fresh(recipient), amount, fee, nonce, payload, signature)
+    decoded = decode_transaction(made.encode())
+    from_json = Transaction.from_json(json.loads(json.dumps(to_json(made))))
+    fields = (pk, recipient, amount, fee, nonce, payload, signature)
+    data = reference_encoding(*fields)
+    for tx in (made, built, decoded, from_json):
+        assert (tx.sender_public_key, tx.recipient, tx.amount, tx.fee, tx.nonce, tx.payload,
+                tx.signature) == fields
+        assert tx.signing_bytes() == signing and tx.encode() == data
+        assert tx.tx_hash == hashlib.sha256(data).digest()
+        assert tx.hash_hex == tx.tx_hash.hex()
+        assert tx.sender == hashlib.sha256(pk).digest()[:20]
+        assert tx == made and hash(tx) == hash(fields)
+        # one copy of each account's key, sender address and recipient
+        assert tx.sender_public_key is made.sender_public_key
+        assert tx.sender is made.sender
+        assert tx.recipient is made.recipient
+    other = signed_tx(sender_i, other_i, 1, 1, 0)  # another tx of the same sender
+    assert other.sender_public_key is made.sender_public_key and other.sender is made.sender
+    assert signed_tx(other_i, recipient_i, 1, 1, 0).recipient is made.recipient
+
+
+def test_make_transaction_builds_one_transaction(monkeypatch):
+    built, signed = [], []
+    post_init, sign = Transaction.__post_init__, ledger.sign
+
+    def counting_post_init(tx):
+        built.append(tx)
+        post_init(tx)
+
+    def counting_sign(private_key, message):
+        signed.append(message)
+        return sign(private_key, message)
+
+    monkeypatch.setattr(Transaction, "__post_init__", counting_post_init)
+    monkeypatch.setattr(ledger, "sign", counting_sign)
+    kp = keypair(1)
+    tx = ledger.make_transaction(kp.private_key, kp.public_key, addr(2), 10, 1, 0, b"memo")
+    assert len(built) == 1 and built[0] is tx
+    assert signed == [tx.signing_bytes()]
+    assert crypto.verify(kp.public_key, tx.signing_bytes(), tx.signature)
+    short = ledger.make_transaction(kp.private_key, kp.public_key, bytes(19), 10, 1, 0)
+    assert len(short.recipient) == 19 and len(built) == 2
+    with pytest.raises(TxError) as e:  # refused before any signing or building
+        ledger.make_transaction(kp.private_key, kp.public_key, addr(2), 10, 1, 0,
+                                bytes(ledger.MAX_PAYLOAD_BYTES + 1))
+    assert e.value.code == "payload_too_large"
+    assert len(signed) == 2 and len(built) == 2
+
+
+@pytest.mark.parametrize("field,value,sender_error,tx_hash_error", [
+    ("sender_public_key", bytes(31), ValueError, None),
+    ("recipient", bytes(19), None, None),
+    ("payload", bytes(ledger.MAX_PAYLOAD_BYTES + 1), None, TxError),
+    ("amount", 1 << 64, None, struct.error),
+    ("recipient", bytearray(20), None, None),
+    ("sender_public_key", bytearray(keypair(1).public_key), None, None),
+], ids=["short_key", "short_recipient", "oversized_payload", "u64_overflow",
+        "bytearray_recipient", "bytearray_key"])
+def test_a_transaction_that_breaks_a_field_rule_still_builds(
+        field, value, sender_error, tx_hash_error):
+    fields = dict(sender_public_key=keypair(1).public_key, recipient=addr(2), amount=5, fee=1,
+                  nonce=0, payload=b"", signature=bytes(64))
+    fields[field] = value
+    tx = Transaction(**fields)  # never raises
+    assert getattr(tx, field) == value and type(getattr(tx, field)) is type(value)
+    for _ in range(2):  # a failure is not kept
+        if sender_error:
+            with pytest.raises(sender_error):
+                tx.sender
+        else:
+            assert tx.sender == hashlib.sha256(fields["sender_public_key"]).digest()[:20]
+        if tx_hash_error:
+            with pytest.raises(tx_hash_error):
+                tx.tx_hash
+            with pytest.raises(tx_hash_error):
+                tx.hash_hex
+        else:
+            data = reference_encoding(*fields.values())
+            assert tx.tx_hash == hashlib.sha256(data).digest()
+            assert tx.hash_hex == tx.tx_hash.hex()
+    if tx_hash_error is TxError:
+        with pytest.raises(TxError) as e:
+            check_signature(tx)
+        assert e.value.code == "payload_too_large"
+    with pytest.raises(AttributeError):
+        tx.note
+
+
+def test_the_shared_account_table_stays_at_its_bound(monkeypatch):
+    bound = ledger.SHARED_ACCOUNT_BYTES
+    keys = [hashlib.sha256(b"account %d" % i).digest() for i in range(bound + 10)]
+    for key in keys:
+        Transaction(key, addr(2), 1, 1, 0)
+    assert ledger._shared.cache_info().currsize == bound
+    derived = []
+    monkeypatch.setattr(ledger, "address_from_public_key",
+                        lambda pk: derived.append(pk) or crypto.address_from_public_key(pk))
+    first = Transaction(fresh(keys[0]), addr(2), 1, 1, 0)  # evicted: a miss
+    assert first.sender == hashlib.sha256(keys[0]).digest()[:20]
+    assert derived == [keys[0]]
+    again = Transaction(fresh(keys[0]), addr(2), 2, 1, 0)  # a hit derives nothing
+    assert again.sender is first.sender and derived == [keys[0]]
+    assert ledger._shared.cache_info().currsize == bound
 
 
 # -- transaction validation ----------------------------------------------------
