@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import ledger, metrics, rpc
 from .crypto import address_from_public_key, generate_keypair
-from .ledger import ChainError, chain_file_lines, decode_chain_lines, verify_chain_lines
+from .ledger import ChainError, chain_file_lines, decode_chain_lines
 from .netsim import SimConfig, Simulator
 from .scenario import ScenarioError, load_scenario_file, node_key_seed, run_scenario
 
@@ -100,13 +100,15 @@ def cmd_keygen(args) -> int:
 
 
 def _chain_file_command(command):
-    """``command(args, lines)`` as a command on the lines of ``args.chain_file``.
-    An unreadable or empty file is a config error (exit 2); a ChainError (every
-    bad line raises one) prints ``FAIL at height N: <code>`` (exit 1)."""
+    """``command(args, lines)`` as a command on the lines of
+    ``args.chain_file``, read one at a time as the command takes them
+    (``ledger.stream_chain_lines``). An unreadable or empty file is a
+    config error (exit 2) before the command runs; a ChainError (every bad
+    line raises one) prints ``FAIL at height N: <code>`` (exit 1)."""
 
     def run(args) -> int:
         try:
-            lines = ledger.read_chain_lines(args.chain_file)
+            lines = ledger.stream_chain_lines(args.chain_file)
         except (OSError, ValueError) as e:
             print(f"config error: {e}", file=sys.stderr)
             return 2
@@ -135,8 +137,12 @@ def cmd_inspect(args, lines) -> int:
 
 @_chain_file_command
 def cmd_verify(args, lines) -> int:
-    state = verify_chain_lines(lines)
-    print(f"ok: {len(lines)} blocks, supply {state.total_supply()}")
+    """Each line is decoded just before its block is validated, and only a
+    block and its parent are held: the lowest failing height is reported,
+    whatever mix of faults the file holds."""
+    state = ledger.AccountState()
+    blocks = sum(1 for _ in ledger.replay_blocks(ledger.chain_blocks(lines), state))
+    print(f"ok: {blocks} blocks, supply {state.total_supply()}")
     return 0
 
 
@@ -150,7 +156,7 @@ def cmd_serve_rpc(args, lines) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     sim = Simulator(SimConfig(), 1)  # a lone node: no peers to send to
-    # the node decodes every line, genesis included, as `verify` does
+    # the node decodes and validates every line, genesis included, as `verify` does
     node = SimNode(sim, 0, seed, None, persisted_lines=lines)
     sim.attach(0, node)
     server = rpc.serve(node, port=args.port)

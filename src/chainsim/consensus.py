@@ -82,7 +82,7 @@ def mine(template: BlockTemplate, start_nonce: int = 0, max_attempts: int = MINE
     exp(-16) ~ 1e-7 at MAX_DIFFICULTY_BITS (20), squared for each bit below,
     but 1 - 2^-16 at 40. Simulations refuse a difficulty above 20
     (``netsim.SimConfig.validate``), as the simulator does not resume."""
-    from .ledger import POW_NONCE_OFFSET
+    from .ledger import POW_NONCE_OFFSET, pack_header
 
     d = template.difficulty_bits
     if not 0 <= d <= 255:
@@ -91,7 +91,8 @@ def mine(template: BlockTemplate, start_nonce: int = 0, max_attempts: int = MINE
     # zero iff, read big-endian, it is at most 2^(256 - d) - 1; equal-length
     # bytes compare as their big-endian integers, and d = 0 admits all
     ceiling = ((1 << (256 - d)) - 1).to_bytes(32, "big")
-    header = template.seal(0).header_bytes()
+    header = pack_header(template.height, template.prev_hash, template.timestamp, d, 0,
+                         template.miner, template.tx_root)
     # hash the bytes before the nonce once, and per attempt only the rest
     head, tail = sha256(header[:POW_NONCE_OFFSET]), header[POW_NONCE_OFFSET + 8 :]
     copy, pack = head.copy, _NONCE.pack

@@ -22,12 +22,13 @@ and u8 ranges, the payload bound), so whatever they return encodes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from typing import Iterable, Optional
+from functools import lru_cache
+from typing import Iterable, Iterator, Optional
 
 from .consensus import block_reward, meets_difficulty
 from .crypto import (
@@ -51,6 +52,8 @@ ZERO_HASH = bytes(32)
 ZERO_ADDRESS = bytes(20)
 U64_MAX = (1 << 64) - 1
 POW_NONCE_OFFSET = 8 + 32 + 8 + 1  # pow_nonce's byte offset in the header
+_HEADER_HEIGHT = struct.Struct(">Q")
+_HEADER_SEAL = struct.Struct(">QBQ")  # timestamp, difficulty_bits, pow_nonce
 
 
 class LedgerError(Exception):
@@ -108,6 +111,21 @@ def canonical_json(obj) -> bytes:
     return "".join(json_chunks(obj, 0)).encode()
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _json_object(data: bytes):
+    """``json.loads(data)``. Bytes that open an object with a key, as every
+    block line and body does, are UTF-8 by json.loads's own detection, so
+    they skip it and its whitespace scans when the object fills them."""
+    if data[:2] == b'{"':
+        text = data.decode("utf-8", "surrogatepass")
+        obj, end = _raw_decode(text)
+        if end == len(text):
+            return obj
+    return json.loads(data)
+
+
 # Block.encode's fixed layouts: canonical_json of a tx, of a block and of a
 # genesis block's allocations prefix, keys in sorted order. Every byte field
 # is lowercase hex, which JSON never escapes, and every integer field an int,
@@ -150,6 +168,20 @@ def _hex(value, width: Optional[int] = None) -> bytes:
     if width is not None and len(data) != width:
         raise ValueError(f"expected {width} bytes, got {len(data)}")
     return data
+
+
+def _fixed_hex(a, a_width: int, b, b_width: int, c, c_width: int) -> bytes:
+    """``_hex(a, a_width) + _hex(b, b_width) + _hex(c, c_width)``, checked
+    with one ``bytes.fromhex`` round trip over the three joined: each has
+    exactly its width in hex digits, so the round trip holds for the whole
+    only if it holds for each."""
+    if (type(a) is type(b) is type(c) is str and len(a) == 2 * a_width
+            and len(b) == 2 * b_width and len(c) == 2 * c_width):
+        text = a + b + c
+        data = bytes.fromhex(text)
+        if data.hex() == text:
+            return data
+    return _hex(a, a_width) + _hex(b, b_width) + _hex(c, c_width)  # one of them raises
 
 
 def _list(value) -> list:
@@ -224,6 +256,11 @@ class Transaction:
         object.__setattr__(self, name, value)
         return value
 
+    def __reduce__(self):
+        # copies and pickles carry the wire fields only; the copy derives the rest
+        return Transaction, (self.sender_public_key, self.recipient, self.amount, self.fee,
+                             self.nonce, self.payload, self.signature)
+
     def signing_bytes(self) -> bytes:
         return _signing_bytes(self.sender_public_key, self.recipient, self.amount, self.fee,
                               self.nonce, self.payload)
@@ -239,18 +276,17 @@ class Transaction:
     @staticmethod
     def from_json(obj: dict) -> "Transaction":
         _check_keys(obj, _TX_KEYS)
+        amount, fee, nonce = obj["amount"], obj["fee"], obj["nonce"]
+        if not (type(amount) is type(fee) is type(nonce) is int and 0 <= amount <= U64_MAX
+                and 0 <= fee <= U64_MAX and 0 <= nonce <= U64_MAX):
+            _int(amount), _int(fee), _int(nonce)  # one of them raises
         payload = _hex(obj["payload"])
         if len(payload) > MAX_PAYLOAD_BYTES:  # encode, and so tx_hash, would refuse it
             raise TxError("payload_too_large", f"{len(payload)} > {MAX_PAYLOAD_BYTES}")
-        return Transaction(
-            sender_public_key=_hex(obj["sender_public_key"], PUBLIC_KEY_SIZE),
-            recipient=_hex(obj["recipient"], 20),
-            amount=_int(obj["amount"]),
-            fee=_int(obj["fee"]),
-            nonce=_int(obj["nonce"]),
-            payload=payload,
-            signature=_hex(obj["signature"], SIGNATURE_SIZE),
-        )
+        data = _fixed_hex(obj["sender_public_key"], PUBLIC_KEY_SIZE, obj["recipient"], 20,
+                          obj["signature"], SIGNATURE_SIZE)
+        return Transaction(data[:PUBLIC_KEY_SIZE], data[PUBLIC_KEY_SIZE:-SIGNATURE_SIZE],
+                           amount, fee, nonce, payload, data[-SIGNATURE_SIZE:])
 
 
 def decode_transaction(data: bytes) -> Transaction:
@@ -287,7 +323,7 @@ def make_transaction(
 
 
 def compute_tx_root(transactions: Iterable[Transaction]) -> bytes:
-    return hash_bytes(b"".join(tx.encode() for tx in transactions))
+    return hash_bytes(b"".join([tx.encode() for tx in transactions]))
 
 
 def genesis_tx_root(allocations: tuple, timestamp: int) -> bytes:
@@ -296,7 +332,14 @@ def genesis_tx_root(allocations: tuple, timestamp: int) -> bytes:
     return hash_bytes(struct.pack(">Q", timestamp) + b"".join(packed))
 
 
-@dataclass(frozen=True)
+def pack_header(height, prev_hash, timestamp, difficulty_bits, pow_nonce, miner,
+                tx_root) -> bytes:
+    """A block header's bytes, from its fields (see the module docstring)."""
+    return (_HEADER_HEIGHT.pack(height) + prev_hash
+            + _HEADER_SEAL.pack(timestamp, difficulty_bits, pow_nonce) + miner + tx_root)
+
+
+@dataclass(frozen=True, slots=True)
 class Block:
     height: int
     prev_hash: bytes
@@ -307,39 +350,44 @@ class Block:
     tx_root: bytes
     transactions: tuple = ()
     allocations: tuple = ()  # genesis only: ((address, amount), ...)
-    # encode's bytes once made. __init__ sets it (a default_factory does, a
-    # plain default would not), so every block has the key from the start:
-    # CPython shares one key table among a class's instances, and a key
-    # first set once many blocks exist gives each block a dict of its own.
-    _canonical: Optional[bytes] = field(
-        default_factory=type(None), init=False, repr=False, compare=False
-    )
+    # encode's bytes once made
+    _canonical: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
     # validate_block's verdict on the checks that need no state, kept once
     # made against a parent this block links to (see validate_block): () for
-    # a pass, else the BlockError's (code, detail, tx_index). Set in
-    # __init__ for the same reason as _canonical.
-    _verdict: Optional[tuple] = field(
-        default_factory=type(None), init=False, repr=False, compare=False
-    )
+    # a pass, else the BlockError's (code, detail, tx_index)
+    _verdict: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    block_hash: bytes = field(init=False, repr=False, compare=False)
 
-    def header_bytes(self) -> bytes:
-        return b"".join(
-            [
-                struct.pack(">Q", self.height),
-                self.prev_hash,
-                struct.pack(">Q", self.timestamp),
-                struct.pack(">B", self.difficulty_bits),
-                struct.pack(">Q", self.pow_nonce),
-                self.miner,
-                self.tx_root,
-            ]
-        )
+    def __post_init__(self):
+        # Every block gets ``block_hash`` here, where it is built or decoded:
+        # validation reads it anyway, so this adds no hashing. A directly
+        # built block whose header does not pack (an integer outside its
+        # packed range, a byte field that is not bytes) leaves it for
+        # ``__getattr__``, so building it never raises.
+        try:
+            header = self.header_bytes()
+        except (struct.error, TypeError):
+            return
+        object.__setattr__(self, "block_hash", hash_bytes(header))
 
-    @cached_property
-    def block_hash(self) -> bytes:
+    def __getattr__(self, name: str):
+        """``block_hash`` of a block ``__post_init__`` left it unset on: it
+        raises as packing the header does."""
+        if name != "block_hash":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         return hash_bytes(self.header_bytes())
 
-    @cached_property
+    def __reduce__(self):
+        # copies and pickles carry the wire fields only; the copy derives the rest
+        return Block, (self.height, self.prev_hash, self.timestamp, self.difficulty_bits,
+                       self.pow_nonce, self.miner, self.tx_root, self.transactions,
+                       self.allocations)
+
+    def header_bytes(self) -> bytes:
+        return pack_header(self.height, self.prev_hash, self.timestamp, self.difficulty_bits,
+                           self.pow_nonce, self.miner, self.tx_root)
+
+    @property
     def hash_hex(self) -> str:
         """``block_hash`` as hex: the block's one label in every trace row."""
         return self.block_hash.hex()
@@ -347,22 +395,25 @@ class Block:
     @staticmethod
     def from_json(obj: dict) -> "Block":
         _check_keys(obj, _GENESIS_KEYS if "allocations" in obj else _BLOCK_KEYS)
-        allocations = []
-        for pair in _list(obj.get("allocations", [])):
-            if len(_list(pair)) != 2:
-                raise ValueError("an allocation is an [address, amount] pair")
-            allocations.append((_hex(pair[0], 20), _int(pair[1])))
-        return Block(
-            height=_int(obj["height"]),
-            prev_hash=_hex(obj["prev_hash"], 32),
-            timestamp=_int(obj["timestamp"]),
-            difficulty_bits=_int(obj["difficulty_bits"], 0xFF),
-            pow_nonce=_int(obj["pow_nonce"]),
-            miner=_hex(obj["miner"], 20),
-            tx_root=_hex(obj["tx_root"], 32),
-            transactions=tuple(Transaction.from_json(t) for t in _list(obj["transactions"])),
-            allocations=tuple(allocations),
-        )
+        height, timestamp = obj["height"], obj["timestamp"]
+        difficulty_bits, pow_nonce = obj["difficulty_bits"], obj["pow_nonce"]
+        if not (type(height) is type(timestamp) is type(difficulty_bits) is type(pow_nonce)
+                is int and 0 <= height <= U64_MAX and 0 <= timestamp <= U64_MAX
+                and 0 <= difficulty_bits <= 0xFF and 0 <= pow_nonce <= U64_MAX):
+            # one of them raises
+            _int(height), _int(timestamp), _int(difficulty_bits, 0xFF), _int(pow_nonce)
+        data = _fixed_hex(obj["prev_hash"], 32, obj["miner"], 20, obj["tx_root"], 32)
+        allocations = ()
+        if "allocations" in obj:
+            allocations = []
+            for pair in _list(obj["allocations"]):
+                if len(_list(pair)) != 2:
+                    raise ValueError("an allocation is an [address, amount] pair")
+                allocations.append((_hex(pair[0], 20), _int(pair[1])))
+            allocations = tuple(allocations)
+        txs = tuple([Transaction.from_json(t) for t in _list(obj["transactions"])])
+        return Block(height, data[:32], timestamp, difficulty_bits, pow_nonce, data[32:52],
+                     data[52:], txs, allocations)
 
     def encode(self) -> bytes:
         """The canonical JSON bytes, encoded once per block object from the
@@ -391,7 +442,7 @@ class Block:
 
     @staticmethod
     def decode(data: bytes) -> "Block":
-        return Block.from_json(json.loads(data))
+        return Block.from_json(_json_object(data))
 
 
 def decode_relayed_block(data: bytes) -> Block:
@@ -718,27 +769,30 @@ class BlockStore:
         return [self.blocks[h] for h in self.canonical]
 
 
-def replay_blocks(blocks: list, state: AccountState):
-    """The one chain replay: validate a genesis-rooted block list and settle
-    it onto ``state``, which starts empty, yielding each block's
-    ``block_undo`` record once it is settled; raises ChainError at the first
-    failing height. ``state`` is the state after the last block yielded."""
-    if not blocks:
-        raise ChainError(0, "empty_chain")
-    genesis = blocks[0]
-    try:
-        validate_genesis(genesis)
-    except BlockError as e:
-        raise ChainError(0, e.code, e.detail) from e
-    undo = block_undo(state, genesis)
-    settle_block(state, genesis)
-    yield undo
-    for i in range(1, len(blocks)):
+def replay_blocks(blocks: Iterable, state: AccountState):
+    """The one chain replay: validate genesis-rooted blocks, taken one at a
+    time from any iterable, and settle them onto ``state``, which starts
+    empty, yielding ``(block, block_undo record)`` once each is settled;
+    raises ChainError at the first failing height. Only a block and its
+    parent are held, and a block is taken only once its parent is settled,
+    so a lazy iterable (``chain_blocks``) that raises ChainError for a bad
+    line raises it only after every lower height passes. ``state`` is the
+    state after the last block yielded."""
+    parent = None
+    for height, block in enumerate(blocks):
         try:
-            undo = validate_block(blocks[i], blocks[i - 1], state)
+            if parent is None:
+                validate_genesis(block)
+                undo = block_undo(state, block)
+                settle_block(state, block)
+            else:
+                undo = validate_block(block, parent, state)
         except BlockError as e:
-            raise ChainError(i, e.code, e.detail) from e
-        yield undo
+            raise ChainError(height, e.code, e.detail) from e
+        yield block, undo
+        parent = block
+    if parent is None:
+        raise ChainError(0, "empty_chain")
 
 
 def chain_file_lines(blocks: Iterable[Block]) -> list:
@@ -746,14 +800,28 @@ def chain_file_lines(blocks: Iterable[Block]) -> list:
     return [block.encode() for block in blocks]
 
 
-def read_chain_lines(path) -> list:
-    """The one chain-file reader: the file's non-blank lines, for
-    ``decode_chain_lines``; ValueError if none, OSError if unreadable."""
-    with open(path, "rb") as f:
-        lines = [ln for ln in f.read().split(b"\n") if ln.strip()]
-    if not lines:
+def _nonblank_lines(f):
+    with f:
+        for line in f:
+            if line.strip():
+                yield line.rstrip(b"\n")
+
+
+def stream_chain_lines(path) -> Iterator[bytes]:
+    """The one chain-file reader: the file's non-blank lines, read one at a
+    time as they are taken. The file is opened, and read up to its first
+    non-blank line, at once: an unreadable file raises OSError, and one
+    with no such line ValueError, before any line is taken."""
+    lines = _nonblank_lines(open(path, "rb"))
+    first = next(lines, None)
+    if first is None:
         raise ValueError("empty chain file")
-    return lines
+    return itertools.chain((first,), lines)
+
+
+def read_chain_lines(path) -> list:
+    """Every non-blank line of a chain file (``stream_chain_lines``)."""
+    return list(stream_chain_lines(path))
 
 
 def read_chain_file(path) -> list:
@@ -761,24 +829,30 @@ def read_chain_file(path) -> list:
     return decode_chain_lines(read_chain_lines(path))
 
 
-def decode_chain_lines(lines: list) -> list:
-    """Decode chain lines, block ``i`` on line ``i``. A bad line raises
-    ChainError at its own height, pinning a tamper to the block it touched."""
-    blocks = []
-    for i, ln in enumerate(lines):
+def chain_blocks(lines: Iterable) -> Iterator[Block]:
+    """Decode chain lines one at a time as they are taken, block ``i`` on
+    line ``i``. A bad line raises ChainError at its own height, pinning a
+    tamper to the block it touched, when it is taken."""
+    for height, line in enumerate(lines):
         try:
-            blocks.append(Block.decode(ln))
+            block = Block.decode(line)
         except Exception as e:
-            raise ChainError(i, "parse_error", str(e)) from e
-        if blocks[-1].height != i:
-            raise ChainError(i, "bad_height", f"line {i} declares height {blocks[-1].height}")
-    return blocks
+            raise ChainError(height, "parse_error", str(e)) from e
+        if block.height != height:
+            raise ChainError(height, "bad_height", f"line {height} declares height {block.height}")
+        yield block
 
 
-def verify_chain_lines(lines: list) -> AccountState:
+def decode_chain_lines(lines: Iterable) -> list:
+    """Every block of ``chain_blocks``, decoded before any is validated."""
+    return list(chain_blocks(lines))
+
+
+def verify_chain_lines(lines: Iterable) -> AccountState:
     """Verify serialized chain lines and return the state after them;
-    ChainError carries the failing height."""
+    ChainError carries the first failing height, each line decoded just
+    before its block is validated."""
     state = AccountState()
-    for _ in replay_blocks(decode_chain_lines(lines), state):
+    for _ in replay_blocks(chain_blocks(lines), state):
         pass
     return state

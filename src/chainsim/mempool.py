@@ -41,11 +41,14 @@ class Mempool:
         return tx_hash in self.entries
 
     def insert(self, tx: Transaction, state: AccountState) -> None:
-        """Admit ``tx`` or raise TxError with cause duplicate / pool_full /
-        bad_signature / bad_nonce / insufficient_funds / payload_too_large."""
+        """Admit ``tx`` or raise TxError with cause duplicate / bad_nonce /
+        insufficient_funds / pool_full / bad_signature, the first that holds
+        in that order (payload_too_large, from ``tx_hash``, comes first). The
+        Ed25519 check comes last, as Bitcoin Core's script checks follow its
+        ``PreChecks``: only a tx that every cheaper check admits costs a
+        verify, and a full pool evicts only for a tx that passes it."""
         if tx.tx_hash in self.entries:
             raise TxError("duplicate")
-        check_signature(tx)
         sender = tx.sender
         queue = self.queues.get(sender, ())
         if queue and queue[0].nonce <= tx.nonce <= queue[-1].nonce:
@@ -57,6 +60,7 @@ class Mempool:
         committed = self.committed.get(sender, 0)
         if state.balance(sender) - committed < tx.amount + tx.fee:
             raise TxError("insufficient_funds")
+        victim = None
         if len(self.entries) >= self.capacity:
             tails = [q[-1] for s, q in self.queues.items() if s != sender]
             victim = min(
@@ -64,6 +68,8 @@ class Mempool:
             )
             if victim is None or victim.fee >= tx.fee:
                 raise TxError("pool_full")
+        check_signature(tx)
+        if victim is not None:
             self._forget(self.queues[victim.sender].pop())
             self.committed[victim.sender] -= victim.amount + victim.fee
             if not self.queues[victim.sender]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import OrderedDict
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import consensus, kademlia, ledger
 from .crypto import generate_keypair, node_id_from_public_key
@@ -112,11 +112,13 @@ class SimNode:
         index: int,
         seed: bytes,
         genesis: Optional[Block],
-        persisted_lines: Optional[list] = None,
+        persisted_lines: Optional[Iterable] = None,
     ):
         """A node whose canonical chain is ``genesis`` alone or, when
-        ``persisted_lines`` is given, the chain file those lines hold
-        (``genesis`` is then unused); a corrupt file raises ChainError."""
+        ``persisted_lines`` (any iterable) is given, the chain file those
+        lines hold (``genesis`` is then unused): each line is decoded just
+        before its block is validated, so a corrupt file raises ChainError
+        at its first failing height."""
         self.sim = sim
         self.index = index
         self.keypair = generate_keypair(seed)
@@ -124,20 +126,20 @@ class SimNode:
         self.address = self.node_id  # same 20-byte derivation
         self.blob_store = None  # attached by the scenario runner when used
         self._bootstrap: Optional[Contact] = None  # rejoin's contact, if any
-        self._boot(ledger.decode_chain_lines(persisted_lines) if persisted_lines else [genesis])
+        self._boot(ledger.chain_blocks(persisted_lines) if persisted_lines else [genesis])
 
-    def _boot(self, chain: list) -> None:
+    def _boot(self, chain: Iterable) -> None:
         """Set every field that does not survive a crash, the chain held
-        included: replay ``chain``, a genesis-rooted block list, onto an
-        empty state, keeping each block's undo record. The replay is the
-        node's own validation of ``chain``; it raises ChainError, at height
-        0 for a bad genesis, before the store is built."""
+        included: replay ``chain``, genesis-rooted blocks from any iterable,
+        onto an empty state, keeping each block's undo record. The replay is
+        the node's own validation of ``chain``; it raises ChainError, at
+        height 0 for a bad genesis, before the store is built."""
         self._state = AccountState()  # at the canonical tip
         self.undo: dict = {}  # stored block hash -> its ledger.block_undo record
-        undos = ledger.replay_blocks(chain, self._state)
-        next(undos)  # settles genesis
-        self.store = BlockStore(chain[0])
-        for block, undo in zip(chain[1:], undos):
+        replay = ledger.replay_blocks(chain, self._state)
+        genesis, _ = next(replay)
+        self.store = BlockStore(genesis)
+        for block, undo in replay:
             self.undo[block.block_hash] = undo
             self.store.insert(block)
         self.side_states: dict = {}  # side-branch block hash -> state after it, oldest first

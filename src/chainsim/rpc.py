@@ -5,7 +5,10 @@ against any simulated node; ``serve`` wraps the same dispatcher in a
 loopback HTTP server (one JSON-RPC payload per POST), and only ``serve``
 loads ``http.server``. Application error codes: 1001 bad_signature,
 1002 bad_nonce, 1003 insufficient_funds, 1004 duplicate, 1005
-payload_too_large. Every request gets a reply:
+payload_too_large. A submitted transaction gets the first that holds in
+mempool admission order: 1005 (at decoding), then 1004, 1002, 1003,
+``pool_full`` as -32602, and 1001 only when every cheaper check passes.
+Every request gets a reply:
 
 - a body that does not parse, however deeply nested, is -32700;
 - a request whose ``id`` is not a string, a number or null, and a batch

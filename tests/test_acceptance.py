@@ -5,11 +5,13 @@ suite doubles as a report. Scenario runs are module-scoped fixtures so
 each bundled scenario executes once.
 """
 
+import functools
 import json
 import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainsim import consensus, ledger, rpc
 from chainsim.blobstore import BlobStore, blob_link_payload
@@ -97,6 +99,41 @@ def test_criterion_02_tamper_evidence():
             flips += 1
     print(f"\nPASS criterion 2: {flips} single-byte flips over 11 blocks, "
           f"every one detected at its exact height")
+
+
+@functools.cache
+def criterion_02_lines() -> tuple:
+    """Criterion 2's chain, as lines."""
+    plan = {h: [signed_tx(1, 2, 5, 1, h - 1)] for h in range(1, 11)}
+    _, blocks = build_chain(10, allocations=[(addr(1), 1000)], tx_plan=plan, difficulty=16)
+    return tuple(ledger.chain_file_lines(blocks))
+
+
+def verdict(lines):
+    try:
+        verify_chain_lines(lines)
+    except ChainError as e:
+        return e.height, e.code
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_criterion_02_two_edits_fail_at_the_first_failing_height(data):
+    """Criterion 2's single-byte edits on two lines: when verify fails at
+    height h, lines 0..h alone fail alike and lines 0..h-1 pass, whatever
+    kind of fault (a parse error or a semantic one) each edit makes."""
+    lines = list(criterion_02_lines())
+    for i in data.draw(st.lists(st.integers(0, len(lines) - 1), min_size=2, max_size=2,
+                                unique=True)):
+        pos = data.draw(st.integers(0, len(lines[i]) - 1))
+        lines[i] = lines[i][:pos] + bytes([lines[i][pos] ^ 0x01]) + lines[i][pos + 1:]
+    found = verdict(lines)
+    if found is not None:
+        height = found[0]
+        assert verdict(lines[: height + 1]) == found
+        if height:
+            assert verdict(lines[:height]) is None
 
 
 # 3. Longest-chain fork resolution -------------------------------------------

@@ -430,6 +430,27 @@ def test_serve_rpc_nonzero_genesis_miner_fails_cleanly(tmp_path, monkeypatch, ca
     assert capsys.readouterr().out == "FAIL at height 0: bad_genesis\n"
 
 
+def test_verify_and_serve_rpc_report_the_lower_of_two_faults(tmp_path, monkeypatch, capsys):
+    """Line 2's timestamp edited (valid JSON, but its PoW no longer holds)
+    and line 4 unparsable: each line is decoded just before its block is
+    validated, so both commands report line 2's own verdict."""
+    out = tmp_path / "out"
+    assert run_cli("run", "tamper_detect", "--out", str(out), "--quiet") == 0
+    lines = (out / "chain_node0.jsonl").read_bytes().splitlines()
+    obj = json.loads(lines[2])
+    obj["timestamp"] += 1
+    lines[2] = ledger.canonical_json(obj)
+    alone = tmp_path / "line2.jsonl"
+    alone.write_bytes(b"\n".join(lines) + b"\n")
+    lines[4] = b"{garbage"
+    both = tmp_path / "lines2and4.jsonl"
+    both.write_bytes(b"\n".join(lines) + b"\n")
+    for chain in (alone, both):
+        for command in ("verify", "serve-rpc"):
+            assert _run_chain_command(command, chain, monkeypatch) == 1
+            assert capsys.readouterr().out == "FAIL at height 2: bad_pow\n"
+
+
 CHAIN_COMMANDS = ["inspect", "verify", "serve-rpc"]
 # (height of the edited line, edit, the line every chain-file command prints)
 BAD_CHAIN_LINES = {

@@ -1,6 +1,8 @@
 import copy
+import gc
 import hashlib
 import json
+import pickle
 import struct
 from dataclasses import replace
 
@@ -54,6 +56,23 @@ def test_canonical_json_is_json_dumps_sorted_and_compact(value):
     """The one encoder of every JSON wire format writes json.dumps's bytes."""
     reference = json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
     assert canonical_json(value) == reference
+
+
+def json_outcome(parse, data):
+    """``repr`` of what ``parse(data)`` returns, or the type of what it raises."""
+    try:
+        return repr(parse(data))
+    except (ValueError, RecursionError) as e:  # JSONDecodeError and UnicodeDecodeError too
+        return type(e)
+
+
+@given(json_values.map(lambda value: json.dumps(value).encode())
+       | st.builds(lambda obj, tail: json.dumps(obj).encode() + tail,
+                   st.dictionaries(st.text(), json_values, min_size=1),
+                   st.sampled_from([b" ", b"\r\n", b"x", b"{}", b"\x00"]))
+       | st.binary().map(lambda tail: b'{"' + tail) | st.binary())
+def test_block_decoding_parses_json_as_json_loads_does(data):
+    assert json_outcome(ledger._json_object, data) == json_outcome(json.loads, data)
 
 
 def test_nonce_changes_hash():
@@ -216,7 +235,9 @@ def test_make_transaction_builds_one_transaction(monkeypatch):
     assert len(signed) == 2 and len(built) == 2
 
 
-@pytest.mark.parametrize("field,value,sender_error,tx_hash_error", [
+# (field, value, what ``sender`` raises, what ``tx_hash`` raises): a field
+# rule broken, or a byte field that is not ``bytes``
+BROKEN_TX_FIELDS = pytest.mark.parametrize("field,value,sender_error,tx_hash_error", [
     ("sender_public_key", bytes(31), ValueError, None),
     ("recipient", bytes(19), None, None),
     ("payload", bytes(ledger.MAX_PAYLOAD_BYTES + 1), None, TxError),
@@ -225,12 +246,19 @@ def test_make_transaction_builds_one_transaction(monkeypatch):
     ("sender_public_key", bytearray(keypair(1).public_key), None, None),
 ], ids=["short_key", "short_recipient", "oversized_payload", "u64_overflow",
         "bytearray_recipient", "bytearray_key"])
-def test_a_transaction_that_breaks_a_field_rule_still_builds(
-        field, value, sender_error, tx_hash_error):
+
+
+def broken_tx(field, value):
     fields = dict(sender_public_key=keypair(1).public_key, recipient=addr(2), amount=5, fee=1,
                   nonce=0, payload=b"", signature=bytes(64))
     fields[field] = value
-    tx = Transaction(**fields)  # never raises
+    return Transaction(**fields), fields
+
+
+@BROKEN_TX_FIELDS
+def test_a_transaction_that_breaks_a_field_rule_still_builds(
+        field, value, sender_error, tx_hash_error):
+    tx, fields = broken_tx(field, value)  # never raises
     assert getattr(tx, field) == value and type(getattr(tx, field)) is type(value)
     for _ in range(2):  # a failure is not kept
         if sender_error:
@@ -253,6 +281,73 @@ def test_a_transaction_that_breaks_a_field_rule_still_builds(
         assert e.value.code == "payload_too_large"
     with pytest.raises(AttributeError):
         tx.note
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+@pytest.mark.parametrize("how", COPIES)
+@BROKEN_TX_FIELDS
+def test_a_transaction_that_breaks_a_field_rule_copies_and_pickles(
+        how, field, value, sender_error, tx_hash_error):
+    tx, _ = broken_tx(field, value)
+    copied = COPIES[how](tx)  # carries the wire fields only, so never raises
+    assert copied == tx and type(getattr(copied, field)) is type(value)
+    for name, error in (("sender", sender_error), ("tx_hash", tx_hash_error)):
+        if error:
+            with pytest.raises(error):
+                getattr(copied, name)
+        else:
+            assert getattr(copied, name) == getattr(tx, name)
+
+
+@pytest.mark.parametrize("how", COPIES)
+def test_blocks_copy_and_pickle_by_their_wire_fields(how):
+    genesis = make_genesis([(addr(1), 100)], timestamp=7)
+    block = mine_child(genesis, txs=[signed_tx(1, 2, 10, 1, 0)])
+    decoded = Block.decode(block.encode())
+    validate_block(decoded, genesis, replayed_state([genesis]))  # keeps a verdict
+    for original in (Block.decode(genesis.encode()), decoded):
+        copied = COPIES[how](original)
+        assert copied == original and copied.block_hash == original.block_hash
+        assert copied.hash_hex == original.hash_hex and copied.encode() == original.encode()
+        assert [tx.tx_hash for tx in copied.transactions] == [
+            tx.tx_hash for tx in original.transactions]
+    bad = replace(block, pow_nonce=1 << 64)  # builds, but its header does not pack
+    for _ in range(2):
+        with pytest.raises(struct.error):
+            bad.block_hash
+    copied = COPIES[how](bad)
+    assert copied == bad and copied.pow_nonce == 1 << 64
+    with pytest.raises(struct.error):
+        copied.hash_hex
+    with pytest.raises(AttributeError):
+        copied.note
+
+
+def test_each_block_object_hashes_its_header_once(monkeypatch):
+    genesis = make_genesis([(addr(1), 100)])
+    txs = (signed_tx(1, 2, 10, 1, 0),)
+    template = consensus.BlockTemplate(1, genesis.block_hash, 0, 4, addr(3),
+                                       ledger.compute_tx_root(txs), txs)
+    hashed = []
+    monkeypatch.setattr(ledger, "hash_bytes", lambda data: (
+        hashed.append(data) or crypto.hash_bytes(data)))
+    mined = consensus.mine(template)  # the header of nonce 0 is packed, not hashed
+    assert hashed == [mined.header_bytes()]
+    hashed.clear()
+    decoded = Block.decode(mined.encode())
+    assert hashed == [tx.encode() for tx in txs] + [mined.header_bytes()]
+    state = replayed_state([genesis])
+    hashed.clear()
+    for _ in range(2):
+        assert decoded.block_hash == mined.block_hash and decoded.hash_hex == mined.hash_hex
+        validate_block(decoded, genesis, state.copy())
+    assert hashed == [b"".join(tx.encode() for tx in txs)]  # the tx root, checked once
 
 
 def test_the_shared_account_table_stays_at_its_bound(monkeypatch):
@@ -655,6 +750,31 @@ def test_verify_holds_one_replay_state_at_a_time(monkeypatch):
     assert copies == []
     assert len(built) == 1 and built[0] is state  # every block settles onto one state
     assert len(settled) == 51 and all(s is state for s in settled)
+
+
+def test_verify_takes_each_line_as_its_block_is_validated_and_holds_two_blocks(monkeypatch):
+    _, blocks = build_chain(6, allocations=[(addr(1), 100)],
+                            tx_plan={2: [signed_tx(1, 2, 5, 1, 0)]})
+    lines = ledger.chain_file_lines(blocks)
+    taken = []
+
+    def source():
+        for line in lines:
+            taken.append(line)
+            yield line
+
+    def live_blocks():
+        return sum(type(o) is Block for o in gc.get_objects())
+
+    checked = []
+    real = ledger.validate_block
+    monkeypatch.setattr(ledger, "validate_block", lambda block, parent, state: (
+        checked.append((block.height, len(taken), live_blocks() - before))
+        or real(block, parent, state)))
+    before = live_blocks()
+    verify_chain_lines(source())
+    # block h is validated once lines 0..h are taken, beside its parent alone
+    assert checked == [(h, h + 1, 2) for h in range(1, 7)]
 
 
 def test_nonce_monotonicity_along_chain():

@@ -1,8 +1,11 @@
 import random
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chainsim import crypto, ledger
 from chainsim.ledger import AccountState, TxError, apply_tx, make_genesis
 from chainsim.mempool import Mempool
 
@@ -219,7 +222,9 @@ class ReferencePool:
         return sorted((t for t in self.pending if t.sender == sender), key=lambda t: t.nonce)
 
     def insert(self, tx, state):
-        """The cause the pool must refuse ``tx`` with; None after admitting it."""
+        """The cause the pool must refuse ``tx`` with; None after admitting it.
+        The signature is checked last, and a full pool evicts only for a tx
+        whose signature verifies."""
         theirs = self.of(tx.sender)
         if tx in self.pending or tx.nonce in {t.nonce for t in theirs}:
             return "duplicate"
@@ -227,6 +232,7 @@ class ReferencePool:
             return "bad_nonce"
         if state.balance(tx.sender) - sum(t.amount + t.fee for t in theirs) < tx.amount + tx.fee:
             return "insufficient_funds"
+        victim = None
         if len(self.pending) >= self.capacity:
             others = {t.sender for t in self.pending} - {tx.sender}
             tails = [self.of(s)[-1] for s in others]
@@ -234,6 +240,9 @@ class ReferencePool:
             victim = min(tails, key=lambda t: (t.fee, -self.pending.index(t)), default=None)
             if victim is None or victim.fee >= tx.fee:
                 return "pool_full"
+        if not crypto.verify(tx.sender_public_key, tx.signing_bytes(), tx.signature):
+            return "bad_signature"
+        if victim is not None:
             self.pending.remove(victim)
         self.pending.append(tx)
         return None
@@ -249,7 +258,15 @@ class ReferencePool:
 
 
 def draw_insert(data, model, state, step):
-    """A transaction of one of INSERT_KINDS, drawn against ``model``."""
+    """A transaction of one of INSERT_KINDS, drawn against ``model``; one in
+    four has a signature with one bit flipped."""
+    tx = draw_signed_insert(data, model, state, step)
+    if data.draw(st.sampled_from((False, False, False, True))):
+        tx = replace(tx, signature=bytes([tx.signature[0] ^ 1]) + tx.signature[1:])
+    return tx
+
+
+def draw_signed_insert(data, model, state, step):
     kind = data.draw(st.sampled_from(INSERT_KINDS))
     if kind == "duplicate" and model.pending:
         return data.draw(st.sampled_from(model.pending))
@@ -304,17 +321,24 @@ def test_queues_continue_the_state_and_admission_matches_the_reference(data):
     pool, model = Mempool(capacity), ReferencePool(capacity)
     state = rich_state(*FUNDED, amount=60)
     mined = []  # (state before a mined block, the block's transactions)
+    verified = []  # the pool's Ed25519 verifies (the model calls crypto.verify itself)
+    real_verify = ledger.verify
+    counting = lambda *args: verified.append(args) or real_verify(*args)  # noqa: E731
     for step in range(data.draw(st.integers(1, 25))):
         op = data.draw(st.sampled_from(("insert",) * 4 + ("mine", "reorg")))
         if op == "insert":
             tx = draw_insert(data, model, state, step)
             want = model.insert(tx, state)
+            verified.clear()
             try:
-                pool.insert(tx, state)
+                with mock.patch.object(ledger, "verify", counting):
+                    pool.insert(tx, state)
             except TxError as e:
                 assert e.code == want
             else:
                 assert want is None
+            if want not in (None, "bad_signature"):  # a cheaper check refused it first
+                assert verified == []
         elif op == "mine":
             txs = draw_block(data, pool, state, step)
             mined.append((state, txs))

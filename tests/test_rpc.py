@@ -86,6 +86,22 @@ def test_rejection_codes():
     assert resp["error"]["code"] == 1001
 
 
+def test_a_forged_signature_is_1001_only_when_every_cheaper_check_passes():
+    sim, node = make_node()
+    d = RpcDispatcher(node)
+
+    def forged(tx):
+        body = bytearray(tx.encode())
+        body[-1] ^= 1  # one bit of the signature
+        return bytes(body).hex()
+
+    resp = call(d, "chain_submitTransaction", {"tx": forged(signed_tx(1, 2, 10, 1, 5))})
+    assert resp["error"]["code"] == 1002  # the gapped nonce is found first
+    resp = call(d, "chain_submitTransaction", {"tx": forged(signed_tx(1, 2, 10, 1, 0))})
+    assert resp["error"]["code"] == 1001
+    assert len(node.mempool) == 0
+
+
 def test_oversized_payload_gets_app_code_1005():
     sim, node = make_node()
     d = RpcDispatcher(node)
