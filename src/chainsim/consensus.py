@@ -22,14 +22,22 @@ MINE_ATTEMPTS = 1 << 24
 MAX_DIFFICULTY_BITS = MINE_ATTEMPTS.bit_length() - 1 - 4
 
 
-def meets_difficulty(block_hash: bytes, difficulty_bits: int) -> bool:
-    """True iff the first ``difficulty_bits`` bits of the digest are zero."""
+# the difficulty rule, one ceiling per d in 0..255: a 32-byte digest's first
+# d bits are zero iff, read big-endian, it is at most 2^(256 - d) - 1, and
+# equal-length bytes compare as their big-endian integers (d = 0 admits all)
+POW_CEILINGS = tuple(((1 << (256 - d)) - 1).to_bytes(32, "big") for d in range(256))
+
+
+def pow_ceiling(difficulty_bits: int) -> bytes:
+    """The highest digest that meets ``difficulty_bits`` (``POW_CEILINGS``)."""
     if not 0 <= difficulty_bits <= 255:
         raise ValueError("difficulty_bits out of range")
-    if difficulty_bits == 0:
-        return True
-    value = int.from_bytes(block_hash, "big")
-    return value >> (len(block_hash) * 8 - difficulty_bits) == 0
+    return POW_CEILINGS[difficulty_bits]
+
+
+def meets_difficulty(block_hash: bytes, difficulty_bits: int) -> bool:
+    """True iff the first ``difficulty_bits`` bits of the 32-byte digest are zero."""
+    return block_hash <= pow_ceiling(difficulty_bits)
 
 
 def block_reward(height: int) -> int:
@@ -85,12 +93,7 @@ def mine(template: BlockTemplate, start_nonce: int = 0, max_attempts: int = MINE
     from .ledger import POW_NONCE_OFFSET, pack_header
 
     d = template.difficulty_bits
-    if not 0 <= d <= 255:
-        raise ValueError("difficulty_bits out of range")
-    # meets_difficulty per attempt, inlined: the digest's first d bits are
-    # zero iff, read big-endian, it is at most 2^(256 - d) - 1; equal-length
-    # bytes compare as their big-endian integers, and d = 0 admits all
-    ceiling = ((1 << (256 - d)) - 1).to_bytes(32, "big")
+    ceiling = pow_ceiling(d)  # meets_difficulty per attempt, inlined
     header = pack_header(template.height, template.prev_hash, template.timestamp, d, 0,
                          template.miner, template.tx_root)
     # hash the bytes before the nonce once, and per attempt only the rest

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
-from .consensus import block_reward, meets_difficulty
+from .consensus import POW_CEILINGS, block_reward
 from .crypto import (
     PUBLIC_KEY_SIZE,
     SIGNATURE_SIZE,
@@ -49,6 +49,7 @@ SIGNATURE_CACHE_SIZE = 10_000 + MAX_BLOCK_TXS
 # a run has a few dozen accounts, each a key and an address
 SHARED_ACCOUNT_BYTES = 1024
 ZERO_HASH = bytes(32)
+EMPTY_TX_ROOT = hash_bytes(b"")  # compute_tx_root of no transactions
 ZERO_ADDRESS = bytes(20)
 U64_MAX = (1 << 64) - 1
 POW_NONCE_OFFSET = 8 + 32 + 8 + 1  # pow_nonce's byte offset in the header
@@ -323,6 +324,8 @@ def make_transaction(
 
 
 def compute_tx_root(transactions: Iterable[Transaction]) -> bytes:
+    if not transactions:  # an empty sequence: every block of a tx-free chain
+        return EMPTY_TX_ROOT
     return hash_bytes(b"".join([tx.encode() for tx in transactions]))
 
 
@@ -339,7 +342,13 @@ def pack_header(height, prev_hash, timestamp, difficulty_bits, pow_nonce, miner,
             + _HEADER_SEAL.pack(timestamp, difficulty_bits, pow_nonce) + miner + tx_root)
 
 
-@dataclass(frozen=True, slots=True)
+# Block's ``__init__`` is hand-written: a frozen dataclass's generated one
+# sets each field through ``object.__setattr__``, which would be most of
+# what building a decoded block costs. This one sets each slot through the
+# slot's member descriptor (the ``_set_*`` below the class, bound once),
+# which frozen assignment does not guard. Eq, hash, repr, frozen assignment
+# and ``dataclasses.replace`` are still the dataclass's.
+@dataclass(frozen=True, slots=True, init=False)
 class Block:
     height: int
     prev_hash: bytes
@@ -358,20 +367,33 @@ class Block:
     _verdict: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     block_hash: bytes = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __init__(self, height, prev_hash, timestamp, difficulty_bits, pow_nonce, miner,
+                 tx_root, transactions=(), allocations=()):
+        _set_height(self, height)
+        _set_prev_hash(self, prev_hash)
+        _set_timestamp(self, timestamp)
+        _set_difficulty_bits(self, difficulty_bits)
+        _set_pow_nonce(self, pow_nonce)
+        _set_miner(self, miner)
+        _set_tx_root(self, tx_root)
+        _set_transactions(self, transactions)
+        _set_allocations(self, allocations)
+        _set_canonical(self, None)
+        _set_verdict(self, None)
         # Every block gets ``block_hash`` here, where it is built or decoded:
         # validation reads it anyway, so this adds no hashing. A directly
         # built block whose header does not pack (an integer outside its
         # packed range, a byte field that is not bytes) leaves it for
         # ``__getattr__``, so building it never raises.
         try:
-            header = self.header_bytes()
+            header = pack_header(height, prev_hash, timestamp, difficulty_bits, pow_nonce, miner,
+                                 tx_root)
         except (struct.error, TypeError):
             return
-        object.__setattr__(self, "block_hash", hash_bytes(header))
+        _set_block_hash(self, hash_bytes(header))
 
     def __getattr__(self, name: str):
-        """``block_hash`` of a block ``__post_init__`` left it unset on: it
+        """``block_hash`` of a block ``__init__`` left it unset on: it
         raises as packing the header does."""
         if name != "block_hash":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -443,6 +465,13 @@ class Block:
     @staticmethod
     def decode(data: bytes) -> "Block":
         return Block.from_json(_json_object(data))
+
+
+(_set_height, _set_prev_hash, _set_timestamp, _set_difficulty_bits, _set_pow_nonce, _set_miner,
+ _set_tx_root, _set_transactions, _set_allocations, _set_canonical, _set_verdict,
+ _set_block_hash) = [Block.__dict__[name].__set__ for name in (
+    "height prev_hash timestamp difficulty_bits pow_nonce miner tx_root transactions "
+    "allocations _canonical _verdict block_hash").split()]
 
 
 def decode_relayed_block(data: bytes) -> Block:
@@ -631,7 +660,7 @@ def _check_block(block: Block, parent: Block) -> None:
         raise BlockError("too_many_txs")
     if block.tx_root != compute_tx_root(block.transactions):
         raise BlockError("bad_tx_root")
-    if not meets_difficulty(block.block_hash, block.difficulty_bits):
+    if block.block_hash > POW_CEILINGS[block.difficulty_bits]:  # meets_difficulty, inlined
         raise BlockError("bad_pow")
     seen = set()
     for i, tx in enumerate(block.transactions):

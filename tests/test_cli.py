@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -243,6 +244,54 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
         assert run_cli("verify", str(chain)) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["converged"] is True
+
+
+@pytest.mark.parametrize("tampered, reported", [((2,), 2), ((1, 3), 1)])
+def test_run_exits_1_at_the_first_node_whose_chain_breaks_the_invariant(
+        tmp_path, monkeypatch, capsys, tampered, reported):
+    """After the run, the stored canonical block at height 1 of each
+    ``tampered`` node gets a wrong tx root (an equal copy on each): the
+    closing replay reports the lowest such node, and replays each distinct
+    chain once (the clean one, then the bad one)."""
+    from chainsim import cli
+
+    scenario = {
+        "name": "cli_breach",
+        "num_nodes": 5,
+        "seed": 4,
+        "sim": {"latency_min_ms": 5, "latency_max_ms": 15,
+                "block_interval_target_ms": 500, "difficulty_bits": 4,
+                "sync_interval_ms": 1000},
+        "miners": {"0": 1.0},
+        "duration_ms": 3000,
+        "genesis_allocations": [],
+        "workload": [],
+    }
+    spath = tmp_path / "s.json"
+    spath.write_text(json.dumps(scenario))
+    real_run, real_replay = cli.run_scenario, ledger.replay_blocks
+    replayed = []
+
+    def run_and_tamper(*args, **kwargs):
+        result = real_run(*args, **kwargs)
+        assert len({tuple(node.store.canonical) for node in result.nodes}) == 1
+        for i in tampered:
+            store = result.nodes[i].store
+            key = store.canonical[1]
+            store.blocks[key] = dataclasses.replace(store.blocks[key], tx_root=bytes(32))
+        replayed.clear()  # the nodes' own replays
+        return result
+
+    def replay(blocks, state):
+        replayed.append(blocks)
+        return real_replay(blocks, state)
+
+    monkeypatch.setattr(cli, "run_scenario", run_and_tamper)
+    monkeypatch.setattr(ledger, "replay_blocks", replay)
+    assert run_cli("run", str(spath), "--out", str(tmp_path / "out"), "--quiet") == 1
+    assert capsys.readouterr().err == (
+        f"invariant breach: node {reported} chain invalid at height 1 (bad_tx_root)\n")
+    assert len(replayed) == 2 and replayed[0] != replayed[1]
 
 
 def test_run_metrics_recompute_from_the_trace_file_alone(tmp_path):

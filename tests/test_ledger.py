@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import hashlib
 import json
@@ -327,6 +328,48 @@ def test_blocks_copy_and_pickle_by_their_wire_fields(how):
         copied.hash_hex
     with pytest.raises(AttributeError):
         copied.note
+
+
+BLOCK_FIELDS = ("height", "prev_hash", "timestamp", "difficulty_bits", "pow_nonce", "miner",
+                "tx_root", "transactions", "allocations")
+u64s = st.integers(0, ledger.U64_MAX)
+block_fields = st.tuples(
+    u64s, st.binary(min_size=32, max_size=32), u64s, st.integers(0, 255), u64s,
+    st.binary(min_size=20, max_size=20), st.binary(min_size=32, max_size=32),
+    st.sampled_from([(), (signed_tx(1, 2, 10, 1, 0),),
+                     (signed_tx(1, 2, 10, 1, 0), signed_tx(2, 3, 5, 0, 0))]),
+    st.lists(st.tuples(st.binary(min_size=20, max_size=20), u64s), max_size=2).map(tuple),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=block_fields, wide_nonce=st.integers(ledger.U64_MAX + 1, 1 << 80))
+def test_block_constructor_keeps_the_dataclass_contract(values, wide_nonce):
+    """``Block.__init__`` is hand-written; the dataclass still owns eq, hash,
+    repr, frozen assignment and ``replace``, and a block hashes its header
+    when built."""
+    block = Block(*values)
+    reference = replace(make_genesis([(addr(9), 1)]), **dict(zip(BLOCK_FIELDS, values)))
+    assert block == reference and hash(block) == hash(reference) == hash(values)
+    assert repr(block) == repr(reference) == "Block(%s)" % ", ".join(
+        f"{name}={value!r}" for name, value in zip(BLOCK_FIELDS, values))
+    assert block.block_hash == crypto.hash_bytes(ledger.pack_header(*values[:7]))
+    assert block._canonical is None and block._verdict is None
+    for name in BLOCK_FIELDS + ("block_hash", "_canonical", "_verdict"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(block, name, getattr(reference, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(block, name)
+    assert block == reference and block.block_hash == reference.block_hash
+    wide = Block(*values[:4], wide_nonce, *values[5:])  # builds; its header does not pack
+    assert wide == replace(block, pow_nonce=wide_nonce) != block
+    assert wide._canonical is None and wide._verdict is None
+    with pytest.raises(struct.error):
+        wide.block_hash
+
+
+def test_the_empty_tx_root_is_the_hash_of_no_bytes():
+    assert ledger.compute_tx_root(()) == ledger.compute_tx_root([]) == crypto.hash_bytes(b"")
 
 
 def test_each_block_object_hashes_its_header_once(monkeypatch):
