@@ -1,17 +1,20 @@
 """Deterministic discrete-event network harness.
 
 Virtual time only: every message delivery, mining and sync timer, crash,
-restart and scheduled call is an entry ``(time, seq, handler, args)`` in
-one priority queue, ordered by time and then insertion sequence; running
-an event calls ``handler(*args)``. A node is down exactly when its slot
-in ``Simulator.nodes`` is ``None``, and a link is cut only inside a window
-of ``SimConfig.partition_schedule``. All randomness (latency, drops,
-mining delays) comes from per-node RNG streams derived from (seed, node
-index, purpose), so replaying a scenario with the same seed reproduces the
-exact event trace. The ``Tracer`` streams that trace: each row is folded
-into the run's metrics, then encoded and written to its sink as it is
-logged, in ``ledger.canonical_json``: a deliver row by filling its body's
-record line (``Delivery``), which that encoder wrote once per body.
+restart and scheduled call is one event ``(handler, args)``, and running it
+calls ``handler(*args)``. Events wait in a calendar queue bucketed by their
+integer time: a heap of the distinct pending times and, for each, a list
+of its events in scheduling order, so equal times run first in, first out;
+``Simulator.pending`` counts the events in O(1). A node is down exactly
+when its slot in ``Simulator.nodes`` is ``None``, and a link is cut only
+inside a window of ``SimConfig.partition_schedule``. All randomness
+(latency, drops, mining delays) comes from per-node RNG streams derived
+from (seed, node index, purpose), so replaying a scenario with the same
+seed reproduces the exact event trace. The ``Tracer`` streams that trace:
+each row is folded into the run's metrics, then encoded and written to its
+sink as it is logged, in ``ledger.canonical_json``: a deliver row by
+filling its body's record line (``Delivery``), which that encoder wrote
+once per body.
 
 ``send`` and the delivery path run once per message, so they are written
 for few interpreter calls: the latency draw inlines ``Random.randint``'s
@@ -200,8 +203,13 @@ class Simulator:
         self.num_nodes = num_nodes
         self.tracer = tracer or Tracer()
         self.now = 0
-        self._queue: list = []
-        self._seq = 0
+        # the calendar: a heap of the distinct pending event times, each
+        # time's events in scheduling order, and their count
+        self._times: list = []
+        self._events: dict = {}
+        self._pending = 0
+        # bound once: send queues this one object with every message
+        self._deliver = self._deliver
         self.nodes: list = [None] * num_nodes  # None: not attached, or down
         self.down: dict = {}  # node index -> its crashed node, untouched until restart
         self._net_rng = [_derive_rng(config.rng_seed, i, "net") for i in range(num_nodes)]
@@ -233,11 +241,17 @@ class Simulator:
     def schedule(self, time_ms: int, handler: Callable, *args) -> None:
         """Queue ``handler(*args)`` to run at ``time_ms``; equal times run in
         the order they were scheduled."""
-        heapq.heappush(self._queue, (time_ms, self._seq, handler, args))
-        self._seq += 1
+        events = self._events.get(time_ms)
+        if events is None:
+            self._events[time_ms] = [(handler, args)]
+            heapq.heappush(self._times, time_ms)
+        else:
+            events.append((handler, args))
+        self._pending += 1
 
     def pending(self) -> int:
-        return len(self._queue)
+        """The number of queued events."""
+        return self._pending
 
     # -- transport ---------------------------------------------------------
 
@@ -296,8 +310,13 @@ class Simulator:
         now = self.now
         deliver_time = now + config.latency_min_ms + offset
         env = _tuple_new(Envelope, (now, deliver_time, src, dst, kind, body))
-        heapq.heappush(self._queue, (deliver_time, self._seq, self._deliver, (env,)))
-        self._seq += 1
+        events = self._events.get(deliver_time)  # schedule's insert, inlined
+        if events is None:
+            self._events[deliver_time] = [(self._deliver, (env,))]
+            heapq.heappush(self._times, deliver_time)
+        else:
+            events.append((self._deliver, (env,)))
+        self._pending += 1
         return True
 
     def query(self, src: int, dst: int, kind: str, body: bytes) -> Optional[bytes]:
@@ -319,15 +338,22 @@ class Simulator:
 
     def step(self) -> None:
         """Run the earliest event, if any."""
-        if self._queue:
-            time_ms, _, handler, args = heapq.heappop(self._queue)
+        times = self._times
+        if times:
+            time_ms = times[0]
+            events = self._events[time_ms]
+            handler, args = events.pop(0)
+            if not events:
+                heapq.heappop(times)
+                del self._events[time_ms]
+            self._pending -= 1
             if time_ms > self.now:
                 self.now = time_ms
             handler(*args)
 
     def run_until(self, t_end: int) -> None:
-        queue, step = self._queue, self.step
-        while queue and queue[0][0] <= t_end:
+        times, step = self._times, self.step
+        while times and times[0] <= t_end:
             step()
         if t_end > self.now:
             self.now = t_end
@@ -338,9 +364,16 @@ class Simulator:
         without mining or syncing further. Timers reschedule themselves, so
         this is the one way to run the queue to empty."""
         timers = (self._fire_mining, self._sync)
-        while self._queue:
-            if self._queue[0][2] in timers:
-                heapq.heappop(self._queue)
+        times, events = self._times, self._events
+        while times:
+            time_ms = times[0]
+            bucket = events[time_ms]
+            if bucket[0][0] in timers:
+                del bucket[0]
+                self._pending -= 1
+                if not bucket:
+                    heapq.heappop(times)
+                    del events[time_ms]
             else:
                 self.step()
 

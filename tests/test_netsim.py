@@ -1,9 +1,11 @@
 import hashlib
+import heapq
+import itertools
 import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chainsim.ledger import canonical_json
 from chainsim.netsim import MAX_MINE_MEAN_MS, Envelope, SimConfig, Simulator, Tracer, delivery
@@ -327,6 +329,139 @@ def test_drain_deliveries_runs_all_but_timers_in_order():
     assert fired == ["a", "b", "c"]
     assert sim.pending() == 0
     assert sim.now == 12
+
+
+# -- event order: the calendar queue against a (time, seq) heap ---------------
+
+SYNC_MS = 3  # a sync timer re-arms 3 ms after it runs
+LATENCY_MS = 2  # every message takes 2 ms, so a fan-out lands at one time
+
+# an event: a mining or sync timer of node 0-2, a message from node 3 to
+# node 4 (sent when it is put, so it lands LATENCY_MS later), or a call
+# that, when it runs, puts more events at the time it runs (same), later or
+# earlier
+WHEN = st.sampled_from(["same", "later", "earlier"])
+EVENTS = st.recursive(
+    st.tuples(st.sampled_from(["mine", "sync"]), st.integers(0, 2)) | st.just(("send",)),
+    lambda events: st.tuples(
+        st.just("call"), st.lists(st.tuples(WHEN, st.integers(1, 3), events), max_size=3)
+    ),
+    max_leaves=24,
+)
+
+# a fixed latency's burst: one call puts 19,998 messages and two timers in
+# the one 20,000-event bucket of time 2
+BURST = [(0, ("call", [("same", 1, ("send",))] * 19_998
+              + [("later", LATENCY_MS, ("sync", 0)), ("later", LATENCY_MS, ("mine", 1))]))]
+
+
+def _at(now, when, delta):
+    return now + {"same": 0, "later": delta, "earlier": -delta}[when]
+
+
+class LoggingNode(Recorder):
+    def __init__(self, ran):
+        super().__init__()
+        self.ran = ran
+
+    def handle(self, env):
+        self.ran.append(("deliver", int(env.body)))
+        return super().handle(env)
+
+
+class LoggingSimulator(Simulator):
+    """Logs every event it runs. Nodes 0-2 are down, so a mining timer
+    does nothing more and a sync timer re-arms; 3 and 4 log deliveries."""
+
+    def __init__(self):
+        super().__init__(SimConfig(latency_min_ms=LATENCY_MS, latency_max_ms=LATENCY_MS,
+                                   sync_interval_ms=SYNC_MS), 5)
+        self.ran = []
+        self.labels = itertools.count()
+        for i in (3, 4):
+            self.attach(i, LoggingNode(self.ran))
+
+    def put(self, time_ms, event):
+        kind = event[0]
+        if kind == "mine":
+            self.schedule(time_ms, self._fire_mining, event[1])
+        elif kind == "sync":
+            self.schedule(time_ms, self._sync, event[1])
+        elif kind == "send":
+            assert self.send(3, 4, "PING", str(next(self.labels)).encode())
+        else:
+            self.schedule(time_ms, self._call, next(self.labels), event[1])
+
+    def _call(self, label, children):
+        self.ran.append(("call", label))
+        for when, delta, child in children:
+            self.put(_at(self.now, when, delta), child)
+
+    def _fire_mining(self, node_idx):
+        self.ran.append(("mine", node_idx))
+        super()._fire_mining(node_idx)
+
+    def _sync(self, node_idx):
+        self.ran.append(("sync", node_idx))
+        super()._sync(node_idx)
+
+
+class ReferenceQueue:
+    """The same events in one heap of ``(time, seq, event, label)``."""
+
+    def __init__(self):
+        self.heap, self.seq, self.now, self.ran = [], 0, 0, []
+        self.labels = itertools.count()
+
+    def put(self, time_ms, event):
+        label = None if event[0] in ("mine", "sync") else next(self.labels)
+        if event[0] == "send":
+            time_ms, event = self.now + LATENCY_MS, ("deliver",)
+        heapq.heappush(self.heap, (time_ms, self.seq, event, label))
+        self.seq += 1
+
+    def step(self):
+        time_ms, _, event, label = heapq.heappop(self.heap)
+        self.now = max(self.now, time_ms)
+        kind = event[0]
+        self.ran.append(event if label is None else (kind, label))
+        if kind == "sync":
+            self.put(self.now + SYNC_MS, event)
+        elif kind == "call":
+            for when, delta, child in event[1]:
+                self.put(_at(self.now, when, delta), child)
+
+    def drain(self):
+        while self.heap:
+            if self.heap[0][2][0] in ("mine", "sync"):
+                heapq.heappop(self.heap)
+            else:
+                self.step()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), EVENTS), max_size=12), st.integers(0, 80))
+@example(BURST, 10_000)
+def test_events_run_in_the_order_of_a_time_and_sequence_heap(schedule, steps):
+    """Equal times run in scheduling order, also for events put at the time
+    being served or earlier while it is served; drain_deliveries then runs
+    all that is left but the timers."""
+    sim, reference = LoggingSimulator(), ReferenceQueue()
+    for time_ms, event in schedule:
+        sim.put(time_ms, event)
+        reference.put(time_ms, event)
+    assert sim.pending() == len(reference.heap)
+    for _ in range(steps):
+        if not reference.heap:
+            break
+        sim.step()
+        reference.step()
+        assert len(sim.ran) == len(reference.ran) and sim.ran[-1] == reference.ran[-1]
+        assert (sim.now, sim.pending()) == (reference.now, len(reference.heap))
+    sim.drain_deliveries()
+    reference.drain()
+    assert sim.ran == reference.ran
+    assert (sim.now, sim.pending()) == (reference.now, 0)
 
 
 def test_envelope_builds_positionally_and_is_immutable():
