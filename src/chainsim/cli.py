@@ -50,7 +50,11 @@ def cmd_run(args) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # a file, or a path under one
+        print(f"config error: --out: {e}", file=sys.stderr)
+        return 2
     # the trace streams under a partial name, so a run that raises leaves no
     # trace.jsonl that reads like a finished one
     partial = out / "trace.jsonl.partial"
@@ -166,7 +170,11 @@ def cmd_serve_rpc(args, lines) -> int:
     # the node decodes and validates every line, genesis included, as `verify` does
     node = SimNode(sim, 0, seed, None, persisted_lines=lines)
     sim.attach(0, node)
-    server = rpc.serve(node, port=args.port)
+    try:
+        server = rpc.serve(node, port=args.port)
+    except OSError as e:  # e.g. the port is in use
+        print(f"config error: --port {args.port}: {e}", file=sys.stderr)
+        return 2
     try:
         if not args.quiet:
             host, port = server.server_address
@@ -177,6 +185,14 @@ def cmd_serve_rpc(args, lines) -> int:
         server.shutdown()
     server.server_close()
     return 0
+
+
+def tcp_port(text: str) -> int:
+    """``--port``: a TCP port, refused while parsing when outside 0..65535."""
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"config error: port {value} is outside 0..65535")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_srv = sub.add_parser("serve-rpc", help="serve one node over JSON-RPC")
     p_srv.add_argument("chain_file")
-    p_srv.add_argument("--port", type=int, default=8545)
+    p_srv.add_argument("--port", type=tcp_port, default=8545)
     p_srv.add_argument("--seed", dest="seed_hex", default=None,
                        help="node key seed (32-byte hex)")
     p_srv.add_argument("--quiet", action="store_true")

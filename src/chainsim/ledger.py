@@ -17,7 +17,11 @@ Canonical binary encodings (the basis of every hash):
 
 Chain files are JSON lines, one block per line, genesis first, all byte
 fields lowercase hex. The JSON decoders own every field rule (widths, u64
-and u8 ranges, the payload bound), so whatever they return encodes.
+and u8 ranges, the payload bound), so whatever they return encodes. The
+constructors own the rules without which no hash can be made: a
+``Transaction`` refuses a key that is not 32 bytes, a signature that is not
+64, an oversized payload or an integer outside u64, and a ``Block`` a header
+that does not pack. Every object is built whole, hashes and all.
 """
 
 from __future__ import annotations
@@ -212,6 +216,13 @@ def _signing_bytes(sender_public_key, recipient, amount, fee, nonce, payload) ->
 
 @dataclass(frozen=True, slots=True)
 class Transaction:
+    """A signed transfer. Building one derives ``sender`` and ``tx_hash``, or
+    raises: ValueError for a key or signature of the wrong width, TxError
+    ``payload_too_large``, struct.error for an integer outside u64, and
+    TypeError for a key or recipient that is not ``bytes``. Its key,
+    recipient and sender address are the ``_shared`` copies, so the txs of
+    one account hold one copy of each."""
+
     sender_public_key: bytes
     recipient: bytes
     amount: int
@@ -223,39 +234,15 @@ class Transaction:
     tx_hash: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        # Every tx a decoder returns gets ``sender`` and ``tx_hash`` here, and
-        # its key, recipient and sender address are the ``_shared`` copies, so
-        # the txs of one account hold one copy of each. A directly built tx
-        # that breaks a field rule (a key ``sender`` refuses, an oversized
-        # payload or an integer outside its packed range), or whose key is
-        # not ``bytes``, leaves what it cannot fill for ``__getattr__``, so
-        # building it never raises.
-        pk, recipient = self.sender_public_key, self.recipient
-        if len(pk) != PUBLIC_KEY_SIZE:
-            return
-        try:
-            data = self.encode()
-        except (TxError, struct.error):
-            return
-        if type(pk) is bytes:
-            pk, sender = _shared(pk)
-            object.__setattr__(self, "sender_public_key", pk)
-            object.__setattr__(self, "sender", sender)
-        if type(recipient) is bytes:
-            object.__setattr__(self, "recipient", _shared(recipient)[0])
+        if (len(self.sender_public_key) != PUBLIC_KEY_SIZE
+                or len(self.signature) != SIGNATURE_SIZE):
+            raise ValueError(f"a key is {PUBLIC_KEY_SIZE} bytes and a signature {SIGNATURE_SIZE}")
+        data = self.encode()
+        pk, sender = _shared(self.sender_public_key)
+        object.__setattr__(self, "sender_public_key", pk)
+        object.__setattr__(self, "sender", sender)
+        object.__setattr__(self, "recipient", _shared(self.recipient)[0])
         object.__setattr__(self, "tx_hash", hash_bytes(data))
-
-    def __getattr__(self, name: str):
-        """``sender`` or ``tx_hash`` of a tx ``__post_init__`` left unset;
-        each raises as the field rule it needs does, and is kept once made."""
-        if name == "sender":
-            value = address_from_public_key(self.sender_public_key)
-        elif name == "tx_hash":
-            value = hash_bytes(self.encode())
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, name, value)
-        return value
 
     def __reduce__(self):
         # copies and pickles carry the wire fields only; the copy derives the rest
@@ -381,33 +368,16 @@ class Block:
         _set_canonical(self, None)
         _set_verdict(self, None)
         # Every block gets ``block_hash`` here, where it is built or decoded:
-        # validation reads it anyway, so this adds no hashing. A directly
-        # built block whose header does not pack (an integer outside its
-        # packed range, a byte field that is not bytes) leaves it for
-        # ``__getattr__``, so building it never raises.
-        try:
-            header = pack_header(height, prev_hash, timestamp, difficulty_bits, pow_nonce, miner,
-                                 tx_root)
-        except (struct.error, TypeError):
-            return
-        _set_block_hash(self, hash_bytes(header))
-
-    def __getattr__(self, name: str):
-        """``block_hash`` of a block ``__init__`` left it unset on: it
-        raises as packing the header does."""
-        if name != "block_hash":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        return hash_bytes(self.header_bytes())
+        # validation reads it anyway, so this adds no hashing. A header that
+        # does not pack raises, struct.error or TypeError.
+        _set_block_hash(self, hash_bytes(pack_header(height, prev_hash, timestamp, difficulty_bits,
+                                                     pow_nonce, miner, tx_root)))
 
     def __reduce__(self):
         # copies and pickles carry the wire fields only; the copy derives the rest
         return Block, (self.height, self.prev_hash, self.timestamp, self.difficulty_bits,
                        self.pow_nonce, self.miner, self.tx_root, self.transactions,
                        self.allocations)
-
-    def header_bytes(self) -> bytes:
-        return pack_header(self.height, self.prev_hash, self.timestamp, self.difficulty_bits,
-                           self.pow_nonce, self.miner, self.tx_root)
 
     @property
     def hash_hex(self) -> str:
@@ -524,22 +494,15 @@ _verified_signatures: OrderedDict = OrderedDict()
 def check_signature(tx: Transaction) -> None:
     """Raise TxError unless ``tx``'s signature verifies.
 
-    The one admission check of block validation and the mempool. The field
-    rules are the decoders'; a directly built ``Transaction`` with an
-    oversized payload still raises ``payload_too_large``, from ``tx_hash``,
-    before any verify. Signature validity is a pure function of the
-    transaction bytes, so a pass is remembered process-wide by ``tx_hash``
-    (which covers every byte, signature included) and every simulated node
-    shares it; failures are never remembered. A hit also needs the standard
-    key and signature widths, which every decoded transaction has: only then
-    do equal encodings give ``verify`` equal arguments. The oldest pass is
-    forgotten once ``SIGNATURE_CACHE_SIZE`` are held."""
+    The one admission check of block validation and the mempool. Signature
+    validity is a pure function of the transaction bytes, so a pass is
+    remembered process-wide by ``tx_hash`` (which covers every byte,
+    signature included) and every simulated node shares it; failures are
+    never remembered. Every ``Transaction`` has a 32-byte key and a 64-byte
+    signature, so equal encodings give ``verify`` equal arguments. The
+    oldest pass is forgotten once ``SIGNATURE_CACHE_SIZE`` are held."""
     key = tx.tx_hash
-    if (
-        key in _verified_signatures
-        and len(tx.sender_public_key) == PUBLIC_KEY_SIZE
-        and len(tx.signature) == SIGNATURE_SIZE
-    ):
+    if key in _verified_signatures:
         return
     if not verify(tx.sender_public_key, tx.signing_bytes(), tx.signature):
         raise TxError("bad_signature")

@@ -28,6 +28,10 @@ from .netsim import SimConfig, Simulator, Tracer
 from .node import SimNode
 
 QUIESCE_SYNC_ROUNDS = 3  # anti-entropy rounds after the run before heads must agree
+# Each node costs about 20 KiB before the run starts, so a count in the
+# millions would exhaust memory before anything ran. 4,096 is 50 times the
+# top rung (80 nodes) of ROADMAP's node-count scaling ladder.
+MAX_NODES = 4096
 SIM_INT_FIELDS = (
     "latency_min_ms", "latency_max_ms", "block_interval_target_ms", "difficulty_bits",
     "sync_interval_ms",
@@ -73,8 +77,8 @@ class Scenario:
             self.sim.validate()
         except ValueError as e:
             raise ScenarioError(str(e))
-        if self.num_nodes < 1:
-            raise ScenarioError("num_nodes must be >= 1")
+        if not 1 <= self.num_nodes <= MAX_NODES:
+            raise ScenarioError(f"num_nodes must be in 1..{MAX_NODES}")
         # the integers the run packs: node_key_seed's signed seed, and each
         # genesis amount and workload amount and fee as a u64
         if not -(1 << 63) <= self.sim.rng_seed < 1 << 63:
@@ -201,6 +205,8 @@ def load_scenario(obj: dict) -> Scenario:
             )
             for w in _entries(obj, "workload", WORKLOAD_KEYS)
         ]
+        if type(obj["name"]) is not str:
+            raise ScenarioError(f"name must be a JSON string, not {obj['name']!r}")
         scenario = Scenario(
             name=obj["name"],
             num_nodes=_json_int(obj["num_nodes"], "num_nodes"),

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import struct
@@ -7,7 +8,7 @@ import pytest
 from chainsim import consensus, ledger
 from chainsim.crypto import address_from_public_key, generate_keypair
 from chainsim.kademlia import bucket_index
-from chainsim.ledger import AccountState, BlockStore, Transaction, make_genesis, make_transaction
+from chainsim.ledger import AccountState, BlockStore, make_genesis, make_transaction
 
 
 @functools.cache  # a pure function of i; KeyPair is frozen
@@ -20,33 +21,42 @@ def addr(i: int) -> bytes:
 
 
 def to_json(value) -> dict:
-    """The reference JSON encoder of a block or transaction: the object whose
-    ``canonical_json`` ``Block.encode`` writes from its fixed layouts, and the
-    object the JSON decoders (``Block.from_json``, ``Transaction.from_json``)
-    take."""
-    if isinstance(value, Transaction):
+    """The reference JSON encoder of a block or transaction, or of a dict of
+    one's wire fields (a block's transactions such dicts too), which need not
+    meet any field rule: the object whose ``canonical_json`` ``Block.encode``
+    writes from its fixed layouts, and the object the JSON decoders
+    (``Block.from_json``, ``Transaction.from_json``) take."""
+    fields = value if isinstance(value, dict) else {
+        f.name: getattr(value, f.name) for f in dataclasses.fields(value) if f.init}
+    if "signature" in fields:
         return {
-            "sender_public_key": value.sender_public_key.hex(),
-            "recipient": value.recipient.hex(),
-            "amount": value.amount,
-            "fee": value.fee,
-            "nonce": value.nonce,
-            "payload": value.payload.hex(),
-            "signature": value.signature.hex(),
+            "sender_public_key": fields["sender_public_key"].hex(),
+            "recipient": fields["recipient"].hex(),
+            "amount": fields["amount"],
+            "fee": fields["fee"],
+            "nonce": fields["nonce"],
+            "payload": fields["payload"].hex(),
+            "signature": fields["signature"].hex(),
         }
     obj = {
-        "height": value.height,
-        "prev_hash": value.prev_hash.hex(),
-        "timestamp": value.timestamp,
-        "difficulty_bits": value.difficulty_bits,
-        "pow_nonce": value.pow_nonce,
-        "miner": value.miner.hex(),
-        "tx_root": value.tx_root.hex(),
-        "transactions": [to_json(tx) for tx in value.transactions],
+        "height": fields["height"],
+        "prev_hash": fields["prev_hash"].hex(),
+        "timestamp": fields["timestamp"],
+        "difficulty_bits": fields["difficulty_bits"],
+        "pow_nonce": fields["pow_nonce"],
+        "miner": fields["miner"].hex(),
+        "tx_root": fields["tx_root"].hex(),
+        "transactions": [to_json(tx) for tx in fields["transactions"]],
     }
-    if value.allocations:
-        obj["allocations"] = [[a.hex(), n] for a, n in value.allocations]
+    if fields["allocations"]:
+        obj["allocations"] = [[a.hex(), n] for a, n in fields["allocations"]]
     return obj
+
+
+def header_bytes(block) -> bytes:
+    """``block``'s header, packed from its fields."""
+    return ledger.pack_header(block.height, block.prev_hash, block.timestamp,
+                              block.difficulty_bits, block.pow_nonce, block.miner, block.tx_root)
 
 
 def signed_tx(sender_i: int, recipient_i: int, amount: int, fee: int, nonce: int,

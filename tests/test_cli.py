@@ -10,6 +10,7 @@ import pytest
 import chainsim
 from chainsim import ledger
 from chainsim.cli import main
+from chainsim.scenario import MAX_NODES
 
 from conftest import addr, build_chain, parse_trace_lines, signed_tx
 
@@ -168,6 +169,10 @@ BAD_SCENARIO_ENTRIES = {
     "workload_negative_amount": ("churn_restart", ("workload", 0, "amount"), -1),
     "workload_fee_above_u64": ("churn_restart", ("workload", 0, "fee"), 1 << 64),
     "workload_empty_blob": ("churn_restart", ("workload", 0, "blob"), ""),
+    # a network too large to build, refused before any node is
+    "num_nodes_above_bound": ("tamper_detect", ("num_nodes",), MAX_NODES + 1),
+    "num_nodes_10_to_the_12": ("tamper_detect", ("num_nodes",), 10 ** 12),
+    "name_as_list": ("tamper_detect", ("name",), [1, 2]),
 }
 
 
@@ -215,6 +220,19 @@ def test_run_seed_override_out_of_range_is_a_config_error(tmp_path, capsys, seed
     assert run_cli("run", "tamper_detect", "--out", str(out), "--seed", str(seed)) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a_file", "under_a_file"])
+def test_run_out_over_a_file_is_a_config_error(tmp_path, monkeypatch, capsys, under):
+    from chainsim import cli
+
+    monkeypatch.setattr(cli, "run_scenario", lambda *a, **k: pytest.fail("ran"))
+    existing = tmp_path / "existing"
+    existing.write_text("kept")
+    out = existing / "out" if under else existing
+    assert run_cli("run", "tamper_detect", "--out", str(out), "--quiet") == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert existing.read_text() == "kept"
 
 
 def test_run_writes_all_artifacts(tmp_path, capsys):
@@ -556,6 +574,30 @@ def test_verify_loosely_typed_line_fails_at_its_height(tmp_path, capsys, edit):
     chain.write_bytes(b"\n".join(lines) + b"\n")
     assert run_cli("verify", str(chain)) == 1
     assert capsys.readouterr().out == "FAIL at height 1: parse_error\n"
+
+
+@pytest.mark.parametrize("port", ["70000", "-1"])
+def test_serve_rpc_port_outside_0_to_65535_is_refused_when_parsed(tmp_path, capsys, port):
+    with pytest.raises(SystemExit) as e:  # before the chain file is opened
+        run_cli("serve-rpc", str(tmp_path / "absent.jsonl"), "--port", port, "--quiet")
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "config error: port" in err and "Traceback" not in err
+
+
+def test_serve_rpc_port_in_use_is_a_config_error(tmp_path, capsys):
+    import socket
+
+    _, blocks = build_chain(2, allocations=[(addr(1), 100)])
+    chain = tmp_path / "chain.jsonl"
+    write_chain(chain, blocks)
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        assert run_cli("serve-rpc", str(chain), "--port", str(port), "--quiet") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --port {port}: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("seed", ["zz", "00", "11 " * 32, "AB" * 32],

@@ -12,7 +12,7 @@ from chainsim.consensus import (
 from chainsim.crypto import hash_bytes
 from chainsim.ledger import BlockStore, compute_tx_root, make_genesis
 
-from conftest import addr, build_chain, count_attempts, mine_child
+from conftest import addr, build_chain, count_attempts, header_bytes, mine_child
 
 
 def test_meets_difficulty_bit_exactness():
@@ -155,4 +155,4 @@ def test_fork_choice_tie_breaks_by_arrival():
 def test_pow_nonce_offset_locates_the_nonce_in_the_header():
     block = _template(0, 4).seal(0x0102030405060708)
     offset = ledger.POW_NONCE_OFFSET
-    assert block.header_bytes()[offset : offset + 8] == bytes(range(1, 9))
+    assert header_bytes(block)[offset : offset + 8] == bytes(range(1, 9))

@@ -82,27 +82,24 @@ def test_invalid_signature_is_never_cached(signature_cache, verify_calls):
 
 
 def test_oversized_payload_fails_before_any_verify(signature_cache, verify_calls):
-    tx = Transaction(bytes(32), addr(2), 1, 1, 0, bytes(ledger.MAX_PAYLOAD_BYTES + 1))
-    with pytest.raises(TxError) as e:
-        check_signature(tx)
+    with pytest.raises(TxError) as e:  # refused when built, so never checked
+        Transaction(bytes(32), addr(2), 1, 1, 0, bytes(ledger.MAX_PAYLOAD_BYTES + 1))
     assert e.value.code == "payload_too_large"
     assert verify_calls == []
 
 
-def test_same_bytes_with_a_short_key_is_not_a_hit(signature_cache):
+def test_same_bytes_with_a_short_key_is_not_a_hit(signature_cache, verify_calls):
     """Moving the last key byte into the recipient keeps the encoding, and
-    so the tx hash, but ``verify`` rejects a 31-byte key; the cache must not
-    answer for it."""
+    so the tx hash, of a cached tx; such a tx is refused when built, so the
+    cache is never asked for it."""
     tx = signed_tx(1, 2, 10, 1, 0)
     check_signature(tx)
-    shifted = Transaction(
-        tx.sender_public_key[:31], tx.sender_public_key[31:] + tx.recipient,
-        tx.amount, tx.fee, tx.nonce, tx.payload, tx.signature,
-    )
-    assert shifted.tx_hash == tx.tx_hash
-    with pytest.raises(TxError) as e:
-        check_signature(shifted)
-    assert e.value.code == "bad_signature"
+    with pytest.raises(ValueError):
+        Transaction(
+            tx.sender_public_key[:31], tx.sender_public_key[31:] + tx.recipient,
+            tx.amount, tx.fee, tx.nonce, tx.payload, tx.signature,
+        )
+    assert len(verify_calls) == 1 and list(signature_cache) == [tx.tx_hash]
 
 
 def test_cache_is_bounded_and_evicts_oldest_first(signature_cache, monkeypatch):
