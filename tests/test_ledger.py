@@ -256,12 +256,21 @@ BROKEN_TX_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("field,value,error", BROKEN_TX_FIELDS.values(),
-                         ids=BROKEN_TX_FIELDS.keys())
-def test_a_transaction_is_built_whole_or_refused(field, value, error):
+BROKEN_TX_IDS = pytest.mark.parametrize("field,value,error", BROKEN_TX_FIELDS.values(),
+                                        ids=BROKEN_TX_FIELDS.keys())
+
+
+def tx_fields(**changed):
     fields = dict(sender_public_key=keypair(1).public_key, recipient=addr(2), amount=5, fee=1,
                   nonce=0, payload=b"", signature=bytes(64))
-    fields[field] = value
+    return {**fields, **changed}
+
+
+@BROKEN_TX_IDS
+def test_a_transaction_that_breaks_a_field_rule_still_builds(field, value, error):
+    """One whose hash does not need the broken rule builds whole; one whose
+    hash needs it is refused when built, so no half-built tx exists."""
+    fields = tx_fields(**{field: value})
     if error:
         with pytest.raises(error) as e:
             Transaction(**fields)
@@ -269,12 +278,30 @@ def test_a_transaction_is_built_whole_or_refused(field, value, error):
             assert e.value.code == "payload_too_large"
         return
     tx = Transaction(**fields)
-    assert getattr(tx, field) == value
+    assert getattr(tx, field) == value and type(getattr(tx, field)) is type(value)
     assert tx.sender == hashlib.sha256(fields["sender_public_key"]).digest()[:20]
     assert tx.tx_hash == hashlib.sha256(reference_encoding(*fields.values())).digest()
-    for how in COPIES.values():  # copies carry the wire fields and derive the rest
-        copied = how(tx)
-        assert copied == tx and (copied.sender, copied.tx_hash) == (tx.sender, tx.tx_hash)
+    assert tx.hash_hex == tx.tx_hash.hex()
+    with pytest.raises(AttributeError):
+        tx.note
+
+
+@pytest.mark.parametrize("how", COPIES)
+@BROKEN_TX_IDS
+def test_a_transaction_that_breaks_a_field_rule_copies_and_pickles(how, field, value, error):
+    """Copies and pickles rebuild through the constructor from the wire
+    fields: they derive ``sender`` and ``tx_hash`` again, and refuse the
+    broken rule as building does even when it was planted after building."""
+    if error:
+        tx = Transaction(**tx_fields())
+        object.__setattr__(tx, field, value)
+        with pytest.raises(error):
+            COPIES[how](tx)
+        return
+    tx = Transaction(**tx_fields(**{field: value}))
+    copied = COPIES[how](tx)
+    assert copied == tx and type(getattr(copied, field)) is type(value)
+    assert (copied.sender, copied.tx_hash) == (tx.sender, tx.tx_hash)
 
 
 def test_block_and_transaction_define_no_attribute_fallback():
