@@ -166,24 +166,25 @@ def cmd_serve_rpc(args, lines) -> int:
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    sim = Simulator(SimConfig(), 1)  # a lone node: no peers to send to
-    # the node decodes and validates every line, genesis included, as `verify` does
-    node = SimNode(sim, 0, seed, None, persisted_lines=lines)
-    sim.attach(0, node)
-    try:
-        server = rpc.serve(node, port=args.port)
-    except OSError as e:  # e.g. the port is in use
+    try:  # bound before the boot, so a port in use fails before any line is decoded
+        server = rpc.bind(port=args.port)
+    except OSError as e:
         print(f"config error: --port {args.port}: {e}", file=sys.stderr)
         return 2
-    try:
-        if not args.quiet:
-            host, port = server.server_address
-            print(f"serving JSON-RPC on http://{host}:{port} "
-                  f"(head height {node.head().height})", flush=True)
-        server.thread.join()  # the server's one loop, until Ctrl-C
-    except KeyboardInterrupt:
-        server.shutdown()
-    server.server_close()
+    with server:  # closed however the command ends, a boot's ChainError included
+        sim = Simulator(SimConfig(), 1)  # a lone node: no peers to send to
+        # the node decodes and validates every line, genesis included, as `verify` does
+        node = SimNode(sim, 0, seed, None, persisted_lines=lines)
+        sim.attach(0, node)
+        rpc.start(server, node)
+        try:
+            if not args.quiet:
+                host, port = server.server_address
+                print(f"serving JSON-RPC on http://{host}:{port} "
+                      f"(head height {node.head().height})", flush=True)
+            server.thread.join()  # the server's one loop, until Ctrl-C
+        except KeyboardInterrupt:
+            server.shutdown()
     return 0
 
 

@@ -219,9 +219,9 @@ class Transaction:
     """A signed transfer. Building one derives ``sender`` and ``tx_hash``, or
     raises: ValueError for a key or signature of the wrong width, TxError
     ``payload_too_large``, struct.error for an integer outside u64, and
-    TypeError for a key or recipient that is not ``bytes``. Its key,
-    recipient and sender address are the ``_shared`` copies, so the txs of
-    one account hold one copy of each."""
+    TypeError for a key, recipient, payload or signature that is not
+    ``bytes``. Its key, recipient and sender address are the ``_shared``
+    copies, so the txs of one account hold one copy of each."""
 
     sender_public_key: bytes
     recipient: bytes
@@ -234,6 +234,8 @@ class Transaction:
     tx_hash: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if type(self.payload) is not bytes or type(self.signature) is not bytes:
+            raise TypeError("a payload and a signature are bytes")  # else the tx is unhashable
         if (len(self.sender_public_key) != PUBLIC_KEY_SIZE
                 or len(self.signature) != SIGNATURE_SIZE):
             raise ValueError(f"a key is {PUBLIC_KEY_SIZE} bytes and a signature {SIGNATURE_SIZE}")
@@ -403,7 +405,8 @@ class Block:
                     raise ValueError("an allocation is an [address, amount] pair")
                 allocations.append((_hex(pair[0], 20), _int(pair[1])))
             allocations = tuple(allocations)
-        txs = tuple([Transaction.from_json(t) for t in _list(obj["transactions"])])
+        txs = _list(obj["transactions"])
+        txs = tuple([Transaction.from_json(t) for t in txs]) if txs else ()
         return Block(height, data[:32], timestamp, difficulty_bits, pow_nonce, data[32:52],
                      data[52:], txs, allocations)
 
@@ -532,52 +535,52 @@ def apply_tx(state: AccountState, tx: Transaction) -> None:
     state.nonces[sender] = expected + 1
 
 
-def settle_block(state: AccountState, block: Block) -> None:
-    """Settle ``block`` onto ``state`` in place.
-
-    Transactions settle in order through ``apply_tx``, then the miner is
-    credited the block reward plus total fees. Genesis only credits its
+def settle_block(state: AccountState, block: Block) -> tuple:
+    """The one block transition: settle ``block`` onto ``state`` in place
+    and return its undo record, or raise BlockError with ``state`` as it
+    was. Transactions settle in order through ``apply_tx``, then the miner
+    is credited the block reward plus fees; genesis only credits its
     allocations. Checks no signature: ``validate_block`` does that first.
-    A BlockError leaves ``state`` part-settled, so settle directly only a
-    block already validated on this state; ``validate_block`` settles any
-    other and rewinds it on failure.
-    """
-    balances = state.balances
+    The record is written in the same pass, as Bitcoin Core's
+    ``ConnectBlock`` writes ``CBlockUndo``: one flat tuple of an address,
+    balance and nonce (None where ``state`` held no entry) from before the
+    block for each account it touches: the miner, then each tx's sender
+    and recipient at first touch, or genesis's allocation addresses."""
+    balances, nonces = state.balances, state.nonces
     if block.height == 0:
-        for addr, amount in block.allocations:
-            balances[addr] = balances.get(addr, 0) + amount
-        return
+        undo = []
+        for address in dict.fromkeys([a for a, _ in block.allocations]):
+            undo += (address, balances.get(address), nonces.get(address))
+        for address, amount in block.allocations:
+            balances[address] = balances.get(address, 0) + amount
+        return tuple(undo)
+    miner, reward = block.miner, block_reward(block.height)
+    balance = balances.get(miner)
+    if not block.transactions:
+        balances[miner] = (balance or 0) + reward
+        return miner, balance, nonces.get(miner)
+    undo = [miner, balance, nonces.get(miner)]
+    touched = {miner}
     fees = 0
     for i, tx in enumerate(block.transactions):
+        for address in (tx.sender, tx.recipient):
+            if address not in touched:
+                touched.add(address)
+                undo += (address, balances.get(address), nonces.get(address))
         try:
             apply_tx(state, tx)
         except TxError as e:
+            rewind_block(state, undo)
             raise BlockError("bad_tx", f"tx {i}: {e.code}", tx_index=i) from e
         fees += tx.fee
-    balances[block.miner] = balances.get(block.miner, 0) + block_reward(block.height) + fees
-
-
-def block_undo(state: AccountState, block: Block) -> tuple:
-    """The undo record of ``block`` over ``state``, the state before it, as
-    Bitcoin Core's ``CBlockUndo`` is of a block's spent outputs: an
-    address, balance and nonce for each account the block touches, holding
-    what ``state`` held, or None where it held no entry, so that
-    ``rewind_block`` restores which keys are present too. One flat tuple
-    of those triples, three fields per account, as a node keeps one per
-    stored block."""
-    touched = [block.miner] if block.height else [a for a, _ in block.allocations]
-    for tx in block.transactions:
-        touched += (tx.sender, tx.recipient)
-    balances, nonces = state.balances, state.nonces
-    undo = []
-    for address in dict.fromkeys(touched):
-        undo += (address, balances.get(address), nonces.get(address))
+    balances[miner] = balances.get(miner, 0) + reward + fees
     return tuple(undo)
 
 
 def rewind_block(state: AccountState, undo: tuple) -> None:
-    """Take a block off ``state``, the state after it, in place, given its
-    ``block_undo`` record: ``state`` becomes the state before the block."""
+    """Take a block off ``state``, the state after it, in place, given the
+    undo record ``settle_block`` returned for it: ``state`` becomes the
+    state before the block."""
     balances, nonces = state.balances, state.nonces
     fields = iter(undo)
     for address, balance, nonce in zip(fields, fields, fields):
@@ -625,6 +628,8 @@ def _check_block(block: Block, parent: Block) -> None:
         raise BlockError("bad_tx_root")
     if block.block_hash > POW_CEILINGS[block.difficulty_bits]:  # meets_difficulty, inlined
         raise BlockError("bad_pow")
+    if not block.transactions:
+        return
     seen = set()
     for i, tx in enumerate(block.transactions):
         if tx.tx_hash in seen:
@@ -638,17 +643,13 @@ def _check_block(block: Block, parent: Block) -> None:
 
 def validate_block(block: Block, parent: Block, state: AccountState) -> tuple:
     """Full validation of ``block`` against its parent and ``state``, the
-    state after the parent: settles ``block`` onto ``state`` in place and
-    returns its ``block_undo`` record.
-
-    The checks that need no state come first (height, link, timestamp,
-    root, PoW, duplicate transactions and every signature), then
-    ``settle_block`` is the state check, so a block is validated and
-    settled in one pass, as Bitcoin Core's ``ConnectBlock`` connects a block
-    in place and keeps its undo data. On a BlockError the undo record
-    rewinds ``state`` to exactly what it was, keys present included, so no
-    caller copies a state to stay atomic. Field widths and ranges are the
-    decoders': a decoded block can always be encoded.
+    state after the parent: the checks that need no state (height, link,
+    timestamp, root, PoW, duplicate transactions and every signature), then
+    ``settle_block`` as the state check. So a block is validated, settled
+    onto ``state`` in place and its undo record returned in one pass, and a
+    BlockError leaves ``state`` as it was: no caller copies a state to stay
+    atomic. Field widths and ranges are the decoders': a decoded block
+    always encodes.
 
     The stateless checks are a pure function of the block and its parent,
     and a parent the block links to is fixed by its hash, so their verdict
@@ -668,13 +669,7 @@ def validate_block(block: Block, parent: Block, state: AccountState) -> tuple:
             object.__setattr__(block, "_verdict", verdict)
     if verdict:
         raise BlockError(*verdict)
-    undo = block_undo(state, block)
-    try:
-        settle_block(state, block)
-    except BlockError:
-        rewind_block(state, undo)
-        raise
-    return undo
+    return settle_block(state, block)
 
 
 class BlockStore:
@@ -764,7 +759,7 @@ class BlockStore:
 def replay_blocks(blocks: Iterable, state: AccountState):
     """The one chain replay: validate genesis-rooted blocks, taken one at a
     time from any iterable, and settle them onto ``state``, which starts
-    empty, yielding ``(block, block_undo record)`` once each is settled;
+    empty, yielding each block with ``settle_block``'s record once settled;
     raises ChainError at the first failing height. Only a block and its
     parent are held, and a block is taken only once its parent is settled,
     so a lazy iterable (``chain_blocks``) that raises ChainError for a bad
@@ -775,8 +770,7 @@ def replay_blocks(blocks: Iterable, state: AccountState):
         try:
             if parent is None:
                 validate_genesis(block)
-                undo = block_undo(state, block)
-                settle_block(state, block)
+                undo = settle_block(state, block)
             else:
                 undo = validate_block(block, parent, state)
         except BlockError as e:

@@ -135,7 +135,7 @@ class SimNode:
         the node's own validation of ``chain``; it raises ChainError, at
         height 0 for a bad genesis, before the store is built."""
         self._state = AccountState()  # at the canonical tip
-        self.undo: dict = {}  # stored block hash -> its ledger.block_undo record
+        self.undo: dict = {}  # stored block hash -> the undo record settle_block returned
         replay = ledger.replay_blocks(chain, self._state)
         genesis, _ = next(replay)
         self.store = BlockStore(genesis)

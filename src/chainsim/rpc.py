@@ -1,11 +1,11 @@
 """JSON-RPC 2.0 surface for a node.
 
 The dispatcher is transport-free so simulations can call it in-process
-against any simulated node; ``serve`` wraps the same dispatcher in a
-loopback HTTP server (one JSON-RPC payload per POST), and only ``serve``
-loads ``http.server``. Application error codes: 1001 bad_signature,
-1002 bad_nonce, 1003 insufficient_funds, 1004 duplicate, 1005
-payload_too_large. A submitted transaction gets the first that holds in
+against any simulated node; ``start`` wraps the same dispatcher in the
+loopback HTTP server that ``bind`` made (one JSON-RPC payload per POST),
+and only ``bind`` loads ``http.server``. Application error codes: 1001
+bad_signature, 1002 bad_nonce, 1003 insufficient_funds, 1004 duplicate,
+1005 payload_too_large. A submitted transaction gets the first that holds in
 mempool admission order: 1005 (at decoding), then 1004, 1002, 1003,
 ``pool_full`` as -32602, and 1001 only when every cheaper check passes.
 Every request gets a reply:
@@ -209,13 +209,11 @@ def _error_response(rid, code: int, message: str) -> bytes:
         {"jsonrpc": "2.0", "id": rid, "error": {"code": code, "message": message}})
 
 
-def serve(node, host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:
-    """Start an HTTP JSON-RPC server for ``node``; returns the server, whose
-    one ``serve_forever`` loop runs on the daemon thread ``.thread``
-    (``.server_address`` has the port)."""
+def bind(host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:
+    """An HTTP JSON-RPC server bound to ``port`` (``.server_address`` has
+    it), or OSError, e.g. for a port in use, before any node is built. It
+    answers once ``start`` gives it a node."""
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-    dispatcher = RpcDispatcher(node)
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
@@ -231,7 +229,7 @@ def serve(node, host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:
                 self.send_error(413, f"request body over {MAX_BODY_BYTES} bytes")
                 return
             body = self.rfile.read(int(digits))
-            response = dispatcher.handle_payload(body)
+            response = self.server.dispatcher.handle_payload(body)
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(response)))
@@ -241,7 +239,13 @@ def serve(node, host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:
         def log_message(self, fmt, *args):  # quiet server
             pass
 
-    server = ThreadingHTTPServer((host, port), Handler)
+    return ThreadingHTTPServer((host, port), Handler)
+
+
+def start(server, node) -> ThreadingHTTPServer:
+    """Serve ``node`` on a ``bind`` server, whose one ``serve_forever``
+    loop runs on the daemon thread ``.thread``; returns the server."""
+    server.dispatcher = RpcDispatcher(node)
     server.thread = threading.Thread(target=server.serve_forever, daemon=True)
     server.thread.start()
     return server

@@ -319,7 +319,7 @@ def test_criterion_10_rpc_blob_end_to_end(tmp_path):
     node = SimNode(sim, 0, bytes([0xC1]) * 32, genesis)
     node.blob_store = BlobStore(tmp_path / "blobs")
     sim.attach(0, node)
-    server = rpc.serve(node, port=0)
+    server = rpc.start(rpc.bind(port=0), node)
     try:
         host, port = server.server_address
 

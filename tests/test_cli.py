@@ -379,7 +379,7 @@ def test_serve_rpc_end_to_end(tmp_path):
     sim = Simulator(SimConfig(), 1)
     node = SimNode(sim, 0, node_key_seed(0, 0), blocks[0], persisted_lines=lines)
     sim.attach(0, node)
-    server = rpc.serve(node, port=0)
+    server = rpc.start(rpc.bind(port=0), node)
     try:
         host, port = server.server_address
         req = urllib.request.Request(
@@ -396,7 +396,7 @@ def test_serve_rpc_end_to_end(tmp_path):
 
 
 def test_serve_rpc_runs_one_serve_loop_and_closes_the_server(tmp_path, monkeypatch):
-    """`serve-rpc` waits on the loop `rpc.serve` started rather than running a
+    """`serve-rpc` waits on the loop `rpc.start` started rather than running a
     second one on the same socket; when that loop ends, the command closes the
     server and exits 0."""
     import socketserver
@@ -480,7 +480,7 @@ def _run_chain_command(command, chain, monkeypatch):
     """``command`` on ``chain``; `serve-rpc` must never start its server."""
     from chainsim import rpc
 
-    monkeypatch.setattr(rpc, "serve", lambda *a, **k: pytest.fail("served a bad chain"))
+    monkeypatch.setattr(rpc, "start", lambda *a, **k: pytest.fail("served a bad chain"))
     extra = ["--port", "0", "--quiet"] if command == "serve-rpc" else []
     return run_cli(command, str(chain), *extra)
 
@@ -585,12 +585,18 @@ def test_serve_rpc_port_outside_0_to_65535_is_refused_when_parsed(tmp_path, caps
     assert "config error: port" in err and "Traceback" not in err
 
 
-def test_serve_rpc_port_in_use_is_a_config_error(tmp_path, capsys):
+def test_serve_rpc_port_in_use_is_a_config_error(tmp_path, monkeypatch, capsys):
     import socket
+
+    from chainsim import node
 
     _, blocks = build_chain(2, allocations=[(addr(1), 100)])
     chain = tmp_path / "chain.jsonl"
     write_chain(chain, blocks)
+    # the port is bound before the boot: neither a node nor a decoded line
+    monkeypatch.setattr(node, "SimNode", lambda *a, **k: pytest.fail("booted a node"))
+    monkeypatch.setattr(ledger.Block, "decode",
+                        staticmethod(lambda data: pytest.fail("decoded a chain line")))
     with socket.socket() as taken:
         taken.bind(("127.0.0.1", 0))
         taken.listen()
@@ -600,12 +606,30 @@ def test_serve_rpc_port_in_use_is_a_config_error(tmp_path, capsys):
     assert err.startswith(f"config error: --port {port}: ") and "Traceback" not in err
 
 
+def test_serve_rpc_chain_failing_replay_closes_its_port(tmp_path, monkeypatch, capsys):
+    """The port is bound before the node boots; a boot that fails prints its
+    FAIL line, exits 1 and closes the socket, so the port binds again."""
+    import socket
+
+    from chainsim import rpc
+
+    bound, real_bind = [], rpc.bind
+    monkeypatch.setattr(rpc, "bind", lambda *a, **k: bound.append(real_bind(*a, **k)) or bound[-1])
+    chain = _edited_chain(tmp_path, 2, lambda obj: obj.update(timestamp=obj["timestamp"] + 1))
+    assert _run_chain_command("serve-rpc", chain, monkeypatch) == 1
+    assert capsys.readouterr().out == "FAIL at height 2: bad_pow\n"
+    (server,) = bound
+    assert server.socket.fileno() == -1  # closed
+    with socket.socket() as again:
+        again.bind(server.server_address)
+
+
 @pytest.mark.parametrize("seed", ["zz", "00", "11 " * 32, "AB" * 32],
                          ids=["not_hex", "one_byte", "spaced_hex", "uppercase_hex"])
 def test_serve_rpc_bad_seed_is_a_config_error(tmp_path, monkeypatch, capsys, seed):
     from chainsim import rpc
 
-    monkeypatch.setattr(rpc, "serve", lambda *a, **k: pytest.fail("served with a bad seed"))
+    monkeypatch.setattr(rpc, "start", lambda *a, **k: pytest.fail("served with a bad seed"))
     _, blocks = build_chain(2, allocations=[(addr(1), 100)])
     chain = tmp_path / "chain.jsonl"
     write_chain(chain, blocks)

@@ -8,7 +8,7 @@ import struct
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chainsim import consensus, crypto, ledger, node
 from chainsim.ledger import (
@@ -253,6 +253,8 @@ BROKEN_TX_FIELDS = {
     "negative_nonce": ("nonce", -1, struct.error),
     "bytearray_recipient": ("recipient", bytearray(20), TypeError),
     "bytearray_key": ("sender_public_key", bytearray(keypair(1).public_key), TypeError),
+    "bytearray_payload": ("payload", bytearray(b"p"), TypeError),
+    "bytearray_signature": ("signature", bytearray(64), TypeError),
 }
 
 
@@ -1201,6 +1203,7 @@ def test_block_decode_inverts_encode(fields, fit):
 # -- the account-state transition ------------------------------------------------
 
 SENDERS = (1, 2, 3, 4)  # 1 and 2 are funded at genesis; 3 and 4 only by transfers
+MINERS = (9,) + SENDERS  # 9 is never sent to, so it holds only what it mines
 TRANSITION_GENESIS = make_genesis([(addr(1), 100), (addr(2), 100)])
 FAULTS = ("replay", "gap", "overdraft", "bad_signature")
 
@@ -1228,12 +1231,13 @@ def reference_settle(txs):
 
 @st.composite
 def tx_lists(draw):
-    """Valid transactions, spends of received funds and each of FAULTS, with
-    nonces and amounts drawn against the reference state of the transactions
-    before them; half are valid, so whole blocks often settle. Returns
-    (txs, indices of the transactions with a bad signature)."""
+    """0 to 8 transactions, valid ones, spends of received funds and each of
+    FAULTS, with nonces and amounts drawn against the reference state of the
+    transactions before them; half are valid, so whole blocks often settle.
+    Returns (txs, indices of the transactions with a bad signature, the
+    block's miner)."""
     txs, bad = [], []
-    for i in range(draw(st.integers(1, 8))):
+    for i in range(draw(st.integers(0, 8))):
         balances, nonces, settled, _ = reference_settle(txs)
         kind = draw(st.sampled_from(("valid", "spend_received"))) if draw(
             st.booleans()) else draw(st.sampled_from(FAULTS))
@@ -1260,20 +1264,34 @@ def tx_lists(draw):
             tx = replace(tx, amount=tx.amount + 1)
             bad.append(i)
         txs.append(tx)
-    return txs, bad
+    return txs, bad, draw(st.sampled_from(MINERS))
 
 
 def nonzero(mapping: dict) -> dict:
     return {k: v for k, v in mapping.items() if v}
 
 
+def reference_record(state, txs, miner):
+    """The undo record written out for the test: the miner, then each tx's
+    sender and recipient at first touch, each with its balance and nonce in
+    ``state`` (the state before the block), or None where it held none."""
+    touched = []
+    for address in [miner] + [a for tx in txs for a in (tx.sender, tx.recipient)]:
+        if address not in touched:
+            touched.append(address)
+    return tuple(field for address in touched for field in (
+        address, state.balances.get(address), state.nonces.get(address)))
+
+
 @settings(max_examples=80, deadline=None)
 @given(tx_lists())
+@example(([], [], 9))  # an empty block whose miner holds no balance
+@example(([], [], 1))  # an empty block whose miner holds one
 def test_block_transition_matches_reference_model(case):
-    txs, bad = case
+    txs, bad, miner = case
     state = replayed_state([TRANSITION_GENESIS])
     before = copy.deepcopy(state)
-    block = mine_child(TRANSITION_GENESIS, txs=txs, miner=addr(9), difficulty=0)
+    block = mine_child(TRANSITION_GENESIS, txs=txs, miner=addr(miner), difficulty=0)
     balances, nonces, _, first = reference_settle(txs)
     if bad:  # every signature is checked before any state
         first = (bad[0], "bad_signature")
@@ -1285,10 +1303,11 @@ def test_block_transition_matches_reference_model(case):
         assert state == before  # rewound exactly, which keys exist included
     else:
         assert first is None
-        balances[addr(9)] = balances.get(addr(9), 0) + consensus.BLOCK_REWARD + sum(
+        balances[addr(miner)] = balances.get(addr(miner), 0) + consensus.BLOCK_REWARD + sum(
             tx.fee for tx in txs
         )
         assert nonzero(state.balances) == nonzero(balances)
         assert state.nonces == nonces
+        assert undo == reference_record(before, txs, addr(miner))
         rewind_block(state, undo)
         assert state == before  # the undo record takes the block off exactly

@@ -16,7 +16,8 @@ from chainsim.rpc import (
     MAX_BODY_BYTES,
     PARSE_ERROR,
     RpcDispatcher,
-    serve,
+    bind,
+    start,
 )
 
 from conftest import addr, oversized_tx_body, signed_tx, to_json
@@ -185,7 +186,7 @@ def test_http_transport_round_trip():
     import urllib.request
 
     sim, node = make_node()
-    server = serve(node, port=0)
+    server = start(bind(port=0), node)
     try:
         host, port = server.server_address
         req = urllib.request.Request(
@@ -250,7 +251,7 @@ def raw_post(port: int, length: str, body: bytes = b"") -> bytes:
 ], ids=["not_a_number", "negative", "over_the_limit"])
 def test_bad_content_length_gets_an_http_error(length, status):
     sim, node = make_node()
-    server = serve(node, port=0)
+    server = start(bind(port=0), node)
     try:
         reply = raw_post(server.server_address[1], length)
         assert reply.split(b"\r\n", 1)[0].split(b" ")[1] == status
@@ -265,7 +266,7 @@ def test_bad_content_length_gets_an_http_error(length, status):
 
 def test_missing_content_length_gets_411():
     sim, node = make_node()
-    server = serve(node, port=0)
+    server = start(bind(port=0), node)
     try:
         head = b"POST / HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
         with socket.create_connection(("127.0.0.1", server.server_address[1]),
