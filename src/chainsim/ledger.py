@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 import struct
+from binascii import a2b_hex
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -122,7 +124,9 @@ _raw_decode = json.JSONDecoder().raw_decode
 def _json_object(data: bytes):
     """``json.loads(data)``. Bytes that open an object with a key, as every
     block line and body does, are UTF-8 by json.loads's own detection, so
-    they skip it and its whitespace scans when the object fills them."""
+    they skip it and its whitespace scans when the object fills them.
+    ``Block.decode`` comes here only for a line ``_match_empty_block`` does
+    not take: one with transactions or allocations, or in another spelling."""
     if data[:2] == b'{"':
         text = data.decode("utf-8", "surrogatepass")
         obj, end = _raw_decode(text)
@@ -146,6 +150,17 @@ _BLOCK_JSON = (
 )
 _ALLOCATIONS_JSON = '{"allocations":[%s],'  # then _BLOCK_JSON without its "{"
 _ALLOCATION_JSON = '["%s",%d]'
+
+# _BLOCK_JSON with no transactions, as a bytes pattern: each integer in %d's
+# one spelling, of at most the digits of its range's top, and each byte field
+# lowercase hex of exactly its width. Its groups are the fields in the
+# layout's order: difficulty_bits, height, miner, pow_nonce, prev_hash,
+# timestamp, tx_root. A line it takes is the encoding of the block its
+# fields make once each integer is in its range.
+_U64_DIGITS = "(0|[1-9][0-9]{0,19})"
+_match_empty_block = re.compile((re.escape(_BLOCK_JSON).replace("%d", "%s") % (
+    "(0|[1-9][0-9]{0,2})", _U64_DIGITS, "([0-9a-f]{40})", _U64_DIGITS, "([0-9a-f]{64})",
+    _U64_DIGITS, "", "([0-9a-f]{64})")).encode()).fullmatch
 
 
 def _check_keys(obj, keys: frozenset) -> None:
@@ -437,6 +452,24 @@ class Block:
 
     @staticmethod
     def decode(data: bytes) -> "Block":
+        """The one block decoder, of chain lines and gossip bodies:
+        ``Block.from_json(_json_object(data))``. A ``bytes`` line of a block
+        with no transactions or allocations, in the spelling ``encode``
+        writes, is read through ``_match_empty_block`` instead, with the
+        same outcome, and becomes the block's kept encoding. Any other
+        input, or an integer out of range, takes the JSON path."""
+        match = _match_empty_block(data) if type(data) is bytes else None
+        if match is not None:
+            bits, height, miner, pow_nonce, prev_hash, timestamp, tx_root = match.groups()
+            bits, height, pow_nonce, timestamp = (
+                int(bits), int(height), int(pow_nonce), int(timestamp))
+            if bits <= 0xFF and max(height, pow_nonce, timestamp) <= U64_MAX:
+                # one hex decode of the three fields, as _fixed_hex's; a2b_hex
+                # takes the match's bytes, which bytes.fromhex does not
+                raw = a2b_hex(prev_hash + miner + tx_root)
+                block = Block(height, raw[:32], timestamp, bits, pow_nonce, raw[32:52], raw[52:])
+                _set_canonical(block, data)
+                return block
         return Block.from_json(_json_object(data))
 
 
@@ -450,10 +483,13 @@ class Block:
 def decode_relayed_block(data: bytes) -> Block:
     """``Block.decode`` for a gossip body. A body in the canonical spelling,
     which every relay sends, becomes the block's kept encoding, so the body
-    and the block hold one copy of those bytes."""
+    and the block hold one copy of those bytes; ``Block.decode`` already
+    keeps a body without transactions, so for one of those this compares
+    nothing."""
     block = Block.decode(data)
-    if block.encode() == data:
-        object.__setattr__(block, "_canonical", data)
+    canonical = block.encode()
+    if canonical is not data and canonical == data:
+        _set_canonical(block, data)
     return block
 
 

@@ -76,37 +76,39 @@ def test_criterion_01_replica_convergence(convergence_run):
 
 # 2. Tamper evidence ----------------------------------------------------------
 
-def test_criterion_02_tamper_evidence():
-    plan = {h: [signed_tx(1, 2, 5, 1, h - 1)] for h in range(1, 11)}
-    # difficulty 16 so a byte flip passing proof-of-work by luck is ~2^-16
-    _, blocks = build_chain(10, allocations=[(addr(1), 1000)],
-                            tx_plan=plan, difficulty=16)
-    lines = ledger.chain_file_lines(blocks)
-    verify_chain_lines(lines)  # baseline must be clean
-    flips = 0
-    for i, line in enumerate(lines):
-        positions = sorted({1, len(line) // 4, len(line) // 2,
-                            3 * len(line) // 4, len(line) - 2})
-        assert len(positions) >= 3
-        for pos in positions:
-            mutated = list(lines)
-            mutated[i] = line[:pos] + bytes([line[pos] ^ 0x01]) + line[pos + 1:]
-            with pytest.raises(ChainError) as e:
-                verify_chain_lines(mutated)
-            assert e.value.height == i, (
-                f"block {i} byte {pos}: failed at height {e.value.height}"
-            )
-            flips += 1
-    print(f"\nPASS criterion 2: {flips} single-byte flips over 11 blocks, "
-          f"every one detected at its exact height")
-
-
 @functools.cache
-def criterion_02_lines() -> tuple:
-    """Criterion 2's chain, as lines."""
-    plan = {h: [signed_tx(1, 2, 5, 1, h - 1)] for h in range(1, 11)}
-    _, blocks = build_chain(10, allocations=[(addr(1), 1000)], tx_plan=plan, difficulty=16)
-    return tuple(ledger.chain_file_lines(blocks))
+def criterion_02_chains() -> tuple:
+    """Criterion 2's chains, as lines, at difficulty 16 so that an edit
+    passing proof-of-work by luck is ~2^-16: one whose every block carries a
+    transaction, and one whose even heights carry none, which are decoded
+    through ``Block.decode``'s fixed-layout path."""
+    chains = []
+    for heights in (range(1, 11), range(1, 11, 2)):
+        plan = {h: [signed_tx(1, 2, 5, 1, i)] for i, h in enumerate(heights)}
+        _, blocks = build_chain(10, allocations=[(addr(1), 1000)], tx_plan=plan, difficulty=16)
+        chains.append(tuple(ledger.chain_file_lines(blocks)))
+    return tuple(chains)
+
+
+def test_criterion_02_tamper_evidence():
+    flips = 0
+    for lines in criterion_02_chains():
+        verify_chain_lines(lines)  # baseline must be clean
+        for i, line in enumerate(lines):
+            positions = sorted({1, len(line) // 4, len(line) // 2,
+                                3 * len(line) // 4, len(line) - 2})
+            assert len(positions) >= 3
+            for pos in positions:
+                mutated = list(lines)
+                mutated[i] = line[:pos] + bytes([line[pos] ^ 0x01]) + line[pos + 1:]
+                with pytest.raises(ChainError) as e:
+                    verify_chain_lines(mutated)
+                assert e.value.height == i, (
+                    f"block {i} byte {pos}: failed at height {e.value.height}"
+                )
+                flips += 1
+    print(f"\nPASS criterion 2: {flips} single-byte flips over two chains of 11 blocks, "
+          f"every one detected at its exact height")
 
 
 def verdict(lines):
@@ -120,14 +122,16 @@ def verdict(lines):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_criterion_02_two_edits_fail_at_the_first_failing_height(data):
-    """Criterion 2's single-byte edits on two lines: when verify fails at
-    height h, lines 0..h alone fail alike and lines 0..h-1 pass, whatever
-    kind of fault (a parse error or a semantic one) each edit makes."""
-    lines = list(criterion_02_lines())
-    for i in data.draw(st.lists(st.integers(0, len(lines) - 1), min_size=2, max_size=2,
+    """Edits of 1 to 4 bytes, to any values, on 1 to 3 lines of either of
+    criterion 2's chains: when verify fails at height h, lines 0..h alone
+    fail alike and lines 0..h-1 pass, whatever kind of fault (a parse error
+    or a semantic one) each edit makes."""
+    lines = list(data.draw(st.sampled_from(criterion_02_chains())))
+    for i in data.draw(st.lists(st.integers(0, len(lines) - 1), min_size=1, max_size=3,
                                 unique=True)):
-        pos = data.draw(st.integers(0, len(lines[i]) - 1))
-        lines[i] = lines[i][:pos] + bytes([lines[i][pos] ^ 0x01]) + lines[i][pos + 1:]
+        for _ in range(data.draw(st.integers(1, 4))):
+            pos = data.draw(st.integers(0, len(lines[i]) - 1))
+            lines[i] = lines[i][:pos] + bytes([data.draw(st.integers(0, 255))]) + lines[i][pos + 1:]
     found = verdict(lines)
     if found is not None:
         height = found[0]

@@ -395,6 +395,48 @@ def test_serve_rpc_end_to_end(tmp_path):
         server.server_close()
 
 
+def test_serve_rpc_answers_block_reads_from_canonical_lines_only(tmp_path, monkeypatch):
+    """A node booted from a chain file of blocks without transactions, as
+    `serve-rpc` boots one, answers every block read from the file's own
+    lines and encodes no block. A node booted from a respelled copy of the
+    file answers with the same bytes: it keeps no non-canonical line."""
+    from chainsim import rpc
+    from chainsim.netsim import SimConfig, Simulator
+    from chainsim.node import SimNode
+    from chainsim.scenario import node_key_seed
+
+    _, blocks = build_chain(6)
+    chain, respelled = tmp_path / "chain.jsonl", tmp_path / "respelled.jsonl"
+    write_chain(chain, blocks)
+    respelled.write_text("".join(
+        json.dumps(dict(reversed(json.loads(line).items())), separators=(", ", ": ")) + "\n"
+        for line in chain.read_text().splitlines()))
+    formats = []  # the argument tuples of every _BLOCK_JSON formatting
+
+    class CountedLayout(str):
+        def __mod__(self, args):
+            formats.append(args)
+            return str.__mod__(self, args)
+
+    monkeypatch.setattr(ledger, "_BLOCK_JSON", CountedLayout(ledger._BLOCK_JSON))
+    replies = {}
+    for path in (chain, respelled):
+        sim = Simulator(SimConfig(), 1)
+        node = SimNode(sim, 0, node_key_seed(0, 0), None,
+                       persisted_lines=ledger.stream_chain_lines(path))
+        sim.attach(0, node)
+        dispatcher = rpc.RpcDispatcher(node)
+        replies[path] = [dispatcher.handle_payload(json.dumps(
+            {"jsonrpc": "2.0", "id": h, "method": "chain_getBlockByHeight",
+             "params": {"height": h}}).encode()) for h in range(len(blocks))]
+        if path == chain:
+            assert formats == []
+    assert len(formats) == len(blocks)  # the respelled node encoded each block once
+    assert replies[respelled] == replies[chain]
+    for reply, block in zip(replies[chain], blocks):
+        assert json.loads(reply)["result"]["hash"] == block.block_hash.hex()
+
+
 def test_serve_rpc_runs_one_serve_loop_and_closes_the_server(tmp_path, monkeypatch):
     """`serve-rpc` waits on the loop `rpc.start` started rather than running a
     second one on the same socket; when that loop ends, the command closes the

@@ -158,6 +158,111 @@ def test_block_encode_is_canonical_json_of_the_reference_encoder(block):
     assert block.encode() == canonical_json(to_json(block))
 
 
+# -- the fixed-layout decoding of a block without transactions ------------------
+
+empty_block_strategy = st.builds(
+    Block,
+    height=u64_edges,
+    prev_hash=_bytes_of(32),
+    timestamp=u64_edges,
+    difficulty_bits=st.integers(0, 0xFF),
+    pow_nonce=u64_edges,
+    miner=_bytes_of(20),
+    tx_root=_bytes_of(32),
+)
+HEX_FIELDS = {"prev_hash": 32, "miner": 20, "tx_root": 32}
+INT_FIELDS = ("difficulty_bits", "height", "pow_nonce", "timestamp")
+
+
+@st.composite
+def block_lines(draw) -> bytes:
+    """A block's canonical line, or that line respelled or broken: blocks
+    without transactions over the full field ranges, genesis blocks, and
+    blocks with one to three transactions."""
+    block = draw(empty_block_strategy | st.builds(
+        make_genesis, st.lists(st.tuples(_bytes_of(20), u64_edges), max_size=3), u64_edges)
+        | st.builds(replace, empty_block_strategy,
+                    transactions=st.lists(layout_tx_strategy, min_size=1, max_size=3).map(tuple)))
+    line = block.encode()
+    obj = json.loads(line)
+    how = draw(st.sampled_from(["canonical", "bytes", "reversed_keys", "whitespace", "uppercase",
+                                "leading_zeros", "over_range", "escaped_hex"]))
+    if how == "bytes":  # 1 to 4 bytes set to any values
+        for _ in range(draw(st.integers(1, 4))):
+            i = draw(st.integers(0, len(line) - 1))
+            line = line[:i] + bytes([draw(st.integers(0, 255))]) + line[i + 1:]
+    elif how == "reversed_keys":
+        line = json.dumps(dict(reversed(obj.items())), separators=(",", ":")).encode()
+    elif how == "whitespace":
+        spaced = json.dumps(obj, sort_keys=True, separators=(", ", ": ")).encode()
+        line = draw(st.sampled_from([spaced, b" " + line, line + b"\n", line + b" "]))
+    elif how == "uppercase":
+        key = draw(st.sampled_from(sorted(HEX_FIELDS)))
+        line = canonical_json(dict(obj, **{key: obj[key].upper()}))
+    elif how == "leading_zeros":
+        key = draw(st.sampled_from(INT_FIELDS))
+        line = line.replace(b'"%s":' % key.encode(),
+                            b'"%s":%s' % (key.encode(), b"0" * draw(st.integers(1, 3))), 1)
+    elif how == "over_range":  # 20 digits from 2**64 up, or a difficulty of 3 digits
+        key = draw(st.sampled_from(INT_FIELDS))
+        value = (draw(st.integers(256, 999)) if key == "difficulty_bits"
+                 else draw(st.integers(1 << 64, 10**20 - 1)))
+        line = canonical_json(dict(obj, **{key: value}))
+    elif how == "escaped_hex":  # one digit of a hex field as a \u escape of itself
+        key = draw(st.sampled_from(sorted(HEX_FIELDS)))
+        i = line.index(b'"%s":"' % key.encode()) + len(key) + 4
+        i += draw(st.integers(0, 2 * HEX_FIELDS[key] - 1))
+        line = line[:i] + b"\\u%04x" % line[i] + line[i + 1:]
+    return line
+
+
+def decode_outcome(decode, data):
+    """The block ``decode(data)`` returns, or the type and code of what it raises."""
+    try:
+        return decode(data)
+    except Exception as e:
+        return type(e), getattr(e, "code", None)
+
+
+EMPTY_LINE = Block(1, bytes(32), 2, 3, 4, bytes(20), ledger.EMPTY_TX_ROOT).encode()
+
+
+@settings(max_examples=400, deadline=None)
+@given(block_lines(), st.sampled_from([bytes, bytearray, str]))
+@example(EMPTY_LINE.replace(b'"height":1,', b'"height":18446744073709551616,'), bytes)
+@example(EMPTY_LINE.replace(b'"difficulty_bits":3,', b'"difficulty_bits":256,'), bytes)
+def test_block_decode_gives_what_the_json_decoder_gives(line, form):
+    """``Block.decode`` gives for every input what ``Block.from_json`` gives
+    for its JSON object, the same block or the same error, whether or not
+    its fixed-layout path took the line; and a block keeps the line as its
+    encoding exactly when the line is that encoding."""
+    data = line.decode("latin-1") if form is str else form(line)
+    expected = decode_outcome(lambda d: Block.from_json(ledger._json_object(d)), data)
+    block = decode_outcome(Block.decode, data)
+    if type(expected) is not Block:
+        assert block == expected
+        return
+    assert block == expected and block.block_hash == expected.block_hash
+    assert (block.transactions, block.allocations) == (expected.transactions,
+                                                       expected.allocations)
+    canonical = canonical_json(to_json(block))
+    assert block.encode() == canonical
+    kept = type(data) is bytes and data == canonical
+    assert (block.encode() is data) == (kept and not block.transactions and not block.allocations)
+    if type(data) is bytes:  # a gossip body
+        assert (ledger.decode_relayed_block(data).encode() is data) == kept
+
+
+def test_verify_parses_json_only_for_lines_with_transactions_or_allocations(monkeypatch):
+    _, blocks = build_chain(5, allocations=[(addr(1), 100)],
+                            tx_plan={3: [signed_tx(1, 2, 10, 1, 0)]})
+    lines = ledger.chain_file_lines(blocks)
+    parsed, json_object = [], ledger._json_object
+    monkeypatch.setattr(ledger, "_json_object", lambda data: parsed.append(data) or json_object(data))
+    verify_chain_lines(lines)
+    assert parsed == [lines[0], lines[3]]
+
+
 # -- compact transactions --------------------------------------------------------
 
 def reference_encoding(pk, recipient, amount, fee, nonce, payload, signature) -> bytes:
