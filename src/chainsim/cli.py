@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import ledger, metrics, rpc
 from .crypto import address_from_public_key, generate_keypair
-from .ledger import ChainError, chain_file_lines, decode_chain_lines
+from .ledger import ChainError, chain_file_lines
 from .netsim import SimConfig, Simulator
 from .scenario import ScenarioError, load_scenario_file, node_key_seed, run_scenario
 
@@ -134,15 +134,17 @@ def _chain_file_command(command):
 
 @_chain_file_command
 def cmd_inspect(args, lines) -> int:
-    blocks = decode_chain_lines(lines)
-    head = blocks[-1]
-    total_txs = sum(len(b.transactions) for b in blocks)
-    print(f"blocks:    {len(blocks)} (height 0..{head.height})")
-    print(f"head hash: {head.block_hash.hex()}")
-    print(f"txs:       {total_txs}")
-    for b in blocks:
-        print(f"  h={b.height} hash={b.block_hash.hex()[:16]}.. txs={len(b.transactions)} "
-              f"miner={b.miner.hex()[:12]}..")
+    """Every line is decoded before anything is printed, so a bad line
+    prints only its FAIL line; a ``(height, hash, tx count, miner)``
+    summary is held per block, not the block and its line."""
+    rows = [(b.height, b.block_hash, len(b.transactions), b.miner)
+            for b in ledger.chain_blocks(lines)]
+    head_height, head_hash, _, _ = rows[-1]
+    print(f"blocks:    {len(rows)} (height 0..{head_height})")
+    print(f"head hash: {head_hash.hex()}")
+    print(f"txs:       {sum(txs for _, _, txs, _ in rows)}")
+    for height, block_hash, txs, miner in rows:
+        print(f"  h={height} hash={block_hash.hex()[:16]}.. txs={txs} miner={miner.hex()[:12]}..")
     return 0
 
 

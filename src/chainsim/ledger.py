@@ -122,11 +122,13 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 
 def _json_object(data: bytes):
-    """``json.loads(data)``. Bytes that open an object with a key, as every
-    block line and body does, are UTF-8 by json.loads's own detection, so
-    they skip it and its whitespace scans when the object fills them.
-    ``Block.decode`` comes here only for a line ``_match_empty_block`` does
-    not take: one with transactions or allocations, or in another spelling."""
+    """``json.loads(data)``: the same object, or the same exception. Bytes
+    that open an object with a key, as every block line, block body and
+    JSON-RPC request does, are UTF-8 by json.loads's own detection, so they
+    skip it and its whitespace scans when the object fills them.
+    ``Block.decode`` comes here for a line ``_match_empty_block`` does not
+    take (one with transactions or allocations, or in another spelling),
+    and ``rpc.RpcDispatcher.handle_payload`` for every payload."""
     if data[:2] == b'{"':
         text = data.decode("utf-8", "surrogatepass")
         obj, end = _raw_decode(text)
@@ -229,14 +231,18 @@ def _signing_bytes(sender_public_key, recipient, amount, fee, nonce, payload) ->
     )
 
 
-@dataclass(frozen=True, slots=True)
+# Transaction's ``__init__`` is hand-written, as Block's is (see there): it
+# sets each slot through the slot's member descriptor (the ``_tx_set_*``
+# below the class). Eq, hash, repr, frozen assignment and
+# ``dataclasses.replace`` are still the dataclass's.
+@dataclass(frozen=True, slots=True, init=False)
 class Transaction:
-    """A signed transfer. Building one derives ``sender`` and ``tx_hash``, or
-    raises: ValueError for a key or signature of the wrong width, TxError
-    ``payload_too_large``, struct.error for an integer outside u64, and
-    TypeError for a key, recipient, payload or signature that is not
-    ``bytes``. Its key, recipient and sender address are the ``_shared``
-    copies, so the txs of one account hold one copy of each."""
+    """A signed transfer. Its one constructor derives ``sender`` and
+    ``tx_hash``, or raises: ValueError for a key or signature of the wrong
+    width, TxError ``payload_too_large``, struct.error for an integer
+    outside u64, and TypeError for a key, recipient, payload or signature
+    that is not ``bytes``. Its key, recipient and sender address are the
+    ``_shared`` copies, so the txs of one account hold one copy of each."""
 
     sender_public_key: bytes
     recipient: bytes
@@ -248,18 +254,23 @@ class Transaction:
     sender: bytes = field(init=False, compare=False, repr=False)
     tx_hash: bytes = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        if type(self.payload) is not bytes or type(self.signature) is not bytes:
+    def __init__(self, sender_public_key, recipient, amount, fee, nonce, payload=b"",
+                 signature=bytes(64)):
+        if type(payload) is not bytes or type(signature) is not bytes:
             raise TypeError("a payload and a signature are bytes")  # else the tx is unhashable
-        if (len(self.sender_public_key) != PUBLIC_KEY_SIZE
-                or len(self.signature) != SIGNATURE_SIZE):
+        if len(sender_public_key) != PUBLIC_KEY_SIZE or len(signature) != SIGNATURE_SIZE:
             raise ValueError(f"a key is {PUBLIC_KEY_SIZE} bytes and a signature {SIGNATURE_SIZE}")
-        data = self.encode()
-        pk, sender = _shared(self.sender_public_key)
-        object.__setattr__(self, "sender_public_key", pk)
-        object.__setattr__(self, "sender", sender)
-        object.__setattr__(self, "recipient", _shared(self.recipient)[0])
-        object.__setattr__(self, "tx_hash", hash_bytes(data))
+        data = _signing_bytes(sender_public_key, recipient, amount, fee, nonce, payload)
+        pk, sender = _shared(sender_public_key)
+        _tx_set_sender_public_key(self, pk)
+        _tx_set_recipient(self, _shared(recipient)[0])
+        _tx_set_amount(self, amount)
+        _tx_set_fee(self, fee)
+        _tx_set_nonce(self, nonce)
+        _tx_set_payload(self, payload)
+        _tx_set_signature(self, signature)
+        _tx_set_sender(self, sender)
+        _tx_set_tx_hash(self, hash_bytes(data + signature))
 
     def __reduce__(self):
         # copies and pickles carry the wire fields only; the copy derives the rest
@@ -292,6 +303,12 @@ class Transaction:
                           obj["signature"], SIGNATURE_SIZE)
         return Transaction(data[:PUBLIC_KEY_SIZE], data[PUBLIC_KEY_SIZE:-SIGNATURE_SIZE],
                            amount, fee, nonce, payload, data[-SIGNATURE_SIZE:])
+
+
+(_tx_set_sender_public_key, _tx_set_recipient, _tx_set_amount, _tx_set_fee, _tx_set_nonce,
+ _tx_set_payload, _tx_set_signature, _tx_set_sender, _tx_set_tx_hash) = [
+    Transaction.__dict__[name].__set__ for name in (
+        "sender_public_key recipient amount fee nonce payload signature sender tx_hash").split()]
 
 
 def decode_transaction(data: bytes) -> Transaction:
@@ -453,11 +470,14 @@ class Block:
     @staticmethod
     def decode(data: bytes) -> "Block":
         """The one block decoder, of chain lines and gossip bodies:
-        ``Block.from_json(_json_object(data))``. A ``bytes`` line of a block
-        with no transactions or allocations, in the spelling ``encode``
-        writes, is read through ``_match_empty_block`` instead, with the
-        same outcome, and becomes the block's kept encoding. Any other
-        input, or an integer out of range, takes the JSON path."""
+        ``Block.from_json(_json_object(data))``. A ``bytes`` input in the
+        spelling ``encode`` writes becomes the block's kept encoding, so the
+        line or body and the block hold one copy of those bytes, and every
+        relay, chain-file line and RPC read of the block reuses them. A line
+        of a block with no transactions or allocations is read through
+        ``_match_empty_block``, with the same outcome; any other input, or an
+        integer out of range, takes the JSON path, where a ``bytes`` input
+        is kept when ``encode`` gives the same bytes."""
         match = _match_empty_block(data) if type(data) is bytes else None
         if match is not None:
             bits, height, miner, pow_nonce, prev_hash, timestamp, tx_root = match.groups()
@@ -470,7 +490,10 @@ class Block:
                 block = Block(height, raw[:32], timestamp, bits, pow_nonce, raw[32:52], raw[52:])
                 _set_canonical(block, data)
                 return block
-        return Block.from_json(_json_object(data))
+        block = Block.from_json(_json_object(data))
+        if type(data) is bytes and block.encode() == data:
+            _set_canonical(block, data)
+        return block
 
 
 (_set_height, _set_prev_hash, _set_timestamp, _set_difficulty_bits, _set_pow_nonce, _set_miner,
@@ -478,19 +501,6 @@ class Block:
  _set_block_hash) = [Block.__dict__[name].__set__ for name in (
     "height prev_hash timestamp difficulty_bits pow_nonce miner tx_root transactions "
     "allocations _canonical _verdict block_hash").split()]
-
-
-def decode_relayed_block(data: bytes) -> Block:
-    """``Block.decode`` for a gossip body. A body in the canonical spelling,
-    which every relay sends, becomes the block's kept encoding, so the body
-    and the block hold one copy of those bytes; ``Block.decode`` already
-    keeps a body without transactions, so for one of those this compares
-    nothing."""
-    block = Block.decode(data)
-    canonical = block.encode()
-    if canonical is not data and canonical == data:
-        _set_canonical(block, data)
-    return block
 
 
 def make_genesis(allocations: Iterable[tuple], timestamp: int = 0) -> Block:

@@ -53,7 +53,7 @@ def decode_locator(body: bytes) -> tuple:
 # its place (a profiler's) sees every decode.
 _KINDS = {
     "TX_ANNOUNCE": (lambda body: ledger.decode_transaction(body), "tx"),
-    "BLOCK_ANNOUNCE": (lambda body: ledger.decode_relayed_block(body), "block"),
+    "BLOCK_ANNOUNCE": (lambda body: Block.decode(body), "block"),
     "GET_BLOCKS": (lambda body: decode_locator(body), ""),
     "BLOCKS": (lambda body: decode_blocks(body), ""),
 }

@@ -17,16 +17,20 @@ Every request gets a reply:
   that is not a decimal integer with 400 and one over ``MAX_BODY_BYTES``
   with 413, each without reading the body.
 
+A payload is parsed by ``ledger._json_object``, which gives what
+``json.loads`` gives (the same object, or the same exception, so the same
+reply) and skips its encoding detection for a payload that opens an object.
 Replies are built as bytes. A block read splices its result from the
-block's kept canonical JSON (``Block.encode``, encoded once per block
-object), so serving a block again encodes nothing; every other reply is
-``ledger.canonical_json`` of its object, and a batch joins its members'
-replies. The bytes are those ``canonical_json`` gives for the whole reply.
+block's kept canonical JSON (``Block.encode``): for a node booted from a
+chain file that is the file's own line, which ``Block.decode`` kept, so no
+read of a canonical chain encodes a block; a block held in another spelling
+is encoded once. Every other reply is ``ledger.canonical_json`` of its
+object, and a batch joins its members' replies. The bytes are those
+``canonical_json`` gives for the whole reply.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from typing import TYPE_CHECKING, Optional
@@ -184,7 +188,7 @@ class RpcDispatcher:
     def handle_payload(self, payload: bytes) -> bytes:
         """One raw JSON-RPC payload in, one out; batches answer positionally."""
         try:
-            req = json.loads(payload)
+            req = ledger._json_object(payload)
         except (ValueError, UnicodeDecodeError, RecursionError):
             return _error_response(None, PARSE_ERROR, "parse error")
         with self._lock:

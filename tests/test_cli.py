@@ -61,6 +61,34 @@ def test_verify_ok_and_inspect(tmp_path, capsys):
     assert "height 0..5" in out
 
 
+def test_inspect_prints_each_block_and_holds_no_block_while_printing(tmp_path, capsys,
+                                                                   monkeypatch):
+    """`inspect`'s output, spelled out from the blocks; when it prints, no
+    block it decoded is still held, only a summary of each."""
+    import builtins
+    import gc
+
+    _, blocks = build_chain(5, allocations=[(addr(1), 100)], tx_plan={
+        2: [signed_tx(1, 2, 10, 1, 0), signed_tx(1, 3, 5, 1, 1)], 3: [signed_tx(2, 3, 4, 1, 0)]})
+    chain = tmp_path / "chain.jsonl"
+    write_chain(chain, blocks)
+    expected = "".join(
+        [f"blocks:    6 (height 0..5)\nhead hash: {blocks[-1].block_hash.hex()}\ntxs:       3\n"]
+        + [f"  h={b.height} hash={b.block_hash.hex()[:16]}.. txs={len(b.transactions)} "
+           f"miner={b.miner.hex()[:12]}..\n" for b in blocks])
+    held = []  # blocks alive at each print that were not alive before the command
+    before = {id(o) for o in gc.get_objects() if type(o) is ledger.Block}
+    real_print = builtins.print
+    monkeypatch.setattr(builtins, "print", lambda *args, **kwargs: (
+        held.append(sum(type(o) is ledger.Block and id(o) not in before
+                        for o in gc.get_objects())),
+        real_print(*args, **kwargs)))
+    assert run_cli("inspect", str(chain)) == 0
+    monkeypatch.undo()
+    assert capsys.readouterr().out == expected
+    assert held == [0] * (3 + len(blocks))
+
+
 def test_verify_reports_tampered_height(tmp_path, capsys):
     _, blocks = build_chain(5, allocations=[(addr(1), 100)])
     lines = ledger.chain_file_lines(blocks)
@@ -396,45 +424,60 @@ def test_serve_rpc_end_to_end(tmp_path):
 
 
 def test_serve_rpc_answers_block_reads_from_canonical_lines_only(tmp_path, monkeypatch):
-    """A node booted from a chain file of blocks without transactions, as
-    `serve-rpc` boots one, answers every block read from the file's own
-    lines and encodes no block. A node booted from a respelled copy of the
-    file answers with the same bytes: it keeps no non-canonical line."""
+    """A node booted from a chain file, as `serve-rpc` boots one, answers
+    every block read from the file's own lines and encodes no block or
+    transaction, whether a line is of a block without transactions, of a
+    block with some, or of a genesis with allocations. A node booted from
+    a respelled copy of the file encodes each block once and answers with
+    the same bytes: it keeps no non-canonical line."""
     from chainsim import rpc
     from chainsim.netsim import SimConfig, Simulator
     from chainsim.node import SimNode
     from chainsim.scenario import node_key_seed
 
-    _, blocks = build_chain(6)
+    _, blocks = build_chain(6, allocations=[(addr(1), 100), (addr(2), 50)], tx_plan={
+        2: [signed_tx(1, 3, 10, 1, 0), signed_tx(2, 3, 5, 1, 0)],
+        4: [signed_tx(1, 2, 7, 1, 1, b"memo")],
+    })
+    txs = sum(len(block.transactions) for block in blocks)
+    assert blocks[0].allocations and txs == 3
     chain, respelled = tmp_path / "chain.jsonl", tmp_path / "respelled.jsonl"
     write_chain(chain, blocks)
     respelled.write_text("".join(
         json.dumps(dict(reversed(json.loads(line).items())), separators=(", ", ": ")) + "\n"
         for line in chain.read_text().splitlines()))
-    formats = []  # the argument tuples of every _BLOCK_JSON formatting
+    formats = {"_BLOCK_JSON": [], "_TX_JSON": []}  # the argument tuples of each formatting
 
-    class CountedLayout(str):
-        def __mod__(self, args):
-            formats.append(args)
-            return str.__mod__(self, args)
+    for name, calls in formats.items():
+        class CountedLayout(str):
+            def __mod__(self, args, calls=calls):
+                calls.append(args)
+                return str.__mod__(self, args)
 
-    monkeypatch.setattr(ledger, "_BLOCK_JSON", CountedLayout(ledger._BLOCK_JSON))
-    replies = {}
+        monkeypatch.setattr(ledger, name, CountedLayout(getattr(ledger, name)))
+    replies, counts = {}, {}  # path -> (formats at boot, formats of the reads) of each layout
     for path in (chain, respelled):
+        for calls in formats.values():
+            calls.clear()
         sim = Simulator(SimConfig(), 1)
         node = SimNode(sim, 0, node_key_seed(0, 0), None,
                        persisted_lines=ledger.stream_chain_lines(path))
         sim.attach(0, node)
+        booted = {name: len(calls) for name, calls in formats.items()}
         dispatcher = rpc.RpcDispatcher(node)
         replies[path] = [dispatcher.handle_payload(json.dumps(
             {"jsonrpc": "2.0", "id": h, "method": "chain_getBlockByHeight",
              "params": {"height": h}}).encode()) for h in range(len(blocks))]
-        if path == chain:
-            assert formats == []
-    assert len(formats) == len(blocks)  # the respelled node encoded each block once
+        counts[path] = {name: (booted[name], len(calls) - booted[name])
+                        for name, calls in formats.items()}
+    # reading every height of the file's chain formats nothing; the respelled
+    # node encoded each block, and so each transaction, once in all
+    assert [read for _, read in counts[chain].values()] == [0, 0]
+    assert [sum(c) for c in counts[respelled].values()] == [len(blocks), txs]
     assert replies[respelled] == replies[chain]
-    for reply, block in zip(replies[chain], blocks):
-        assert json.loads(reply)["result"]["hash"] == block.block_hash.hex()
+    for reply, block, line in zip(replies[chain], blocks, chain.read_bytes().splitlines()):
+        result = json.loads(reply)["result"]
+        assert result == dict(json.loads(line), hash=block.block_hash.hex(), canonical=True)
 
 
 def test_serve_rpc_runs_one_serve_loop_and_closes_the_server(tmp_path, monkeypatch):

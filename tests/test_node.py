@@ -849,26 +849,29 @@ def test_a_block_in_a_non_canonical_spelling_relays_and_persists_canonical_bytes
 def test_a_block_body_in_the_canonical_spelling_is_the_blocks_kept_encoding():
     block = mine_child(GENESIS, txs=[signed_tx(1, 2, 10, 1, 0)])
     body = canonical_json(to_json(block))
-    decoded = ledger.decode_relayed_block(body)
+    decoded = Block.decode(body)
     assert decoded == block and decoded.encode() is body
     spelled = json.dumps(to_json(block), indent=1).encode()
-    respelled = ledger.decode_relayed_block(spelled)
+    respelled = Block.decode(spelled)
     assert respelled == block and respelled.encode() == body
 
 
 def test_a_relayed_transaction_forwards_the_body_it_arrived_in(monkeypatch):
     sim = make_net(3)
     body = signed_tx(1, 2, 10, 1, 0).encode()
-    encoded, sent = [], []
-    real_encode, real_send = ledger.Transaction.encode, Simulator.send
-    monkeypatch.setattr(ledger.Transaction, "encode", lambda tx: encoded.append(tx) or real_encode(tx))
+    encoded, sent = [], []  # the fields of every tx encoding made
+    real_encode, real_send = ledger._signing_bytes, Simulator.send
+    monkeypatch.setattr(ledger, "_verified_signatures", OrderedDict())  # so its check runs
+    monkeypatch.setattr(ledger, "_signing_bytes",
+                        lambda *fields: encoded.append(fields) or real_encode(*fields))
     monkeypatch.setattr(Simulator, "send", lambda sim, src, dst, kind, data: (
         sent.append((src, data)) or real_send(sim, src, dst, kind, data)))
     deliver(sim, 1, "TX_ANNOUNCE", body)
     sim.drain_deliveries()
     assert {src for src, _ in sent} == {0, 1, 2}  # every node relayed it
     assert all(data is body for _, data in sent)
-    assert len(encoded) == 1  # once, for the tx hash of the one decoded object
+    # once for the tx hash of the one decoded object, once for its signature check
+    assert len(encoded) == 2
 
 
 @pytest.mark.parametrize("heights", [0, 1, 3])

@@ -165,6 +165,36 @@ def test_deep_nesting_is_a_parse_error():
     assert reply["error"]["code"] == PARSE_ERROR and reply["id"] is None
 
 
+BALANCE_REQUEST = json.dumps({"jsonrpc": "2.0", "id": 7, "method": "chain_getBalance",
+                              "params": {"address": addr(1).hex()}}).encode()
+BALANCE_REPLY = b'{"id":7,"jsonrpc":"2.0","result":10000}'
+PARSE_REPLY = b'{"error":{"code":-32700,"message":"parse error"},"id":null,"jsonrpc":"2.0"}'
+SURROGATE_REPLY = (b'{"error":{"code":-32601,"message":"unknown method nope"},"id":"\\ud800",'
+                   b'"jsonrpc":"2.0"}')
+
+
+@pytest.mark.parametrize("payload,reply", [
+    (b"\xef\xbb\xbf" + BALANCE_REQUEST, BALANCE_REPLY),  # a UTF-8 byte order mark
+    (b" \r\n\t" + BALANCE_REQUEST, BALANCE_REPLY),
+    (BALANCE_REQUEST + b" \n", BALANCE_REPLY),
+    (b"[" + BALANCE_REQUEST + b"]", b"[" + BALANCE_REPLY + b"]"),
+    (BALANCE_REQUEST + b"x", PARSE_REPLY),
+    (BALANCE_REQUEST + b"{}", PARSE_REPLY),
+    (b'{"\xff":1}', PARSE_REPLY),  # not UTF-8
+    (b'{"jsonrpc":"2.0","id":"\xc3","method":"nope"}', PARSE_REPLY),
+    (b'{"jsonrpc":"2.0","id":"\\ud800","method":"nope"}', SURROGATE_REPLY),  # a lone surrogate
+    (b'{"jsonrpc":"2.0","id":"\xed\xa0\x80","method":"nope"}', SURROGATE_REPLY),  # and encoded
+    (b'{"a":' + b"[" * 100_000 + b"]" * 100_000 + b"}", PARSE_REPLY),  # past the recursion
+    (b"[" * 100_000 + b"]" * 100_000, PARSE_REPLY),  # limit
+], ids=["bom", "leading-space", "trailing-space", "batch", "trailing-byte", "trailing-object",
+        "bad-utf8-key", "bad-utf8-id", "escaped-surrogate", "encoded-surrogate",
+        "deep-object", "deep-list"])
+def test_a_payload_gets_the_reply_json_loads_would_give(payload, reply):
+    """The dispatcher parses a payload as json.loads does: the same object or
+    the same failure, whether or not the payload opens an object."""
+    assert RpcDispatcher(make_node()[1]).handle_payload(payload) == reply
+
+
 def test_batch_answers_positionally():
     sim, node = make_node()
     d = RpcDispatcher(node)
