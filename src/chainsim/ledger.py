@@ -118,20 +118,27 @@ def canonical_json(obj) -> bytes:
     return "".join(json_chunks(obj, 0)).encode()
 
 
-_raw_decode = json.JSONDecoder().raw_decode
+_scan_once = json.JSONDecoder().scan_once
 
 
 def _json_object(data: bytes):
     """``json.loads(data)``: the same object, or the same exception. Bytes
     that open an object with a key, as every block line, block body and
     JSON-RPC request does, are UTF-8 by json.loads's own detection, so they
-    skip it and its whitespace scans when the object fills them.
+    skip it and go straight to the decoder's scanner at their first byte,
+    which is where json.loads's whitespace scan would start it, and raise
+    what the scanner raises. Any other input, an object that does not fill
+    the bytes (trailing whitespace or extra data) and a missing value inside
+    the object (the scanner's StopIteration) take ``json.loads`` itself.
     ``Block.decode`` comes here for a line ``_match_empty_block`` does not
     take (one with transactions or allocations, or in another spelling),
     and ``rpc.RpcDispatcher.handle_payload`` for every payload."""
     if data[:2] == b'{"':
         text = data.decode("utf-8", "surrogatepass")
-        obj, end = _raw_decode(text)
+        try:
+            obj, end = _scan_once(text, 0)
+        except StopIteration:  # no value where one must be: json.loads's error
+            end = None
         if end == len(text):
             return obj
     return json.loads(data)

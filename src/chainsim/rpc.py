@@ -20,19 +20,27 @@ Every request gets a reply:
 A payload is parsed by ``ledger._json_object``, which gives what
 ``json.loads`` gives (the same object, or the same exception, so the same
 reply) and skips its encoding detection for a payload that opens an object.
-Replies are built as bytes. A block read splices its result from the
-block's kept canonical JSON (``Block.encode``): for a node booted from a
-chain file that is the file's own line, which ``Block.decode`` kept, so no
-read of a canonical chain encodes a block; a block held in another spelling
-is encoded once. Every other reply is ``ledger.canonical_json`` of its
-object, and a batch joins its members' replies. The bytes are those
-``canonical_json`` gives for the whole reply.
+Every reply is one ``%`` fill of one bytes layout (``_RESULT_REPLY`` and
+the others below), and a batch joins its members' replies. The request's
+id is spelled once, ``b"%d"`` for an int and ``ledger.canonical_json``
+otherwise, and goes into the fill with the result's fields: a block read
+fills ``_BLOCK_REPLY`` with slices of the block's kept canonical JSON
+(``Block.encode``), with ``canonical`` and ``hash`` between them, so the
+line is copied into the reply once. For a node booted from a chain file
+that is the file's own line, which ``Block.decode`` kept, so no read of a
+canonical chain encodes a block; a block held in another spelling is
+encoded once. A status, the head, a balance and a submitted tx's hash
+have fixed layouts, and every error fills ``_ERROR_REPLY``;
+``canonical_json`` is left for ids that are not ints, error messages and
+the open-ended ``net_getPeers`` result. The bytes are those
+``canonical_json`` gives for the whole reply object.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from binascii import b2a_hex
 from typing import TYPE_CHECKING, Optional
 
 from . import ledger
@@ -59,6 +67,28 @@ APP_ERROR_CODES = {
 }
 
 
+# The reply layouts: canonical_json of each reply object, keys in sorted
+# order. Each %s takes bytes already spelled as JSON (an id, a message or a
+# result through canonical_json, lowercase hex, which JSON never escapes, or
+# slices of a block's kept line) and each %d an int, which %d spells as
+# canonical_json does. A Hypothesis property holds every reply to
+# canonical_json of its reference reply object in the tests.
+_REPLY = b'{"id":%s,"jsonrpc":"2.0","result":'
+_RESULT_REPLY = _REPLY + b'%s}'
+_NULL_REPLY = _REPLY + b'null}'
+_HASH_REPLY = _REPLY + b'"%s"}'
+_BALANCE_REPLY = _REPLY + b'%d}'
+_HEAD_REPLY = _REPLY + b'{"hash":"%s","height":%d}}'
+_PENDING_REPLY = _REPLY + b'{"status":"pending"}}'
+_CONFIRMED_REPLY = _REPLY + b'{"height":%d,"status":"confirmed"}}'
+_UNKNOWN_REPLY = _REPLY + b'{"status":"unknown"}}'
+# a block's kept bytes with "canonical" and "hash" spliced in (_block_reply)
+_BLOCK_REPLY = _REPLY + b'%s"canonical":%s,%s"hash":"%s",%s}'
+_ERROR_REPLY = b'{"error":{"code":%d,"message":%s},"id":%s,"jsonrpc":"2.0"}'
+# the params of a request without any: methods only read them
+_NO_PARAMS: dict = {}
+
+
 class RpcError(Exception):
     def __init__(self, code: int, message: str):
         self.code = code
@@ -81,9 +111,9 @@ class RpcDispatcher:
         self.node = node
         self._lock = threading.Lock()
 
-    # -- method implementations ---------------------------------------------
+    # -- methods: each takes the request's spelled id and returns its reply --
 
-    def chain_submitTransaction(self, params: dict):
+    def chain_submitTransaction(self, params: dict, rid: bytes) -> bytes:
         raw = _require_hex(params, "tx")
         try:
             tx = ledger.decode_transaction(raw)
@@ -96,58 +126,60 @@ class RpcDispatcher:
         if status.startswith("rejected:"):
             cause = status.split(":", 1)[1]
             raise RpcError(APP_ERROR_CODES.get(cause, INVALID_PARAMS), cause)
-        return tx.tx_hash.hex()
+        return _HASH_REPLY % (rid, b2a_hex(tx.tx_hash))
 
-    def _block_result(self, block) -> bytes:
-        """The block's result object as JSON: its kept bytes (``Block.encode``)
-        with ``canonical`` spliced in before ``difficulty_bits`` and ``hash``
-        before ``height``, their places in sorted key order. Every string in
-        those bytes is hex, so the first match of a quoted key is the key."""
+    def _block_reply(self, rid: bytes, block) -> bytes:
+        """The reply to a read of ``block``, in one fill of ``_BLOCK_REPLY``:
+        the block's kept bytes (``Block.encode``) with ``canonical`` spliced
+        in before ``difficulty_bits`` and ``hash`` before ``height``, their
+        places in sorted key order. Every string in those bytes is hex, so
+        the first match of a quoted key is the key; the line is sliced at
+        the two keys and its slices are copied into the reply once."""
         data = block.encode()
         i = data.index(b'"difficulty_bits"')
         j = data.index(b'"height"', i)
         canonical = b"true" if self.node.store.is_canonical(block.block_hash) else b"false"
-        return b'%s"canonical":%s,%s"hash":"%s",%s' % (
-            data[:i], canonical, data[i:j], block.block_hash.hex().encode(), data[j:])
+        return _BLOCK_REPLY % (
+            rid, data[:i], canonical, data[i:j], b2a_hex(block.block_hash), data[j:])
 
-    def chain_getBlockByHeight(self, params: dict):
+    def chain_getBlockByHeight(self, params: dict, rid: bytes) -> bytes:
         height = params.get("height")
-        if not isinstance(height, int) or isinstance(height, bool) or height < 0:
+        if type(height) is not int or height < 0:  # a bool is not an int here
             raise RpcError(INVALID_PARAMS, "height must be a non-negative integer")
         store = self.node.store
         if height >= len(store.canonical):
-            return None
-        return self._block_result(store.blocks[store.canonical[height]])
+            return _NULL_REPLY % rid
+        return self._block_reply(rid, store.blocks[store.canonical[height]])
 
-    def chain_getBlockByHash(self, params: dict):
+    def chain_getBlockByHash(self, params: dict, rid: bytes) -> bytes:
         h = _require_hex(params, "hash", 32)
         block = self.node.store.blocks.get(h)
         if block is None:
-            return None
-        return self._block_result(block)
+            return _NULL_REPLY % rid
+        return self._block_reply(rid, block)
 
-    def chain_getBalance(self, params: dict):
+    def chain_getBalance(self, params: dict, rid: bytes) -> bytes:
         address = _require_hex(params, "address", 20)
-        return self.node.canonical_state.balance(address)
+        return _BALANCE_REPLY % (rid, self.node.canonical_state.balance(address))
 
-    def chain_getTransactionStatus(self, params: dict):
+    def chain_getTransactionStatus(self, params: dict, rid: bytes) -> bytes:
         h = _require_hex(params, "hash", 32)
         if h in self.node.mempool:
-            return {"status": "pending"}
+            return _PENDING_REPLY % rid
         height = self.node.store.tx_heights.get(h)
         if height is not None:
-            return {"status": "confirmed", "height": height}
-        return {"status": "unknown"}
+            return _CONFIRMED_REPLY % (rid, height)
+        return _UNKNOWN_REPLY % rid
 
-    def chain_getHead(self, params: dict):
+    def chain_getHead(self, params: dict, rid: bytes) -> bytes:
         head = self.node.head()
-        return {"height": head.height, "hash": head.block_hash.hex()}
+        return _HEAD_REPLY % (rid, b2a_hex(head.block_hash), head.height)
 
-    def net_getPeers(self, params: dict):
-        return [
+    def net_getPeers(self, params: dict, rid: bytes) -> bytes:
+        return _RESULT_REPLY % (rid, ledger.canonical_json([
             {"id": c.node_id.hex(), "endpoint": c.endpoint}
             for c in self.node.routing.contacts()
-        ]
+        ]))
 
     METHODS = {
         "chain_submitTransaction": chain_submitTransaction,
@@ -162,43 +194,44 @@ class RpcDispatcher:
     # -- protocol ----------------------------------------------------------
 
     def _handle_one(self, req) -> bytes:
-        rid = req.get("id") if isinstance(req, dict) else None
-        if not _valid_id(rid):  # never echoed, so a deep id never reaches the encoder
-            return _error_response(None, INVALID_REQUEST, "invalid request")
+        rid = req.get("id") if type(req) is dict else None
+        # the id is spelled once, and every layout below takes its bytes
+        if type(rid) is int:  # a bool is not an int here
+            rid = b"%d" % rid
+        elif _valid_id(rid):
+            rid = ledger.canonical_json(rid)
+        else:  # never echoed, so a deep id never reaches the encoder
+            return _error_reply(INVALID_REQUEST, "invalid request")
         if (
-            not isinstance(req, dict)
+            type(req) is not dict
             or req.get("jsonrpc") != "2.0"
-            or not isinstance(req.get("method"), str)
+            or type(req.get("method")) is not str
         ):
-            return _error_response(rid, INVALID_REQUEST, "invalid request")
+            return _error_reply(INVALID_REQUEST, "invalid request", rid)
         method = self.METHODS.get(req["method"])
         if method is None:
-            return _error_response(rid, METHOD_NOT_FOUND, f"unknown method {req['method']}")
-        params = req.get("params", {})
-        if not isinstance(params, dict):
-            return _error_response(rid, INVALID_PARAMS, "params must be by-name")
+            return _error_reply(METHOD_NOT_FOUND, f"unknown method {req['method']}", rid)
+        params = req.get("params", _NO_PARAMS)
+        if type(params) is not dict:
+            return _error_reply(INVALID_PARAMS, "params must be by-name", rid)
         try:
-            result = method(self, params)
+            return method(self, params, rid)
         except RpcError as e:
-            return _error_response(rid, e.code, e.message)
-        if type(result) is bytes:  # a block's result, already JSON
-            return b'{"id":%s,"jsonrpc":"2.0","result":%s}' % (ledger.canonical_json(rid), result)
-        return ledger.canonical_json({"jsonrpc": "2.0", "id": rid, "result": result})
+            return _error_reply(e.code, e.message, rid)
 
     def handle_payload(self, payload: bytes) -> bytes:
         """One raw JSON-RPC payload in, one out; batches answer positionally."""
         try:
             req = ledger._json_object(payload)
         except (ValueError, UnicodeDecodeError, RecursionError):
-            return _error_response(None, PARSE_ERROR, "parse error")
+            return _error_reply(PARSE_ERROR, "parse error")
         with self._lock:
-            if not isinstance(req, list):
+            if type(req) is not list:
                 return self._handle_one(req)
             if not req:
-                return _error_response(None, INVALID_REQUEST, "empty batch")
+                return _error_reply(INVALID_REQUEST, "empty batch")
             if len(req) > MAX_BATCH_LENGTH:
-                return _error_response(
-                    None, INVALID_REQUEST, f"batch over {MAX_BATCH_LENGTH} requests")
+                return _error_reply(INVALID_REQUEST, f"batch over {MAX_BATCH_LENGTH} requests")
             return b"[" + b",".join([self._handle_one(r) for r in req]) + b"]"
 
 
@@ -208,9 +241,8 @@ def _valid_id(rid) -> bool:
         type(rid) is float and math.isfinite(rid))
 
 
-def _error_response(rid, code: int, message: str) -> bytes:
-    return ledger.canonical_json(
-        {"jsonrpc": "2.0", "id": rid, "error": {"code": code, "message": message}})
+def _error_reply(code: int, message: str, rid: bytes = b"null") -> bytes:
+    return _ERROR_REPLY % (code, ledger.canonical_json(message), rid)
 
 
 def bind(host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:

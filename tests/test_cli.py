@@ -480,6 +480,60 @@ def test_serve_rpc_answers_block_reads_from_canonical_lines_only(tmp_path, monke
         assert result == dict(json.loads(line), hash=block.block_hash.hex(), canonical=True)
 
 
+def test_serve_rpc_reads_with_int_ids_format_no_block_and_encode_nothing(
+        tmp_path, monkeypatch, signature_cache):
+    """A node booted from a canonical chain file with transactions, as
+    `serve-rpc` boots one, answers every read by height and by hash, the
+    head, balances and transaction statuses under int ids from fixed reply
+    layouts: no reply calls `ledger.canonical_json` or formats a block."""
+    from chainsim import rpc
+    from chainsim.netsim import SimConfig, Simulator
+    from chainsim.node import SimNode
+    from chainsim.scenario import node_key_seed
+
+    _, blocks = build_chain(4, allocations=[(addr(1), 100), (addr(2), 50)], tx_plan={
+        2: [signed_tx(1, 3, 10, 1, 0), signed_tx(2, 3, 5, 1, 0)],
+        3: [signed_tx(1, 2, 7, 1, 1, b"memo")],
+    })
+    txs = [tx for block in blocks for tx in block.transactions]
+    chain = tmp_path / "chain.jsonl"
+    write_chain(chain, blocks)
+    sim = Simulator(SimConfig(), 1)
+    node = SimNode(sim, 0, node_key_seed(0, 0), None,
+                   persisted_lines=ledger.stream_chain_lines(chain))
+    sim.attach(0, node)
+    pending = signed_tx(2, 1, 1, 1, 1)
+    assert node.on_transaction(pending) == "relayed"
+    reads = (
+        [("chain_getBlockByHeight", {"height": h}) for h in range(len(blocks) + 1)]
+        + [("chain_getBlockByHash", {"hash": b.block_hash.hex()}) for b in blocks]
+        + [("chain_getBlockByHash", {"hash": "00" * 32}), ("chain_getHead", {})]
+        + [("chain_getBalance", {"address": addr(i).hex()}) for i in (1, 2, 3, 99)]
+        + [("chain_getTransactionStatus", {"hash": tx.tx_hash.hex()})
+           for tx in txs + [pending, signed_tx(3, 1, 1, 1, 0)]]
+    )
+    payloads = [json.dumps({"jsonrpc": "2.0", "id": i, "method": method, "params": params})
+                .encode() for i, (method, params) in enumerate(reads)]
+    encoded, formatted = [], []
+    canonical_json = ledger.canonical_json
+    monkeypatch.setattr(ledger, "canonical_json",
+                        lambda obj: encoded.append(obj) or canonical_json(obj))
+
+    class CountedLayout(str):
+        def __mod__(self, args):
+            formatted.append(args)
+            return str.__mod__(self, args)
+
+    monkeypatch.setattr(ledger, "_BLOCK_JSON", CountedLayout(ledger._BLOCK_JSON))
+    dispatcher = rpc.RpcDispatcher(node)
+    replies = [json.loads(dispatcher.handle_payload(payload)) for payload in payloads]
+    assert (encoded, formatted) == ([], [])
+    assert all(reply.keys() == {"jsonrpc", "id", "result"} for reply in replies)
+    assert [reply["id"] for reply in replies] == list(range(len(reads)))
+    statuses = [reply["result"]["status"] for reply in replies[-len(txs) - 2:]]
+    assert statuses == ["confirmed"] * len(txs) + ["pending", "unknown"]
+
+
 def test_serve_rpc_runs_one_serve_loop_and_closes_the_server(tmp_path, monkeypatch):
     """`serve-rpc` waits on the loop `rpc.start` started rather than running a
     second one on the same socket; when that loop ends, the command closes the

@@ -474,7 +474,7 @@ def test_the_empty_tx_root_is_the_hash_of_no_bytes():
     assert ledger.compute_tx_root(()) == ledger.compute_tx_root([]) == crypto.hash_bytes(b"")
 
 
-def test_each_block_object_hashes_its_header_once(monkeypatch):
+def test_each_block_object_hashes_its_header_once(monkeypatch, signature_cache):
     genesis = make_genesis([(addr(1), 100)])
     txs = (signed_tx(1, 2, 10, 1, 0),)
     template = consensus.BlockTemplate(1, genesis.block_hash, 0, 4, addr(3),

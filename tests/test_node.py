@@ -446,7 +446,7 @@ def count_copies(monkeypatch) -> list:
     return copies
 
 
-def test_connecting_a_block_copies_a_state_only_off_the_tip(monkeypatch):
+def test_connecting_a_block_copies_a_state_only_off_the_tip(monkeypatch, signature_cache):
     sim = make_net(1)
     node = sim.nodes[0]
     copies = count_copies(monkeypatch)
@@ -473,7 +473,7 @@ def test_connecting_a_block_copies_a_state_only_off_the_tip(monkeypatch):
     assert copies == []
 
 
-def test_reloading_a_persisted_chain_applies_each_block_once(monkeypatch):
+def test_reloading_a_persisted_chain_applies_each_block_once(monkeypatch, signature_cache):
     sim = make_net(1)
     node = sim.nodes[0]
     for n in range(4):
@@ -806,7 +806,7 @@ def test_a_deliver_row_with_no_block_label_folds_no_announce():
 
 # -- each block encoded once ---------------------------------------------------------
 
-def test_each_block_object_is_json_encoded_once(monkeypatch):
+def test_each_block_object_is_json_encoded_once(monkeypatch, signature_cache):
     sim = make_net(5)
     encoded = []  # every block encode found with no kept bytes, held so that no id is reused
     real = Block.encode

@@ -1,6 +1,8 @@
+import itertools
 import json
 import socket
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,7 @@ from chainsim.rpc import (
     start,
 )
 
-from conftest import addr, oversized_tx_body, signed_tx, to_json
+from conftest import addr, oversized_tx_body, replayed_state, signed_tx, to_json
 
 GENESIS = make_genesis([(addr(1), 10_000)])
 
@@ -38,6 +40,12 @@ def call(dispatcher, method, params=None, rid=1):
     if params is not None:
         req["params"] = params
     return json.loads(dispatcher.handle_payload(json.dumps(req).encode()))
+
+
+def forged(tx) -> bytes:
+    body = bytearray(tx.encode())
+    body[-1] ^= 1  # one bit of the signature
+    return bytes(body)
 
 
 def test_submit_get_status_and_balance_lifecycle():
@@ -80,25 +88,16 @@ def test_rejection_codes():
     gap = signed_tx(1, 2, 10, 1, 5)
     resp = call(d, "chain_submitTransaction", {"tx": gap.encode().hex()})
     assert resp["error"]["code"] == 1002
-    ok = signed_tx(1, 2, 10, 1, 0)
-    forged = bytearray(ok.encode())
-    forged[-1] ^= 1
-    resp = call(d, "chain_submitTransaction", {"tx": bytes(forged).hex()})
+    resp = call(d, "chain_submitTransaction", {"tx": forged(signed_tx(1, 2, 10, 1, 0)).hex()})
     assert resp["error"]["code"] == 1001
 
 
 def test_a_forged_signature_is_1001_only_when_every_cheaper_check_passes():
     sim, node = make_node()
     d = RpcDispatcher(node)
-
-    def forged(tx):
-        body = bytearray(tx.encode())
-        body[-1] ^= 1  # one bit of the signature
-        return bytes(body).hex()
-
-    resp = call(d, "chain_submitTransaction", {"tx": forged(signed_tx(1, 2, 10, 1, 5))})
+    resp = call(d, "chain_submitTransaction", {"tx": forged(signed_tx(1, 2, 10, 1, 5)).hex()})
     assert resp["error"]["code"] == 1002  # the gapped nonce is found first
-    resp = call(d, "chain_submitTransaction", {"tx": forged(signed_tx(1, 2, 10, 1, 0))})
+    resp = call(d, "chain_submitTransaction", {"tx": forged(signed_tx(1, 2, 10, 1, 0)).hex()})
     assert resp["error"]["code"] == 1001
     assert len(node.mempool) == 0
 
@@ -386,61 +385,135 @@ def test_arbitrary_json_values_always_get_one_reply(dispatcher, value):
 @pytest.fixture(scope="module")
 def served():
     """A node holding genesis (with an allocation), two canonical blocks (one
-    carrying a tx) and a side block, and its dispatcher."""
+    carrying a tx) and a side block, with one tx pending; its dispatcher;
+    and the valid txs that submits take, one each, in nonce order."""
     sim, node = make_node()
-    node.on_transaction(signed_tx(1, 2, 25, 2, 0, b"%s\"\\"))
+    confirmed = signed_tx(1, 2, 25, 2, 0, b"%s\"\\")
+    node.on_transaction(confirmed)
     canonical = [GENESIS, node.mine_and_broadcast()]
     side = sim.nodes[1].mine_and_broadcast()  # same height, different miner
     node.on_block(side)
     canonical.append(node.mine_and_broadcast())
-    assert canonical[1].transactions and node.head() == canonical[-1]
+    pending = signed_tx(1, 3, 1, 1, 1)
+    assert node.on_transaction(pending) == "relayed"
+    assert canonical[1].transactions == (confirmed,) and node.head() == canonical[-1]
     assert not node.store.is_canonical(side.block_hash)
-    return RpcDispatcher(node), canonical, side
+    return SimpleNamespace(
+        dispatcher=RpcDispatcher(node), node=node, canonical=canonical, side=side,
+        confirmed=confirmed, pending=pending, state=replayed_state(canonical),
+        submits=(signed_tx(1, 3, 1, 1, nonce) for nonce in itertools.count(2)))
 
 
 # ids a reply must echo: strings JSON escapes (quotes, backslashes, non-ASCII)
-# or a % format would read, integers, finite floats and null
+# or a % format would read, integers (some past 2**64), finite floats (-0.0
+# and 1e300 among them) and null
 REPLY_IDS = (
     st.text(st.sampled_from('"\\%sdé€\U0001f600\n') | st.characters(), max_size=8)
-    | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.none()
+    | st.integers() | st.integers(2**64, 2**200) | st.integers(-(2**200), -(2**64) - 1)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 1e300])
+    | st.none()
 )
-# a block read, by canonical height (genesis, a block with a tx, the head, or
-# past the head) or by hash (one of those or the side block); or an error
-BLOCK_READS = st.sampled_from(
-    [("height", h) for h in range(4)] + [("hash", i) for i in range(4)] + ["nope", "v1"])
 
 
-def block_read(served, read, rid) -> tuple:
+# every request a dispatcher answers with a result or an error of its own:
+# block reads by canonical height (genesis, a block with a tx, the head, or
+# past the head) or by hash (one of those or the side block); each status; a
+# funded and an unknown address; the head; a valid submit; the peers; and
+# each error a request can get, an unknown method under a drawn name
+READS = st.sampled_from(
+    [("height", h) for h in range(4)] + [("hash", i) for i in range(4)]
+    + [("status", s) for s in ("pending", "confirmed", "unknown")]
+    + [("balance", 1), ("balance", 99), "head", "submit", "peers"]
+    + ["bad_id", "v1", "negative_height", "by_position", "bad_hex"]
+    + [("submit", code) for code in (1001, 1002, 1003, 1004, 1005)]
+) | st.tuples(st.just("method"), st.text(st.sampled_from('"\\%sé€\n_') | st.characters(),
+                                          max_size=8))
+SUBMIT_ERRORS = {  # the body submitted and the error's message
+    1001: (lambda s: forged(signed_tx(2, 3, 1, 1, 0)), "bad_signature"),
+    1002: (lambda s: signed_tx(2, 3, 1, 1, 7).encode(), "bad_nonce"),
+    1003: (lambda s: signed_tx(2, 3, 1000, 1, 0).encode(), "insufficient_funds"),
+    1004: (lambda s: s.pending.encode(), "transaction already known"),
+    1005: (lambda s: oversized_tx_body(), "undecodable transaction: payload_too_large"),
+}
+REQUEST_ERRORS = {  # a request's method and params, and its error's code and message
+    "negative_height": ("chain_getBlockByHeight", {"height": -1},
+                        INVALID_PARAMS, "height must be a non-negative integer"),
+    "by_position": ("chain_getHead", [], INVALID_PARAMS, "params must be by-name"),
+    "bad_hex": ("chain_getTransactionStatus", {"hash": 7}, INVALID_PARAMS,
+                "param 'hash': expected a hex string, got int"),
+}
+
+
+def reference(served, read, rid) -> tuple:
     """A request and the reply object a dispatcher should answer it with."""
-    _, canonical, side = served
     request = {"jsonrpc": "2.0", "id": rid}
-    if read == "nope":
-        request["method"] = "nope"
-        return request, {"jsonrpc": "2.0", "id": rid,
-                         "error": {"code": -32601, "message": "unknown method nope"}}
+
+    def result(method, value, params=None):
+        request["method"] = method
+        if params is not None:
+            request["params"] = params
+        return request, {"jsonrpc": "2.0", "id": rid, "result": value}
+
+    def error(code, message, echoed=rid):
+        return request, {"jsonrpc": "2.0", "id": echoed,
+                         "error": {"code": code, "message": message}}
+
+    if read == "bad_id":
+        request.update(id=[rid], method="chain_getHead")
+        return error(INVALID_REQUEST, "invalid request", None)
     if read == "v1":
         request.update(jsonrpc="1.0", method="chain_getBlockByHeight", params={"height": 0})
-        return request, {"jsonrpc": "2.0", "id": rid,
-                         "error": {"code": INVALID_REQUEST, "message": "invalid request"}}
-    by, i = read
-    if by == "height":
-        request.update(method="chain_getBlockByHeight", params={"height": i})
-        block = canonical[i] if i < len(canonical) else None
+        return error(INVALID_REQUEST, "invalid request")
+    if read in REQUEST_ERRORS:
+        method, params, code, message = REQUEST_ERRORS[read]
+        request.update(method=method, params=params)
+        return error(code, message)
+    if read == "head":
+        head = served.canonical[-1]
+        return result("chain_getHead", {"height": head.height, "hash": head.block_hash.hex()})
+    if read == "submit":
+        tx = next(served.submits)
+        return result("chain_submitTransaction", tx.tx_hash.hex(), {"tx": tx.encode().hex()})
+    if read == "peers":
+        return result("net_getPeers", [
+            {"id": c.node_id.hex(), "endpoint": c.endpoint}
+            for c in served.node.routing.contacts()])
+    kind, arg = read
+    if kind == "method":
+        request["method"] = arg
+        return error(-32601, f"unknown method {arg}")
+    if kind == "submit":
+        body, message = SUBMIT_ERRORS[arg]
+        request.update(method="chain_submitTransaction", params={"tx": body(served).hex()})
+        return error(arg, message)
+    if kind == "status":
+        tx = {"pending": served.pending, "confirmed": served.confirmed}.get(arg)
+        tx_hash = bytes(32) if tx is None else tx.tx_hash
+        status = {"status": arg}
+        if arg == "confirmed":
+            status["height"] = 1
+        return result("chain_getTransactionStatus", status, {"hash": tx_hash.hex()})
+    if kind == "balance":
+        return result("chain_getBalance", served.state.balance(addr(arg)),
+                      {"address": addr(arg).hex()})
+    if kind == "height":
+        block = served.canonical[arg] if arg < len(served.canonical) else None
+        request.update(method="chain_getBlockByHeight", params={"height": arg})
     else:
-        block = (canonical + [side])[i]
+        block = (served.canonical + [served.side])[arg]
         request.update(method="chain_getBlockByHash", params={"hash": block.block_hash.hex()})
-    result = None if block is None else dict(
-        to_json(block), hash=block.block_hash.hex(), canonical=block is not side)
-    return request, {"jsonrpc": "2.0", "id": rid, "result": result}
+    value = None if block is None else dict(
+        to_json(block), hash=block.block_hash.hex(), canonical=block is not served.side)
+    return request, {"jsonrpc": "2.0", "id": rid, "result": value}
 
 
 @settings(deadline=None)
-@given(reads=st.lists(st.tuples(BLOCK_READS, REPLY_IDS), min_size=1, max_size=4),
+@given(reads=st.lists(st.tuples(READS, REPLY_IDS), min_size=1, max_size=4),
        batched=st.booleans())
-def test_block_read_replies_are_canonical_json_of_the_reference_reply(served, reads, batched):
-    pairs = [block_read(served, read, rid) for read, rid in reads]
+def test_every_reply_is_canonical_json_of_the_reference_reply(served, reads, batched):
+    pairs = [reference(served, read, rid) for read, rid in reads]
     requests, replies = zip(*pairs)
-    dispatcher = served[0]
+    dispatcher = served.dispatcher
     if batched:
         assert dispatcher.handle_payload(json.dumps(requests).encode()) == canonical_json(
             list(replies))
@@ -448,3 +521,16 @@ def test_block_read_replies_are_canonical_json_of_the_reference_reply(served, re
         for request, reply in pairs:
             assert dispatcher.handle_payload(json.dumps(request).encode()) == canonical_json(
                 reply)
+
+
+@pytest.mark.parametrize("payload,code,message", [
+    (b"{nope", PARSE_ERROR, "parse error"),
+    (b"[]", INVALID_REQUEST, "empty batch"),
+    (json.dumps([{"jsonrpc": "2.0", "id": 1, "method": "chain_getHead"}]
+                * (MAX_BATCH_LENGTH + 1)).encode(),
+     INVALID_REQUEST, f"batch over {MAX_BATCH_LENGTH} requests"),
+], ids=["parse", "empty-batch", "over-long-batch"])
+def test_a_payload_error_is_canonical_json_of_the_reference_reply(served, payload, code,
+                                                                   message):
+    assert served.dispatcher.handle_payload(payload) == canonical_json(
+        {"jsonrpc": "2.0", "id": None, "error": {"code": code, "message": message}})

@@ -169,7 +169,8 @@ def test_calls_per_delivery_stay_bounded():
     assert calls / result.sim.messages_delivered <= 22
 
 
-def test_convergence_20_checks_each_block_once_and_skips_duplicate_gossip(monkeypatch):
+def test_convergence_20_checks_each_block_once_and_skips_duplicate_gossip(
+        monkeypatch, signature_cache):
     """On convergence_20: the stateless block checks, and with them
     ``compute_tx_root``, run once per distinct block object validated (each
     mined template hashes its root once more); the live tracer folds every
